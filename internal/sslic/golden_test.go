@@ -4,24 +4,106 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
+	"math"
 	"testing"
 
 	"sslic/internal/dataset"
 	"sslic/internal/imgio"
+	"sslic/internal/slic"
 )
 
 // goldenLabelsSHA256 is the SHA-256 of the label map produced by the
-// golden configuration below. It pins the exact segmentation output:
-// any refactor that changes labels — intentionally or not — must update
-// this constant, making silent output drift impossible. The hash is
-// identical for every Workers value per the determinism contract of
-// parallel_test.go (float64 arithmetic in Go is IEEE-754-exact, so the
-// value is stable across conforming platforms).
+// default float64 configuration on the golden scene. It pins the exact
+// segmentation output: any refactor that changes labels — intentionally
+// or not — must update this constant, making silent output drift
+// impossible. The hash is identical for every Workers value per the
+// determinism contract of parallel_test.go (float64 arithmetic in Go is
+// IEEE-754-exact, so the value is stable across conforming platforms).
 const goldenLabelsSHA256 = "1623e5d1261982a00ed6875c811bd33ba109245c9ac70e9fbf4a8dbc44468d30"
 
-// goldenSegment runs the pinned configuration: a fixed-seed synthetic
-// scene through DefaultParams at the given worker count.
-func goldenSegment(t *testing.T, workers int) *imgio.LabelMap {
+// goldenFixedLabelsSHA256 pins the fixed-datapath output of the same
+// scene. The integer hot loop makes the run bit-identical for every
+// worker count by construction (exact sigma merge), so a single
+// constant covers the whole TileWorkers sweep; it is also
+// platform-independent, carrying no floating-point arithmetic at all
+// past the LUT construction.
+const goldenFixedLabelsSHA256 = "7ece6671d83c89cf3b66f3af52226f4061287851c9373f5d59c19f681ed512a9"
+
+// goldenRow is one pinned configuration of the golden scene: a
+// DefaultParams(64, 0.5) run with mod applied. Every worker count the
+// row runs must produce the same labels; the serial run (TileWorkers 1,
+// which every row includes) must also reproduce the Stats digest.
+type goldenRow struct {
+	name  string
+	fixed bool // run on the Fixed datapath
+	mod   func(*Params)
+	// warm seeds the run with the centers of the serial cold run of the
+	// same row (warm off) and FullIters 3 — the video pipeline's
+	// warm-start path.
+	warm    bool
+	workers []int
+	labels  string // label-map SHA-256
+	stats   string // statsDigest of the TileWorkers 1 run
+}
+
+// goldenRows covers every control path of the segmenters: both PPA
+// datapaths and CPA, every subset scheme, preemption, warm start, the
+// software center update, reduced-precision quantization and the
+// Threshold early stop. Every value was computed before the three
+// segmenters were folded into one pass driver and must survive any
+// refactor unchanged. (CPA ignores TileWorkers, so it runs serially.)
+var goldenRows = []goldenRow{
+	{name: "float", workers: []int{1, 4, -1}, labels: goldenLabelsSHA256,
+		stats: "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=2007c0636f6deafd"},
+	{name: "fixed", fixed: true, workers: []int{1, 2, 3, 8}, labels: goldenFixedLabelsSHA256,
+		stats: "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=103cd2ea41e62699"},
+	{name: "cpa", mod: func(p *Params) { p.Arch = CPA }, workers: []int{1},
+		labels: "bb6b7dc9cfb657bfa9490ee7b55acd2cf2af23191d3dfb0be10efe429cf4bd8b",
+		stats:  "calcs=708024 skipped=0 saved=0 updates=620 passes=20 converged=false moves=724a87a697ce5847"},
+	{name: "float/rows", mod: func(p *Params) { p.Scheme = Rows }, workers: []int{1, 3},
+		labels: "b7e79a70d1bea93012e154564f0849c78552f632f8845e5151571569dcce3578",
+		stats:  "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=57a7bba4894d0d9f"},
+	{name: "float/blocks", mod: func(p *Params) { p.Scheme = Blocks }, workers: []int{1, 3},
+		labels: "66ca0fe22b406f310efa7734ff9be4ea073f8ff04de91a7fbc8977fdd2957b42",
+		stats:  "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=e6abf66ff7bd7a29"},
+	{name: "float/hashed", mod: func(p *Params) { p.Scheme = Hashed }, workers: []int{1, 3},
+		labels: "539da6e0ffb251e9bfaa254e0cc84086c37b68f61d238e18452bfcfd9854de74",
+		stats:  "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=fa750c5c8919fbcd"},
+	{name: "fixed/rows", fixed: true, mod: func(p *Params) { p.Scheme = Rows }, workers: []int{1, 3},
+		labels: "e4daebea1c191ec60a49d4b77da099f44f70c2ca7c3745a665c4dc561141b59c",
+		stats:  "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=b6ec53e7f2ea5b86"},
+	{name: "fixed/blocks", fixed: true, mod: func(p *Params) { p.Scheme = Blocks }, workers: []int{1, 3},
+		labels: "b92a641ff0609208d5d885d3dd6a33d801d18bc396a6f6dd57c13b601d764e31",
+		stats:  "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=e5513adedf22aaa1"},
+	{name: "fixed/hashed", fixed: true, mod: func(p *Params) { p.Scheme = Hashed }, workers: []int{1, 3},
+		labels: "aca0701ce67fc39ec5676813b59646fea4ec095a8295cffb0005b268cd0d0a71",
+		stats:  "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=db3df29973b5155c"},
+	{name: "float/preemptive", mod: func(p *Params) { p.Preemptive = true }, workers: []int{1, 3},
+		labels: "51836e2aa2f8396b2d336251de54c55e317e3a1ba48a475963c9f7a4b4b8a690",
+		stats:  "calcs=1411879 skipped=36 saved=34335 updates=1260 passes=20 converged=false moves=72a586ed69b99294"},
+	{name: "fixed/preemptive", fixed: true, mod: func(p *Params) { p.Preemptive = true }, workers: []int{1, 3},
+		labels: "04caf26a526ac86994eadab6dcee8452f2df2d3a06dbd4f1eaae155eb51d3b38",
+		stats:  "calcs=1410347 skipped=35 saved=35865 updates=1260 passes=20 converged=false moves=0ba023d47944c069"},
+	{name: "float/warm", warm: true, workers: []int{1, 3},
+		labels: "2fb5f36d2678939cc30b386e4bd67fbb938b3cc3e0a215ceb55efbf206bc49b9",
+		stats:  "calcs=433875 skipped=0 saved=0 updates=378 passes=6 converged=false moves=3fbdafe167b226e3"},
+	{name: "fixed/warm", fixed: true, warm: true, workers: []int{1, 3},
+		labels: "5f60c577d62cae76e3f9ba45701b87786713812ed66573d8be20172ce1310be4",
+		stats:  "calcs=433875 skipped=0 saved=0 updates=378 passes=6 converged=false moves=4eea7100f490d969"},
+	{name: "float/software-update", mod: func(p *Params) { p.SoftwareCenterUpdate = true }, workers: []int{1, 3},
+		labels: "31d5ff21ada41a19ea9b4859468cb6caa1849608533500990faa6615b7161cc4",
+		stats:  "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=a4f9708a8624efd5"},
+	{name: "float/quant8", mod: func(p *Params) { p.Quantization = slic.NewDatapath(8) }, workers: []int{1, 3},
+		labels: "8fb18f7dba8850f06b42765b5edbf02b2be484f3cdf2b6ca356e3e1e9890418b",
+		stats:  "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=1199494393cbb395"},
+	{name: "float/threshold", mod: func(p *Params) { p.Threshold = 0.5 }, workers: []int{1, 3},
+		labels: "ebf522fc4f2d755124d8e7e1959b92709806ba8739c8405575660251f6ecd121",
+		stats:  "calcs=723125 skipped=0 saved=0 updates=630 passes=10 converged=true moves=38b6a1e4e53a14e1"},
+}
+
+// goldenScene is the fixed-seed synthetic scene every golden row runs.
+func goldenScene(t *testing.T) *imgio.Image {
 	t.Helper()
 	cfg := dataset.DefaultConfig()
 	cfg.W, cfg.H = 160, 120
@@ -30,13 +112,76 @@ func goldenSegment(t *testing.T, workers int) *imgio.LabelMap {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s.Image
+}
+
+// params returns the row's configuration at the given worker count,
+// without the warm-start seed.
+func (row goldenRow) params(workers int) Params {
 	p := DefaultParams(64, 0.5)
-	p.TileWorkers = workers
-	r, err := Segment(s.Image, p)
-	if err != nil {
-		t.Fatal(err)
+	if row.fixed {
+		p.Datapath = Fixed
 	}
-	return r.Labels
+	if row.mod != nil {
+		row.mod(&p)
+	}
+	p.TileWorkers = workers
+	return p
+}
+
+// checkGoldenRow runs one row at every pinned worker count and compares
+// the label hashes and the serial Stats digest.
+func checkGoldenRow(t *testing.T, im *imgio.Image, row goldenRow) {
+	t.Helper()
+	var init []slic.Center
+	if row.warm {
+		cold, err := Segment(im, row.params(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		init = cold.Centers
+	}
+	for _, workers := range row.workers {
+		p := row.params(workers)
+		if row.warm {
+			p.InitialCenters = init
+			p.FullIters = 3
+		}
+		r, err := Segment(im, p)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got := labelsSHA256(r.Labels); got != row.labels {
+			t.Errorf("workers=%d: label hash %s, want %s", workers, got, row.labels)
+		}
+		if workers == 1 {
+			if got := statsDigest(r.Stats); got != row.stats {
+				t.Errorf("stats digest %q, want %q", got, row.stats)
+			}
+		}
+	}
+}
+
+// TestGoldenDeterminism is the output-pinning regression test of the
+// float64 datapath and CPA: every row must hash to its checked-in
+// labels at every worker count, serial and parallel alike.
+func TestGoldenDeterminism(t *testing.T) {
+	im := goldenScene(t)
+	for _, row := range goldenRows {
+		if !row.fixed {
+			t.Run(row.name, func(t *testing.T) { checkGoldenRow(t, im, row) })
+		}
+	}
+}
+
+// TestGoldenDeterminismFixed pins the fixed-datapath rows the same way.
+func TestGoldenDeterminismFixed(t *testing.T) {
+	im := goldenScene(t)
+	for _, row := range goldenRows {
+		if row.fixed {
+			t.Run(row.name, func(t *testing.T) { checkGoldenRow(t, im, row) })
+		}
+	}
 }
 
 func labelsSHA256(lm *imgio.LabelMap) string {
@@ -53,57 +198,19 @@ func labelsSHA256(lm *imgio.LabelMap) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestGoldenDeterminism is the output-pinning regression test: the
-// fixed-seed scene must hash to the checked-in constant at every worker
-// count, serial and parallel alike.
-func TestGoldenDeterminism(t *testing.T) {
-	for _, workers := range []int{1, 4, -1} {
-		got := labelsSHA256(goldenSegment(t, workers))
-		if got != goldenLabelsSHA256 {
-			t.Errorf("workers=%d: label hash %s, want %s (if the change is intentional, update goldenLabelsSHA256)",
-				workers, got, goldenLabelsSHA256)
-		}
+// statsDigest renders the work counters and convergence record of a
+// run: the counters in clear, the residual history as a hash of its
+// exact float64 bits.
+func statsDigest(st Stats) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, m := range st.MoveHistory {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(m))
+		h.Write(b[:])
 	}
-}
-
-// goldenFixedLabelsSHA256 pins the fixed-datapath output of the same
-// scene. The integer hot loop makes the run bit-identical for every
-// worker count by construction (exact sigma merge), so a single
-// constant covers the whole TileWorkers sweep; it is also
-// platform-independent, carrying no floating-point arithmetic at all
-// past the LUT construction.
-const goldenFixedLabelsSHA256 = "7ece6671d83c89cf3b66f3af52226f4061287851c9373f5d59c19f681ed512a9"
-
-// goldenSegmentFixed is goldenSegment on the fixed LUT datapath.
-func goldenSegmentFixed(t *testing.T, workers int) *imgio.LabelMap {
-	t.Helper()
-	cfg := dataset.DefaultConfig()
-	cfg.W, cfg.H = 160, 120
-	cfg.Regions = 12
-	s, err := dataset.Generate(cfg, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := DefaultParams(64, 0.5)
-	p.Datapath = Fixed
-	p.TileWorkers = workers
-	r, err := Segment(s.Image, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r.Labels
-}
-
-// TestGoldenDeterminismFixed pins the fixed-datapath output across the
-// worker sweep: one hash, every TileWorkers value, byte-identical.
-func TestGoldenDeterminismFixed(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8} {
-		got := labelsSHA256(goldenSegmentFixed(t, workers))
-		if got != goldenFixedLabelsSHA256 {
-			t.Errorf("workers=%d: label hash %s, want %s (if the change is intentional, update goldenFixedLabelsSHA256)",
-				workers, got, goldenFixedLabelsSHA256)
-		}
-	}
+	return fmt.Sprintf("calcs=%d skipped=%d saved=%d updates=%d passes=%d converged=%t moves=%x",
+		st.DistanceCalcs, st.SkippedTiles, st.SavedDistanceCalcs, st.CenterUpdates,
+		st.SubsetPasses, st.Converged, h.Sum(nil)[:8])
 }
 
 // TestGoldenLabelBufReuse: routing the result through a dirty reused
