@@ -1,153 +1,89 @@
 package sslic
 
 import (
-	"context"
-	"fmt"
 	"math"
-	"time"
 
-	"sslic/internal/faults"
 	"sslic/internal/imgio"
 	"sslic/internal/slic"
-	"sslic/internal/telemetry"
 )
 
-// segmentCPA runs the center perspective architecture of §4.2: the
+// cpaKernel is the center perspective architecture of §4.2: the
 // superpixel centers are split into equal subsets traversed round-robin;
 // each pass updates one subset of centers by scanning the 2S×2S patch
 // around each of them, exactly like original SLIC restricted to that
 // subset. Persistent minimum-distance and label buffers carry state
 // between passes (the two image-sized memory buffers of §2).
-func segmentCPA(ctx context.Context, im *imgio.Image, p Params) (*Result, error) {
-	var st Stats
-	if err := ctx.Err(); err != nil {
-		return nil, err
+type cpaKernel struct {
+	floatPath
+	dist []float64
+}
+
+func (kn *cpaKernel) seed(tiling *Tiling, labels *imgio.LabelMap) {
+	kn.tiling, kn.labels = tiling, labels
+	kn.centers = kn.scr.initCenters(kn.lab, kn.p.K, kn.p.PerturbCenters)
+	// CPA assigns pixels through a running minimum rather than visiting
+	// every pixel each pass, so the labels start Unassigned; the first
+	// pass of every round resets the minimum-distance buffer.
+	for i := range labels.Labels {
+		labels.Labels[i] = imgio.Unassigned
 	}
-	tr := telemetry.TraceFrom(ctx)
+	kn.dist = grow(&kn.scr.dist, len(labels.Labels))
+}
 
-	t0 := time.Now()
-	lab := p.Scratch.labFor(im)
-	p.Quantization.QuantizeLab(lab)
-	st.ColorConvTime = time.Since(t0)
-	tr.Emit("colorconv", "sslic", t0, st.ColorConvTime, nil)
+func (kn *cpaKernel) assign(_, subset int) (calcs, skipped, saved int64, err error) {
+	lab, labels, centers, dist := kn.lab, kn.labels, kn.centers, kn.dist
+	s, k, invS2, quant := kn.s, kn.k, kn.invS2, kn.quant
+	w, h := lab.W, lab.H
 
-	t0 = time.Now()
-	centers := p.Scratch.initCenters(lab, p.K, p.PerturbCenters)
-	labels := labelBufOrNew(p.LabelBuf, im.W, im.H, true)
-	st.InitTime = time.Since(t0)
-
-	s := slic.GridInterval(im.W, im.H, p.K)
-	invS2 := p.Compactness * p.Compactness / (s * s)
-	quant := p.Quantization.DistQuantizer()
-
-	k := p.Subsets()
-	totalPasses := p.FullIters * k
-	w, h := im.W, im.H
-
-	dist := p.Scratch.distFor(lab.Pixels())
-	for i := range dist {
-		dist[i] = math.Inf(1)
+	// Distance decay: because centers move between passes, retained
+	// minima go slightly stale; original SLIC resets the buffer every
+	// iteration. Reset at the start of each full round so every pixel
+	// is re-contested once per full iteration.
+	if subset == 0 {
+		for i := range dist {
+			dist[i] = math.Inf(1)
+		}
 	}
 
-	for pass := 0; pass < totalPasses; pass++ {
-		// Same cancellation granularity as the PPA path: one check per
-		// subset pass bounds cancel latency to a subset round.
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	for ci := range centers {
+		if ci%k != subset {
+			continue
 		}
-		if err := faults.Fire(faults.PointSubsetPass); err != nil {
-			return nil, fmt.Errorf("sslic: pass %d: %w", pass, err)
-		}
-		subset := pass % k
-		passStart := time.Now()
-		calcsBefore := st.DistanceCalcs
-
-		// Distance decay: because centers move between passes, retained
-		// minima go slightly stale; original SLIC resets the buffer every
-		// iteration. Reset at the start of each full round so every pixel
-		// is re-contested once per full iteration.
-		if subset == 0 {
-			for i := range dist {
-				dist[i] = math.Inf(1)
-			}
-		}
-
-		t0 = time.Now()
-		for ci := range centers {
-			if ci%k != subset {
-				continue
-			}
-			c := &centers[ci]
-			x0 := maxInt(0, int(c.X-s))
-			x1 := minInt(w-1, int(c.X+s))
-			y0 := maxInt(0, int(c.Y-s))
-			y1 := minInt(h-1, int(c.Y+s))
-			for y := y0; y <= y1; y++ {
-				row := y * w
-				for x := x0; x <= x1; x++ {
-					i := row + x
-					d := slic.Distance5(lab.L[i], lab.A[i], lab.B[i], float64(x), float64(y), c, invS2)
-					if quant != nil {
-						d = quant(d)
-					}
-					st.DistanceCalcs++
-					if d < dist[i] {
-						dist[i] = d
-						labels.Labels[i] = int32(ci)
-					}
+		c := &centers[ci]
+		x0 := max(0, int(c.X-s))
+		x1 := min(w-1, int(c.X+s))
+		y0 := max(0, int(c.Y-s))
+		y1 := min(h-1, int(c.Y+s))
+		for y := y0; y <= y1; y++ {
+			row := y * w
+			for x := x0; x <= x1; x++ {
+				i := row + x
+				d := slic.Distance5(lab.L[i], lab.A[i], lab.B[i], float64(x), float64(y), c, invS2)
+				if quant != nil {
+					d = quant(d)
+				}
+				calcs++
+				if d < dist[i] {
+					dist[i] = d
+					labels.Labels[i] = int32(ci)
 				}
 			}
 		}
-		st.AssignTime += time.Since(t0)
-
-		// Update the subset's centers from their current members inside
-		// their (enlarged) windows.
-		t0 = time.Now()
-		move := updateCPASubset(lab, labels, centers, subset, k, s)
-		st.CenterUpdates += int64(len(centers) / k)
-		st.UpdateTime += time.Since(t0)
-		st.SubsetPasses = pass + 1
-		st.Iterations = (pass + k) / k
-		residual := move / float64(maxInt(1, len(centers)/k))
-		st.MoveHistory = append(st.MoveHistory, residual)
-		passDur := time.Since(passStart)
-		p.Metrics.observePass(passDur, pass, totalPasses, residual)
-		if tr != nil {
-			tr.Emit("pass", "sslic", passStart, passDur, map[string]any{
-				"pass": pass, "subset": subset, "arch": "CPA",
-				"distance_calcs": st.DistanceCalcs - calcsBefore, "residual": residual,
-			})
-		}
-
-		if p.Threshold > 0 && residual < p.Threshold {
-			st.Converged = true
-			break
-		}
 	}
+	return calcs, 0, 0, nil
+}
 
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	t0 = time.Now()
-	// Pixels never claimed (possible off-grid corners) fall back to the
-	// nearest center by position.
-	tiling := NewTiling(im.W, im.H, p.K)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			if labels.At(x, y) < 0 {
-				labels.Set(x, y, tiling.OwnCenter(x, y))
-			}
-		}
-	}
-	if p.EnforceConnectivity {
-		minSize := int(s*s) / maxInt(1, p.MinRegionDivisor)
-		slic.EnforceConnectivity(labels, minSize)
-		tr.Emit("connectivity", "sslic", t0, time.Since(t0), nil)
-	}
-	qualityScan(labels, len(centers), p.Scratch, &st)
-	st.OtherTime = time.Since(t0)
+// update recomputes the pass's subset of centers from their current
+// members inside their (enlarged) windows.
+func (kn *cpaKernel) update(subset int) (float64, int) {
+	return updateCPASubset(kn.lab, kn.labels, kn.centers, subset, kn.k, kn.s), len(kn.centers) / kn.k
+}
 
-	return &Result{Labels: labels, Centers: centers, Tiling: tiling, Stats: st}, nil
+// finish gives the pixels no window ever claimed (possible off-grid
+// corners) the nearest center by position.
+func (kn *cpaKernel) finish() []slic.Center {
+	ownCenterFill(kn.labels, kn.tiling, true)
+	return kn.centers
 }
 
 // updateCPASubset recomputes the centers of one subset as the mean of the
@@ -162,10 +98,10 @@ func updateCPASubset(lab *slic.LabImage, labels *imgio.LabelMap, centers []slic.
 			continue
 		}
 		c := &centers[ci]
-		x0 := maxInt(0, int(c.X-2*s))
-		x1 := minInt(w-1, int(c.X+2*s))
-		y0 := maxInt(0, int(c.Y-2*s))
-		y1 := minInt(h-1, int(c.Y+2*s))
+		x0 := max(0, int(c.X-2*s))
+		x1 := min(w-1, int(c.X+2*s))
+		y0 := max(0, int(c.Y-2*s))
+		y1 := min(h-1, int(c.Y+2*s))
 		var sg sigma
 		for y := y0; y <= y1; y++ {
 			row := y * w
@@ -191,11 +127,4 @@ func updateCPASubset(lab *slic.LabImage, labels *imgio.LabelMap, centers []slic.
 		c.L, c.A, c.B, c.X, c.Y = sg.l/n, sg.a/n, sg.b/n, nx, ny
 	}
 	return move
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -25,17 +25,12 @@ package sslic
 // golden tests pin this implementation against it.
 
 import (
-	"context"
-	"fmt"
 	"math"
 	"sync"
-	"time"
 
-	"sslic/internal/faults"
 	"sslic/internal/imgio"
 	"sslic/internal/lut"
 	"sslic/internal/slic"
-	"sslic/internal/telemetry"
 )
 
 // Fixed-point formats of the software datapath.
@@ -91,9 +86,7 @@ type fxCenter struct {
 
 // fxSigma is the integer accumulator register file of the Cluster Update
 // Unit: sums of 8-bit codes and integer pixel coordinates plus the count.
-type fxSigma struct {
-	l, a, b, x, y, n int64
-}
+type fxSigma = sigmaOf[int64]
 
 // fxWeights carries the precomputed distance weights of one run.
 type fxWeights struct {
@@ -123,7 +116,7 @@ func newFxWeights(invS2 float64) fxWeights {
 // width the distance loop multiplies without conversions.
 func convertLabCodes(conv *lut.Converter, im *imgio.Image, scr *Scratch) (l, a, b []int32) {
 	n := im.Pixels()
-	l, a, b = scr.codesFor(n)
+	l, a, b = grow(&scr.fxL, n), grow(&scr.fxA, n), grow(&scr.fxB, n)
 	for i := 0; i < n; i++ {
 		l8, a8, b8 := conv.Convert(im.C0[i], im.C1[i], im.C2[i])
 		l[i], a[i], b[i] = int32(l8), int32(a8), int32(b8)
@@ -158,7 +151,7 @@ func initCentersFixed(lp, ap, bp []int32, w, h int, tiling *Tiling, perturb bool
 // gradientMapFixed is slic.GradientMap on the 8-bit code planes; border
 // pixels get MaxInt64 so perturbation never lands on the image edge.
 func gradientMapFixed(lp, ap, bp []int32, w, h int, scr *Scratch) []int64 {
-	grad := scr.fxGradFor(w * h)
+	grad := grow(&scr.fxGrad, w*h)
 	for i := range grad {
 		grad[i] = math.MaxInt64
 	}
@@ -243,220 +236,72 @@ func clampI64(v float64, lo, hi int64) int64 {
 	return int64(v)
 }
 
-// segmentPPAFixed is segmentPPA on the fixed datapath: same control flow
-// (cancellation between passes, fault hooks, metrics, preemption,
-// connectivity), integer state throughout.
-func segmentPPAFixed(ctx context.Context, im *imgio.Image, p Params) (*Result, error) {
-	var st Stats
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	tr := telemetry.TraceFrom(ctx)
+// fxKernel is the PPA on the fixed datapath: integer state throughout,
+// under the same driver and band fan-out as the float64 reference.
+type fxKernel struct {
+	frame
+	lp, ap, bp []int32
+	centers    []fxCenter
+	acc        []fxSigma
+	settled    []bool
+	dw         fxWeights
+	subset     int // the subset the current pass assigns
+}
 
-	t0 := time.Now()
-	lp, ap, bp := convertLabCodes(fixedConverter(), im, p.Scratch)
-	st.ColorConvTime = time.Since(t0)
-	tr.Emit("colorconv", "sslic", t0, st.ColorConvTime, map[string]any{"datapath": "fixed"})
+func (kn *fxKernel) convert(im *imgio.Image) {
+	kn.lp, kn.ap, kn.bp = convertLabCodes(fixedConverter(), im, kn.scr)
+}
 
-	t0 = time.Now()
-	tiling := NewTiling(im.W, im.H, p.K)
-	centers := p.Scratch.fxCentersFor(tiling.NumTiles())
-	if p.InitialCenters != nil {
-		if len(p.InitialCenters) != tiling.NumTiles() {
-			return nil, fmt.Errorf("sslic: %d initial centers, want %d", len(p.InitialCenters), tiling.NumTiles())
-		}
-		quantizeCenters(p.InitialCenters, centers, im.W, im.H)
+func (kn *fxKernel) seed(tiling *Tiling, labels *imgio.LabelMap) {
+	kn.tiling, kn.labels = tiling, labels
+	kn.centers = grow(&kn.scr.fxCenters, tiling.NumTiles())
+	if kn.p.InitialCenters != nil {
+		quantizeCenters(kn.p.InitialCenters, kn.centers, labels.W, labels.H)
 	} else {
-		initCentersFixed(lp, ap, bp, im.W, im.H, tiling, p.PerturbCenters, centers, p.Scratch)
+		initCentersFixed(kn.lp, kn.ap, kn.bp, labels.W, labels.H, tiling, kn.p.PerturbCenters, kn.centers, kn.scr)
 	}
-	labels := labelBufOrNew(p.LabelBuf, im.W, im.H, false)
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			labels.Set(x, y, tiling.OwnCenter(x, y))
-		}
-	}
-	st.InitTime = time.Since(t0)
-	tr.Emit("init", "sslic", t0, st.InitTime, nil)
-
-	s := slic.GridInterval(im.W, im.H, p.K)
-	dw := newFxWeights(p.Compactness * p.Compactness / (s * s))
-
-	k := p.Subsets()
-	totalPasses := p.FullIters * k
-	preemptThresh := p.PreemptThreshold
-	if preemptThresh == 0 {
-		preemptThresh = 0.5
-	}
-	preemptQ8 := int64(math.Round(preemptThresh * coordOne))
-	settled := p.Scratch.boolsFor(len(centers))
-
-	acc := p.Scratch.fxSigmasFor(len(centers))
-	scr := p.Scratch.passFixed()
-	for pass := 0; pass < totalPasses; pass++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := faults.Fire(faults.PointSubsetPass); err != nil {
-			return nil, fmt.Errorf("sslic: pass %d: %w", pass, err)
-		}
-		subset := pass % k
-		passStart := time.Now()
-
-		t0 = time.Now()
-		for i := range acc {
-			acc[i] = fxSigma{}
-		}
-		calcs, skipped, saved, err := runPPAPassFixed(lp, ap, bp, im.W, im.H, tiling, centers, labels, acc, subset, k, dw, &p, settled, tr, pass, scr)
-		if err != nil {
-			return nil, err
-		}
-		st.DistanceCalcs += calcs
-		st.SkippedTiles += skipped
-		st.SavedDistanceCalcs += saved
-		st.AssignTime += time.Since(t0)
-
-		t0 = time.Now()
-		move := applySigmaFixed(centers, acc, settled, preemptQ8, p.Preemptive)
-		st.CenterUpdates += int64(len(centers))
-		st.UpdateTime += time.Since(t0)
-		st.SubsetPasses = pass + 1
-		st.Iterations = (pass + k) / k
-		residual := move / float64(len(centers))
-		st.MoveHistory = append(st.MoveHistory, residual)
-		passDur := time.Since(passStart)
-		p.Metrics.observePass(passDur, pass, totalPasses, residual)
-		if tr != nil {
-			tr.Emit("pass", "sslic", passStart, passDur, map[string]any{
-				"pass": pass, "subset": subset, "arch": "PPA", "datapath": "fixed",
-				"distance_calcs": calcs, "residual": residual,
-				"skipped_tiles": skipped,
-			})
-		}
-
-		if p.Threshold > 0 && residual < p.Threshold {
-			st.Converged = true
-			break
-		}
-	}
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	t0 = time.Now()
-	if p.EnforceConnectivity {
-		minSize := int(s*s) / maxInt(1, p.MinRegionDivisor)
-		slic.EnforceConnectivity(labels, minSize)
-		tr.Emit("connectivity", "sslic", t0, time.Since(t0), nil)
-	}
-	qualityScan(labels, len(centers), p.Scratch, &st)
-	st.OtherTime = time.Since(t0)
-
-	return &Result{Labels: labels, Centers: floatCenters(centers), Tiling: tiling, Stats: st}, nil
+	ownCenterFill(labels, tiling, false)
+	kn.settled = kn.scr.settledFor(len(kn.centers))
+	kn.acc = grow(&kn.scr.fxPass.acc, len(kn.centers))
+	kn.dw = newFxWeights(kn.invS2)
 }
 
-// runPPAPassFixed is runPPAPass with integer accumulators: same band
-// decomposition, same fixed-order merge, same sslic.tile fault hook. The
-// merge is exact (integer adds), so output does not depend on the band
-// count at all.
-func runPPAPassFixed(lp, ap, bp []int32, w, h int, tiling *Tiling, centers []fxCenter, labels *imgio.LabelMap,
-	acc []fxSigma, subset, k int, dw fxWeights, p *Params, settled []bool,
-	tr *telemetry.Trace, pass int, scr *passScratch[fxSigma]) (calcs, skippedTiles, saved int64, err error) {
-
-	workers := tileBands(p.TileWorkers, tiling.NY)
-	if workers <= 1 {
-		band := scr.bandsFor(1)
-		band[0].start = time.Now()
-		if err := faults.Fire(faults.PointTile); err != nil {
-			band[0].err = err
-			return 0, 0, 0, bandError(pass, band)
-		}
-		calcs, skippedTiles, saved = ppaPassRangeFixed(lp, ap, bp, w, h, tiling, centers, labels, acc, 0, tiling.NY, subset, k, dw, *p, settled)
-		band[0].calcs, band[0].skipped, band[0].saved = calcs, skippedTiles, saved
-		band[0].dur = time.Since(band[0].start)
-		observeBands(tr, p.Metrics, pass, band)
-		return calcs, skippedTiles, saved, nil
-	}
-
-	parts := scr.bandsFor(workers)
-	accs := scr.accsFor(workers, len(centers))
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < workers; wkr++ {
-		wkr := wkr
-		ty0 := wkr * tiling.NY / workers
-		ty1 := (wkr + 1) * tiling.NY / workers
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			parts[wkr].start = time.Now()
-			if err := faults.Fire(faults.PointTile); err != nil {
-				parts[wkr].err = err
-			} else {
-				parts[wkr].calcs, parts[wkr].skipped, parts[wkr].saved =
-					ppaPassRangeFixed(lp, ap, bp, w, h, tiling, centers, labels, accs[wkr], ty0, ty1, subset, k, dw, *p, settled)
-			}
-			parts[wkr].dur = time.Since(parts[wkr].start)
-		}()
-	}
-	wg.Wait()
-	if err := bandError(pass, parts); err != nil {
-		return 0, 0, 0, err
-	}
-	for i := range parts {
-		for ci := range acc {
-			a := &acc[ci]
-			b := &accs[i][ci]
-			a.l += b.l
-			a.a += b.a
-			a.b += b.b
-			a.x += b.x
-			a.y += b.y
-			a.n += b.n
-		}
-		calcs += parts[i].calcs
-		skippedTiles += parts[i].skipped
-		saved += parts[i].saved
-	}
-	observeBands(tr, p.Metrics, pass, parts)
-	return calcs, skippedTiles, saved, nil
+func (kn *fxKernel) assign(pass, subset int) (calcs, skipped, saved int64, err error) {
+	clear(kn.acc)
+	kn.subset = subset
+	return runBands(&kn.frame, kn, kn.acc, &kn.scr.fxPass, pass)
 }
 
-// ppaPassRangeFixed is the integer hot loop: per tile, the (up to) 9
-// candidate centers are rounded once into 8-bit code registers and Q8
-// coordinates; per subset pixel, up to 9 integer distances and a running
-// minimum, then the sigma update — the Cluster Update Unit's adders.
+// band is the integer hot loop: per tile, the (up to) 9 candidate
+// centers are rounded once into 8-bit code registers and Q8
+// coordinates; per subset pixel, up to 9 integer distances and a
+// running minimum, then the sigma update — the Cluster Update Unit's
+// adders.
 //
-// Two exact optimizations keep the software loop close to the
-// accelerator's throughput without changing a single label:
-//
-//   - The y-component of every candidate's spatial term is constant
-//     along a row, so it is hoisted into sy[] once per row per tile.
-//   - Candidates are pruned against a running best seeded with the own
-//     cell center's full distance: a candidate whose partial distance
-//     (spatial components alone) already reaches the seed cannot win, so
-//     its color arithmetic is skipped. Pruning only ever discards
-//     provable losers and candidate order is unchanged, so the argmin —
-//     including first-candidate tie-breaks — is bit-identical to the
-//     exhaustive loop. (The hardware evaluates all 9 in parallel lanes;
-//     DistanceCalcs counts candidates considered, matching it and the
-//     float64 oracle.)
-func ppaPassRangeFixed(lp, ap, bp []int32, w, h int, tiling *Tiling, centers []fxCenter, labels *imgio.LabelMap,
-	acc []fxSigma, tyFrom, tyTo, subset, k int, dw fxWeights, p Params, settled []bool) (calcs, skippedTiles, saved int64) {
+// The y-component of every candidate's spatial term is constant along a
+// row, so it is hoisted into sy[] once per row per tile — an exact
+// optimization that keeps the software loop closer to the accelerator's
+// throughput without changing a single label. Every candidate is
+// evaluated, as the hardware's 9 parallel lanes do, so DistanceCalcs
+// matches it and the float64 oracle.
+func (kn *fxKernel) band(acc []fxSigma, tyFrom, tyTo int) (calcs, skippedTiles, saved int64) {
+	lp, ap, bp, tiling, centers, labels, settled := kn.lp, kn.ap, kn.bp, kn.tiling, kn.centers, kn.labels, kn.settled
+	subset, k, scheme, preemptive := kn.subset, kn.k, kn.p.Scheme, kn.p.Preemptive
+	w, h := labels.W, labels.H
 
-	wL, wS, spCap := dw.wL, dw.wS, dw.spCap
+	wL, wS, spCap := kn.dw.wL, kn.dw.wS, kn.dw.spCap
 	var clA, caA, cbA [9]int32
 	var cxA, cyA, syA [9]int64
 	for ty := tyFrom; ty < tyTo; ty++ {
 		y0 := ty * h / tiling.NY
 		y1 := (ty + 1) * h / tiling.NY
 		for tx := 0; tx < tiling.NX; tx++ {
-			tileIdx := ty*tiling.NX + tx
-			cand := tiling.Candidates[tileIdx]
-
-			if p.Preemptive && allSettled(cand, settled) {
+			cand := tiling.Candidates[ty*tiling.NX+tx]
+			x0 := tx * w / tiling.NX
+			x1 := (tx + 1) * w / tiling.NX
+			if skip, sv := skipTile(preemptive, cand, settled, (x1-x0)*(y1-y0), k); skip {
 				skippedTiles++
-				x0 := tx * w / tiling.NX
-				x1 := (tx + 1) * w / tiling.NX
-				saved += int64((x1 - x0) * (y1 - y0) / k * len(cand))
+				saved += sv
 				continue
 			}
 
@@ -467,13 +312,8 @@ func ppaPassRangeFixed(lp, ap, bp []int32, w, h int, tiling *Tiling, centers []f
 			nc := len(cand)
 			cl, ca, cb := clA[:nc], caA[:nc], cbA[:nc]
 			cx, cy, sy := cxA[:nc], cyA[:nc], syA[:nc]
-			oi := 0
 			for j := 0; j < nc; j++ {
-				ci := cand[j]
-				if int(ci) == tileIdx {
-					oi = j
-				}
-				c := &centers[ci]
+				c := &centers[cand[j]]
 				cl[j] = (c.l + colorOne/2) >> colorFrac
 				ca[j] = (c.a + colorOne/2) >> colorFrac
 				cb[j] = (c.b + colorOne/2) >> colorFrac
@@ -481,28 +321,11 @@ func ppaPassRangeFixed(lp, ap, bp []int32, w, h int, tiling *Tiling, centers []f
 				cy[j] = c.y
 			}
 
-			x0 := tx * w / tiling.NX
-			x1 := (tx + 1) * w / tiling.NX
 			for y := y0; y < y1; y++ {
 				row := y * w
 				yQ := int64(y) << coordFrac
-				startX, stepX := x0, 1
-				if k > 1 {
-					switch p.Scheme {
-					case Interleaved:
-						startX = x0 + mod(subset-(x0+y), k)
-						stepX = k
-					case Rows:
-						if y%k != subset {
-							continue
-						}
-					case Blocks:
-						if y*k/h != subset {
-							continue
-						}
-					}
-				}
-				if startX >= x1 {
+				startX, stepX, ok := rowStride(scheme, x0, y, h, subset, k)
+				if !ok || startX >= x1 {
 					continue
 				}
 				for j := 0; j < nc; j++ {
@@ -514,13 +337,13 @@ func ppaPassRangeFixed(lp, ap, bp []int32, w, h int, tiling *Tiling, centers []f
 					}
 				}
 				for x := startX; x < x1; x += stepX {
-					if k > 1 && p.Scheme == Hashed && subsetOf(p.Scheme, x, y, w, h, k) != subset {
+					if k > 1 && scheme == Hashed && subsetOf(scheme, x, y, w, h, k) != subset {
 						continue
 					}
 					i := row + x
 					pl, pa, pb := lp[i], ap[i], bp[i]
 					xQ := int64(x) << coordFrac
-					best := cand[oi]
+					best := int32(-1)
 					bestD := int64(math.MaxInt64)
 					for j := 0; j < nc; j++ {
 						dl := pl - cl[j]
@@ -554,6 +377,13 @@ func ppaPassRangeFixed(lp, ap, bp []int32, w, h int, tiling *Tiling, centers []f
 	return calcs, skippedTiles, saved
 }
 
+func (kn *fxKernel) update(int) (float64, int) {
+	preemptQ8 := int64(math.Round(kn.p.preemptThreshold() * coordOne))
+	return applySigmaFixed(kn.centers, kn.acc, kn.settled, preemptQ8, kn.p.Preemptive), len(kn.centers)
+}
+
+func (kn *fxKernel) finish() []slic.Center { return floatCenters(kn.centers) }
+
 // applySigmaFixed is the Center Update Unit: one rounded integer
 // division per register. Returns the summed L1 center movement in the
 // (x, y) plane, in pixels, and updates the settled flags when preemption
@@ -565,7 +395,7 @@ func applySigmaFixed(centers []fxCenter, acc []fxSigma, settled []bool, preemptQ
 		if sg.n == 0 {
 			continue
 		}
-		n := sg.n
+		n := int64(sg.n)
 		c := &centers[ci]
 		nx := ((sg.x << coordFrac) + n/2) / n
 		ny := ((sg.y << coordFrac) + n/2) / n

@@ -21,7 +21,6 @@ type Scratch struct {
 	grad []float64
 
 	settled []bool
-	acc     []sigma
 	dist    []float64 // CPA persistent minimum-distance buffer
 	counts  []int32   // quality-scan per-cluster pixel counts
 
@@ -30,27 +29,15 @@ type Scratch struct {
 	fxL, fxA, fxB []int32
 	fxGrad        []int64
 	fxCenters     []fxCenter
-	fxAcc         []fxSigma
 
-	pass   passScratch[sigma]
-	fxPass passScratch[fxSigma]
-}
+	pass   passScratch[float64]
+	fxPass passScratch[int64]
 
-// passFloat returns the float datapath's per-pass scratch, local when s
-// is nil.
-func (s *Scratch) passFloat() *passScratch[sigma] {
-	if s == nil {
-		return &passScratch[sigma]{}
-	}
-	return &s.pass
-}
-
-// passFixed returns the fixed datapath's per-pass scratch.
-func (s *Scratch) passFixed() *passScratch[fxSigma] {
-	if s == nil {
-		return &passScratch[fxSigma]{}
-	}
-	return &s.fxPass
+	// The kernels live here too, rebuilt at the start of every run, so
+	// a run with a Scratch allocates no kernel of its own.
+	ppa ppaKernel
+	fx  fxKernel
+	cpa cpaKernel
 }
 
 // NewScratch returns an empty Scratch; buffers are grown on first use.
@@ -66,137 +53,36 @@ func (s *Scratch) Bytes() int64 {
 	n += int64(cap(s.settled)) + 4*int64(cap(s.counts))
 	n += 4 * int64(cap(s.fxL)+cap(s.fxA)+cap(s.fxB))
 	n += 8 * int64(cap(s.fxGrad))
-	n += int64(cap(s.fxCenters))*40 + int64(cap(s.fxAcc))*48
+	n += int64(cap(s.fxCenters))*40 + int64(cap(s.fxPass.acc))*48
 	return n
 }
 
-// labFor returns the Lab conversion of im, scratch-backed when s is
-// non-nil.
-func (s *Scratch) labFor(im *imgio.Image) *slic.LabImage {
-	if s == nil {
-		return slic.ToLab(im)
+// grow returns *buf resliced to length n, reallocating it only when its
+// capacity is short. Contents are unspecified: callers overwrite or
+// clear them.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
 	}
-	slic.ToLabInto(&s.lab, im)
-	return &s.lab
+	*buf = (*buf)[:n]
+	return *buf
 }
 
-// initCenters runs grid initialization, routing the gradient buffer
-// through the scratch when available. The centers slice is always
-// freshly allocated: Result.Centers escapes to the caller (warm-start
-// states hold it across frames), so it must not alias reused memory.
+// initCenters runs grid initialization with the scratch gradient
+// buffer. The centers slice is always freshly allocated: Result.Centers
+// escapes to the caller (warm-start states hold it across frames), so
+// it must not alias reused memory.
 func (s *Scratch) initCenters(lab *slic.LabImage, k int, perturb bool) []slic.Center {
-	if s == nil {
-		return slic.InitCenters(lab, k, perturb)
-	}
 	centers, grad := slic.InitCentersInto(lab, k, perturb, nil, s.grad)
 	s.grad = grad
 	return centers
 }
 
-// boolsFor returns a false-initialized bool slice of length n.
-func (s *Scratch) boolsFor(n int) []bool {
-	if s == nil {
-		return make([]bool, n)
-	}
-	if cap(s.settled) < n {
-		s.settled = make([]bool, n)
-	}
-	b := s.settled[:n]
-	for i := range b {
-		b[i] = false
-	}
+// settledFor returns the preemption flags of n centers, all false.
+func (s *Scratch) settledFor(n int) []bool {
+	b := grow(&s.settled, n)
+	clear(b)
 	return b
-}
-
-// sigmasFor returns a sigma accumulator slice of length n; the pass
-// loop zeroes it before every use, so no reset happens here.
-func (s *Scratch) sigmasFor(n int) []sigma {
-	if s == nil {
-		return make([]sigma, n)
-	}
-	if cap(s.acc) < n {
-		s.acc = make([]sigma, n)
-	}
-	return s.acc[:n]
-}
-
-// distFor returns a float64 buffer of length n for the CPA
-// minimum-distance state; the caller re-initializes it to +Inf.
-func (s *Scratch) distFor(n int) []float64 {
-	if s == nil {
-		return make([]float64, n)
-	}
-	if cap(s.dist) < n {
-		s.dist = make([]float64, n)
-	}
-	return s.dist[:n]
-}
-
-// countsFor returns a zeroed int32 count slice of length n.
-func (s *Scratch) countsFor(n int) []int32 {
-	var c []int32
-	if s == nil || cap(s.counts) < n {
-		c = make([]int32, n)
-		if s != nil {
-			s.counts = c
-		}
-	} else {
-		c = s.counts[:n]
-	}
-	for i := range c {
-		c[i] = 0
-	}
-	return c
-}
-
-// codesFor returns the three int32 Lab code planes of length n for the
-// fixed datapath's LUT conversion, which overwrites every element.
-func (s *Scratch) codesFor(n int) (l, a, b []int32) {
-	if s == nil {
-		return make([]int32, n), make([]int32, n), make([]int32, n)
-	}
-	if cap(s.fxL) < n {
-		s.fxL = make([]int32, n)
-		s.fxA = make([]int32, n)
-		s.fxB = make([]int32, n)
-	}
-	return s.fxL[:n], s.fxA[:n], s.fxB[:n]
-}
-
-// fxGradFor returns an int64 gradient buffer of length n; the fixed
-// gradient map overwrites every element.
-func (s *Scratch) fxGradFor(n int) []int64 {
-	if s == nil {
-		return make([]int64, n)
-	}
-	if cap(s.fxGrad) < n {
-		s.fxGrad = make([]int64, n)
-	}
-	return s.fxGrad[:n]
-}
-
-// fxCentersFor returns a fixed register file of length n; every entry
-// is written by quantizeCenters or initCentersFixed before use.
-func (s *Scratch) fxCentersFor(n int) []fxCenter {
-	if s == nil {
-		return make([]fxCenter, n)
-	}
-	if cap(s.fxCenters) < n {
-		s.fxCenters = make([]fxCenter, n)
-	}
-	return s.fxCenters[:n]
-}
-
-// fxSigmasFor returns a fixed accumulator slice of length n; the pass
-// loop zeroes it before every use.
-func (s *Scratch) fxSigmasFor(n int) []fxSigma {
-	if s == nil {
-		return make([]fxSigma, n)
-	}
-	if cap(s.fxAcc) < n {
-		s.fxAcc = make([]fxSigma, n)
-	}
-	return s.fxAcc[:n]
 }
 
 // qualityScan fills the Stats quality proxies from the final labels in
@@ -208,7 +94,8 @@ func (s *Scratch) fxSigmasFor(n int) []fxSigma {
 // buffer comes from the scratch, keeping the steady-state request path
 // allocation-free.
 func qualityScan(labels *imgio.LabelMap, k int, scr *Scratch, st *Stats) {
-	counts := scr.countsFor(k)
+	counts := grow(&scr.counts, k)
+	clear(counts)
 	w, h := labels.W, labels.H
 	lb := labels.Labels
 	boundary := 0

@@ -23,8 +23,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 	"time"
 
 	"sslic/internal/faults"
@@ -153,7 +151,8 @@ type Params struct {
 	// InitialCenters seeds the superpixel centers instead of grid
 	// initialization — the warm-start path video pipelines use to carry
 	// centers across frames. Length must equal the effective K (the
-	// center grid size for the image and K).
+	// center grid size for the image and K). PPA only: the CPA always
+	// seeds on the grid.
 	InitialCenters []slic.Center
 	// TileWorkers sets the number of goroutines for the PPA cluster-update
 	// pass: 0 or 1 runs serially, n > 1 uses n workers, -1 uses
@@ -249,6 +248,14 @@ func (p Params) Validate(w, h int) error {
 			return fmt.Errorf("sslic: the fixed datapath uses the fused hardware center update; SoftwareCenterUpdate does not apply")
 		}
 	}
+	if p.InitialCenters != nil {
+		if p.Arch == CPA {
+			return fmt.Errorf("sslic: warm start (InitialCenters) requires the PPA architecture")
+		}
+		if nx, ny := slic.CenterGridDims(w, h, p.K); len(p.InitialCenters) != nx*ny {
+			return fmt.Errorf("sslic: %d initial centers, want %d", len(p.InitialCenters), nx*ny)
+		}
+	}
 	return nil
 }
 
@@ -316,38 +323,172 @@ func Segment(im *imgio.Image, p Params) (*Result, error) {
 // partial segmentation state is discarded; the returned error is the
 // context's error. This is the deadline-propagation hook the serving
 // layer uses to stop paying for requests whose clients have given up.
+//
+// SegmentContext is the one pass driver of every segmenter, the
+// software counterpart of the accelerator's FSM controller: it
+// sequences colour conversion, seeding, the round-robin subset passes
+// (cluster update, then center update) and the final sweep, whatever
+// arithmetic runs underneath. It owns the cancellation checks and fault
+// points, the phase clocks, the per-pass Stats, metrics and trace
+// events, the Threshold early stop, connectivity, the quality scan and
+// the cost charge; a kernel supplies each phase's datapath.
 func SegmentContext(ctx context.Context, im *imgio.Image, p Params) (*Result, error) {
 	if err := p.Validate(im.W, im.H); err != nil {
 		return nil, err
 	}
-	t0 := time.Now()
-	var r *Result
-	var err error
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	// The request trace rides the context: each phase below lands one
+	// event on the frame's timeline. A nil trace (the untraced hot path)
+	// costs one pointer check per phase.
+	f := frame{p: p, scr: p.Scratch, tr: telemetry.TraceFrom(ctx), k: p.Subsets()}
+	if f.scr == nil {
+		f.scr = new(Scratch)
+	}
+	f.s = slic.GridInterval(im.W, im.H, p.K)
+	f.invS2 = p.Compactness * p.Compactness / (f.s * f.s)
+	var kern kernel
 	switch {
 	case p.Arch == CPA:
-		r, err = segmentCPA(ctx, im, p)
+		f.scr.cpa = cpaKernel{floatPath: floatPath{frame: f}}
+		kern = &f.scr.cpa
 	case p.Datapath == Fixed:
-		r, err = segmentPPAFixed(ctx, im, p)
+		f.scr.fx = fxKernel{frame: f}
+		kern = &f.scr.fx
 	default:
-		r, err = segmentPPA(ctx, im, p)
+		f.scr.ppa = ppaKernel{floatPath: floatPath{frame: f}}
+		kern = &f.scr.ppa
 	}
-	if err == nil {
-		dur := time.Since(t0)
-		p.Metrics.observeRun(dur, r.Stats, r.Stats.Converged)
-		// Charge the request's cost ledger: segmentation wall time,
-		// compute time (the summed phase times — on the serial path
-		// these equal the trace's per-phase event durations), and the
-		// label-map buffer when this run allocated one rather than
-		// reusing the caller's.
-		if c := telemetry.CostFrom(ctx); c != nil {
-			c.AddSegment(dur)
-			c.AddCPU(r.Stats.Total())
-			if p.LabelBuf == nil {
-				c.AddAlloc(int64(4 * im.W * im.H))
-			}
+	var st Stats
+
+	t0 := time.Now()
+	kern.convert(im)
+	st.ColorConvTime = time.Since(t0)
+	f.tr.Emit("colorconv", "sslic", t0, st.ColorConvTime, nil)
+
+	t0 = time.Now()
+	tiling := NewTiling(im.W, im.H, p.K)
+	labels := labelBufOrNew(p.LabelBuf, im.W, im.H)
+	kern.seed(tiling, labels)
+	st.InitTime = time.Since(t0)
+	f.tr.Emit("init", "sslic", t0, st.InitTime, nil)
+
+	totalPasses := p.FullIters * f.k
+	for pass := 0; pass < totalPasses; pass++ {
+		// Checked once per subset pass: a pass touches ~1/k of the image,
+		// so cancellation latency is bounded by one subset round. The
+		// fault hook rides the same granularity — an injected failure
+		// surfaces between passes, exactly where cancellation would.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if err := faults.Fire(faults.PointSubsetPass); err != nil {
+			return nil, fmt.Errorf("sslic: pass %d: %w", pass, err)
+		}
+		subset := pass % f.k
+		passStart := time.Now()
+		calcs, skipped, saved, err := kern.assign(pass, subset)
+		if err != nil {
+			return nil, err
+		}
+		st.DistanceCalcs += calcs
+		st.SkippedTiles += skipped
+		st.SavedDistanceCalcs += saved
+		t0 = time.Now()
+		st.AssignTime += t0.Sub(passStart)
+
+		move, updated := kern.update(subset)
+		st.CenterUpdates += int64(updated)
+		st.UpdateTime += time.Since(t0)
+		st.SubsetPasses = pass + 1
+		st.Iterations = (pass + f.k) / f.k
+		residual := move / float64(max(1, updated))
+		st.MoveHistory = append(st.MoveHistory, residual)
+		passDur := time.Since(passStart)
+		p.Metrics.observePass(passDur, pass, totalPasses, residual)
+		if f.tr != nil {
+			f.tr.Emit("pass", "sslic", passStart, passDur, map[string]any{
+				"pass": pass, "subset": subset, "arch": p.Arch.String(), "datapath": p.Datapath.String(),
+				"distance_calcs": calcs, "residual": residual, "skipped_tiles": skipped,
+			})
+		}
+
+		if p.Threshold > 0 && residual < p.Threshold {
+			st.Converged = true
+			break
 		}
 	}
-	return r, err
+
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	t0 = time.Now()
+	centers := kern.finish()
+	if p.EnforceConnectivity {
+		slic.EnforceConnectivity(labels, int(f.s*f.s)/max(1, p.MinRegionDivisor))
+		f.tr.Emit("connectivity", "sslic", t0, time.Since(t0), nil)
+	}
+	qualityScan(labels, len(centers), f.scr, &st)
+	st.OtherTime = time.Since(t0)
+
+	dur := time.Since(start)
+	p.Metrics.observeRun(dur, st, st.Converged)
+	// Charge the request's cost ledger: segmentation wall time, compute
+	// time (the summed phase times — on the serial path these equal the
+	// trace's per-phase event durations), and the label-map buffer when
+	// this run allocated one rather than reusing the caller's.
+	if c := telemetry.CostFrom(ctx); c != nil {
+		c.AddSegment(dur)
+		c.AddCPU(st.Total())
+		if p.LabelBuf == nil {
+			c.AddAlloc(int64(4 * im.W * im.H))
+		}
+	}
+	return &Result{Labels: labels, Centers: centers, Tiling: tiling, Stats: st}, nil
+}
+
+// kernel is one segmenter's datapath under the pass driver: the float64
+// PPA reference (ppaKernel), the fixed-point PPA of §4.3/§6.1
+// (fxKernel) and the CPA baseline (cpaKernel). The driver runs each
+// step inside the phase clock it belongs to.
+type kernel interface {
+	// convert is the colour conversion phase.
+	convert(im *imgio.Image)
+	// seed is the init phase: it places the initial centers —
+	// Params.InitialCenters when set, else the grid — and writes the
+	// initial labels.
+	seed(tiling *Tiling, labels *imgio.LabelMap)
+	// assign is the cluster update (distance + argmin) of one subset
+	// pass; it returns the distance calcs, preempted tiles and the
+	// calcs preemption saved.
+	assign(pass, subset int) (calcs, skipped, saved int64, err error)
+	// update is the center update of the pass; it returns the summed L1
+	// center movement and the number of centers updated.
+	update(subset int) (move float64, updated int)
+	// finish hands back the final centers in public form.
+	finish() []slic.Center
+}
+
+// frame is the run state the driver shares with its kernel.
+type frame struct {
+	p      Params
+	scr    *Scratch
+	tr     *telemetry.Trace
+	tiling *Tiling
+	labels *imgio.LabelMap
+	k      int     // subset count
+	s      float64 // grid interval S
+	invS2  float64 // m²/S², the spatial weight of Equation 5
+}
+
+// preemptThreshold resolves PreemptThreshold's zero default.
+func (p *Params) preemptThreshold() float64 {
+	if p.PreemptThreshold == 0 {
+		return 0.5
+	}
+	return p.PreemptThreshold
 }
 
 // subsetOf reports the subset index of pixel (x, y) under the scheme.
@@ -366,366 +507,141 @@ func subsetOf(scheme Scheme, x, y, w, h, k int) int {
 	}
 }
 
-// sigma is the accumulator register file of the Cluster Update Unit: the
-// six fields (L, a, b, x, y, count) the hardware updates with six adders.
-type sigma struct {
-	l, a, b, x, y float64
+// rowStride returns how a pass over subset visits row y of a tile
+// starting at column x0: the first column and the step. The Interleaved
+// and Rows schemes admit strided iteration, so a ratio-1/k pass visits
+// (and pays for) only ~1/k of the pixels — the bandwidth/compute saving
+// S-SLIC exists for. ok is false for a row outside the subset; Hashed
+// rows are visited whole and filtered per pixel.
+func rowStride(scheme Scheme, x0, y, h, subset, k int) (start, step int, ok bool) {
+	if k > 1 {
+		switch scheme {
+		case Interleaved:
+			return x0 + mod(subset-(x0+y), k), k, true
+		case Rows:
+			return x0, 1, y%k == subset
+		case Blocks:
+			return x0, 1, y*k/h == subset
+		}
+	}
+	return x0, 1, true
+}
+
+// skipTile reports whether preemption skips a tile — every candidate
+// center has settled — and the Equation 5 evaluations the skip saves,
+// estimated as the tile's subset pixels times its candidates.
+func skipTile(preemptive bool, cand []int32, settled []bool, area, k int) (bool, int64) {
+	if !preemptive {
+		return false, 0
+	}
+	for _, ci := range cand {
+		if !settled[ci] {
+			return false, 0
+		}
+	}
+	return true, int64(area / k * len(cand))
+}
+
+// sigmaOf is the accumulator register file of the Cluster Update Unit:
+// the six fields (L, a, b, x, y, count) the hardware updates with six
+// adders. T is the datapath's arithmetic.
+type sigmaOf[T float64 | int64] struct {
+	l, a, b, x, y T
 	n             int
 }
 
-func segmentPPA(ctx context.Context, im *imgio.Image, p Params) (*Result, error) {
-	var st Stats
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// The request trace rides the context: each phase below lands one
-	// event on the frame's timeline. A nil trace (the untraced hot path)
-	// costs one pointer check per phase.
-	tr := telemetry.TraceFrom(ctx)
+// add folds another accumulator into s: one band's partial sums in the
+// tiled pass's merge.
+func (s *sigmaOf[T]) add(o *sigmaOf[T]) {
+	s.l += o.l
+	s.a += o.a
+	s.b += o.b
+	s.x += o.x
+	s.y += o.y
+	s.n += o.n
+}
 
-	t0 := time.Now()
-	lab := p.Scratch.labFor(im)
-	p.Quantization.QuantizeLab(lab)
-	st.ColorConvTime = time.Since(t0)
-	tr.Emit("colorconv", "sslic", t0, st.ColorConvTime, nil)
+// sigma is the float64 datapath's accumulator.
+type sigma = sigmaOf[float64]
 
-	t0 = time.Now()
-	tiling := NewTiling(im.W, im.H, p.K)
-	var centers []slic.Center
-	if p.InitialCenters != nil {
-		if len(p.InitialCenters) != tiling.NumTiles() {
-			return nil, fmt.Errorf("sslic: %d initial centers, want %d", len(p.InitialCenters), tiling.NumTiles())
-		}
-		centers = append([]slic.Center(nil), p.InitialCenters...)
+// floatPath is the float64 datapath the PPA reference and the CPA run
+// on: CIELAB planes from the reference Equations 1-4 (optionally
+// quantized to model a §6.1 bit width), float centers, and the matching
+// distance quantizer.
+type floatPath struct {
+	frame
+	lab     *slic.LabImage
+	centers []slic.Center
+	quant   func(float64) float64
+}
+
+func (kn *floatPath) convert(im *imgio.Image) {
+	slic.ToLabInto(&kn.scr.lab, im)
+	kn.lab = &kn.scr.lab
+	kn.p.Quantization.QuantizeLab(kn.lab)
+	kn.quant = kn.p.Quantization.DistQuantizer()
+}
+
+func (kn *floatPath) finish() []slic.Center { return kn.centers }
+
+// ppaKernel is the PPA of Figure 1b on the float64 reference datapath —
+// the oracle the fixed datapath is tested against.
+type ppaKernel struct {
+	floatPath
+	acc     []sigma
+	settled []bool
+	subset  int // the subset the current pass assigns
+}
+
+func (kn *ppaKernel) seed(tiling *Tiling, labels *imgio.LabelMap) {
+	kn.tiling, kn.labels = tiling, labels
+	if kn.p.InitialCenters != nil {
+		kn.centers = append([]slic.Center(nil), kn.p.InitialCenters...)
 	} else {
-		centers = p.Scratch.initCenters(lab, p.K, p.PerturbCenters)
+		kn.centers = kn.scr.initCenters(kn.lab, kn.p.K, kn.p.PerturbCenters)
 	}
-	if len(centers) != tiling.NumTiles() {
-		return nil, fmt.Errorf("sslic: internal: %d centers vs %d tiles", len(centers), tiling.NumTiles())
-	}
-	// Static initial assignment: every pixel starts labeled with its own
-	// cell center (the paper initializes the external-memory copy of the
-	// assignments before the first pass). The loop writes every pixel, so
-	// a reused buffer needs no separate reset.
-	labels := labelBufOrNew(p.LabelBuf, im.W, im.H, false)
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			labels.Set(x, y, tiling.OwnCenter(x, y))
-		}
-	}
-	st.InitTime = time.Since(t0)
-	tr.Emit("init", "sslic", t0, st.InitTime, nil)
-
-	s := slic.GridInterval(im.W, im.H, p.K)
-	invS2 := p.Compactness * p.Compactness / (s * s)
-	quant := p.Quantization.DistQuantizer()
-
-	k := p.Subsets()
-	totalPasses := p.FullIters * k
-	preemptThresh := p.PreemptThreshold
-	if preemptThresh == 0 {
-		preemptThresh = 0.5
-	}
-	settled := p.Scratch.boolsFor(len(centers))
-
-	acc := p.Scratch.sigmasFor(len(centers))
-	scr := p.Scratch.passFloat()
-	for pass := 0; pass < totalPasses; pass++ {
-		// Checked once per subset pass: a pass touches ~1/k of the image,
-		// so cancellation latency is bounded by one subset round. The
-		// fault hook rides the same granularity — an injected failure
-		// surfaces between passes, exactly where cancellation would.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := faults.Fire(faults.PointSubsetPass); err != nil {
-			return nil, fmt.Errorf("sslic: pass %d: %w", pass, err)
-		}
-		subset := pass % k
-		passStart := time.Now()
-
-		t0 = time.Now()
-		for i := range acc {
-			acc[i] = sigma{}
-		}
-		calcs, skipped, saved, err := runPPAPass(lab, tiling, centers, labels, acc, subset, k, invS2, quant, &p, settled, tr, pass, scr)
-		if err != nil {
-			return nil, err
-		}
-		st.DistanceCalcs += calcs
-		st.SkippedTiles += skipped
-		st.SavedDistanceCalcs += saved
-		st.AssignTime += time.Since(t0)
-
-		t0 = time.Now()
-		var move float64
-		if p.SoftwareCenterUpdate {
-			var prev []slic.Center
-			if p.Preemptive {
-				prev = append([]slic.Center(nil), centers...)
-			}
-			move = slic.UpdateCenters(lab, labels, centers)
-			for ci := range prev {
-				m := math.Abs(centers[ci].X-prev[ci].X) + math.Abs(centers[ci].Y-prev[ci].Y)
-				settled[ci] = m < preemptThresh
-			}
-		} else {
-			move = applySigma(centers, acc, settled, preemptThresh, p.Preemptive)
-		}
-		st.CenterUpdates += int64(len(centers))
-		st.UpdateTime += time.Since(t0)
-		st.SubsetPasses = pass + 1
-		st.Iterations = (pass + k) / k
-		residual := move / float64(len(centers))
-		st.MoveHistory = append(st.MoveHistory, residual)
-		passDur := time.Since(passStart)
-		p.Metrics.observePass(passDur, pass, totalPasses, residual)
-		if tr != nil {
-			tr.Emit("pass", "sslic", passStart, passDur, map[string]any{
-				"pass": pass, "subset": subset, "arch": "PPA",
-				"distance_calcs": calcs, "residual": residual,
-				"skipped_tiles": skipped,
-			})
-		}
-
-		if p.Threshold > 0 && residual < p.Threshold {
-			st.Converged = true
-			break
-		}
-	}
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	t0 = time.Now()
-	if p.EnforceConnectivity {
-		minSize := int(s*s) / maxInt(1, p.MinRegionDivisor)
-		slic.EnforceConnectivity(labels, minSize)
-		tr.Emit("connectivity", "sslic", t0, time.Since(t0), nil)
-	}
-	qualityScan(labels, len(centers), p.Scratch, &st)
-	st.OtherTime = time.Since(t0)
-
-	return &Result{Labels: labels, Centers: centers, Tiling: tiling, Stats: st}, nil
+	ownCenterFill(labels, tiling, false)
+	kn.settled = kn.scr.settledFor(len(kn.centers))
+	kn.acc = grow(&kn.scr.pass.acc, len(kn.centers))
 }
 
-// tileBands splits the NY tile rows into min(workers, NY) contiguous
-// bands, resolving the TileWorkers conventions (-1 = all CPUs, <=1 =
-// serial). The [i*NY/n, (i+1)*NY/n) split is the fixed decomposition
-// both datapaths and the determinism tests rely on.
-func tileBands(workers, ny int) int {
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > ny {
-		workers = ny
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
+func (kn *ppaKernel) assign(pass, subset int) (calcs, skipped, saved int64, err error) {
+	clear(kn.acc)
+	kn.subset = subset
+	return runBands(&kn.frame, kn, kn.acc, &kn.scr.pass, pass)
 }
 
-// bandStat is one band's share of a pass, recorded for the per-tile
-// trace events and the imbalance gauge.
-type bandStat struct {
-	calcs, skipped, saved int64
-	start                 time.Time
-	dur                   time.Duration
-	err                   error
-}
-
-// passScratch is the per-pass working state — band stats plus one sigma
-// accumulator slice per worker — hoisted out of the pass loop so a
-// request allocates it once instead of once per subset pass. S is the
-// datapath's accumulator type (sigma or fxSigma).
-type passScratch[S any] struct {
-	bands []bandStat
-	accs  [][]S
-}
-
-// bandsFor returns a zeroed band-stat slice for the given worker count.
-func (s *passScratch[S]) bandsFor(workers int) []bandStat {
-	if cap(s.bands) < workers {
-		s.bands = make([]bandStat, workers)
-	}
-	b := s.bands[:workers]
-	for i := range b {
-		b[i] = bandStat{}
-	}
-	return b
-}
-
-// accsFor returns zeroed per-worker accumulator slices of the given
-// center count.
-func (s *passScratch[S]) accsFor(workers, centers int) [][]S {
-	if cap(s.accs) < workers {
-		s.accs = make([][]S, workers)
-	}
-	a := s.accs[:workers]
-	var zero S
-	for i := range a {
-		if cap(a[i]) < centers {
-			a[i] = make([]S, centers)
-			continue
-		}
-		a[i] = a[i][:centers]
-		for j := range a[i] {
-			a[i][j] = zero
-		}
-	}
-	return a
-}
-
-// observeBands lands the band timings on the trace (one "tile" span per
-// band, emitted in band order from the merging goroutine so traces stay
-// single-writer) and on the tile gauges. Serial passes skip the trace
-// spans — the "pass" event already covers the single band.
-func observeBands(tr *telemetry.Trace, m *Metrics, pass int, bands []bandStat) {
-	if tr != nil && len(bands) > 1 {
-		for i := range bands {
-			tr.Emit("tile", "sslic", bands[i].start, bands[i].dur, map[string]any{
-				"pass": pass, "band": i, "distance_calcs": bands[i].calcs,
-			})
-		}
-	}
-	var maxDur, sumDur time.Duration
-	for i := range bands {
-		sumDur += bands[i].dur
-		if bands[i].dur > maxDur {
-			maxDur = bands[i].dur
-		}
-	}
-	m.observeTiles(len(bands), maxDur, sumDur)
-}
-
-// bandError returns the lowest-band failure, so a multi-band pass fails
-// deterministically regardless of goroutine scheduling.
-func bandError(pass int, bands []bandStat) error {
-	for i := range bands {
-		if bands[i].err != nil {
-			return fmt.Errorf("sslic: pass %d band %d: %w", pass, i, bands[i].err)
-		}
-	}
-	return nil
-}
-
-// runPPAPass executes one subset pass, serially or across worker
-// goroutines per Params.TileWorkers. Parallel runs partition the tile
-// rows into bands; each band accumulates into its own sigma slice,
-// merged afterwards in band order so results match the serial path
-// exactly. Every band passes through the sslic.tile fault point.
-func runPPAPass(lab *slic.LabImage, tiling *Tiling, centers []slic.Center, labels *imgio.LabelMap,
-	acc []sigma, subset, k int, invS2 float64, quant func(float64) float64, p *Params, settled []bool,
-	tr *telemetry.Trace, pass int, scr *passScratch[sigma]) (calcs, skippedTiles, saved int64, err error) {
-
-	workers := tileBands(p.TileWorkers, tiling.NY)
-	if workers <= 1 {
-		band := scr.bandsFor(1)
-		band[0].start = time.Now()
-		if err := faults.Fire(faults.PointTile); err != nil {
-			band[0].err = err
-			return 0, 0, 0, bandError(pass, band)
-		}
-		calcs, skippedTiles, saved = ppaPassRange(lab, tiling, centers, labels, acc, 0, tiling.NY, subset, k, invS2, quant, *p, settled)
-		band[0].calcs, band[0].skipped, band[0].saved = calcs, skippedTiles, saved
-		band[0].dur = time.Since(band[0].start)
-		observeBands(tr, p.Metrics, pass, band)
-		return calcs, skippedTiles, saved, nil
-	}
-
-	parts := scr.bandsFor(workers)
-	accs := scr.accsFor(workers, len(centers))
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < workers; wkr++ {
-		wkr := wkr
-		ty0 := wkr * tiling.NY / workers
-		ty1 := (wkr + 1) * tiling.NY / workers
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			parts[wkr].start = time.Now()
-			if err := faults.Fire(faults.PointTile); err != nil {
-				parts[wkr].err = err
-			} else {
-				parts[wkr].calcs, parts[wkr].skipped, parts[wkr].saved =
-					ppaPassRange(lab, tiling, centers, labels, accs[wkr], ty0, ty1, subset, k, invS2, quant, *p, settled)
-			}
-			parts[wkr].dur = time.Since(parts[wkr].start)
-		}()
-	}
-	wg.Wait()
-	if err := bandError(pass, parts); err != nil {
-		return 0, 0, 0, err
-	}
-	for i := range parts {
-		for ci := range acc {
-			a := &acc[ci]
-			b := &accs[i][ci]
-			a.l += b.l
-			a.a += b.a
-			a.b += b.b
-			a.x += b.x
-			a.y += b.y
-			a.n += b.n
-		}
-		calcs += parts[i].calcs
-		skippedTiles += parts[i].skipped
-		saved += parts[i].saved
-	}
-	observeBands(tr, p.Metrics, pass, parts)
-	return calcs, skippedTiles, saved, nil
-}
-
-// ppaPassRange visits every pixel of the given subset within tile rows
+// band visits every pixel of the pass's subset within tile rows
 // [tyFrom, tyTo), performing the 9-candidate distance + minimum + sigma
 // accumulation of the Cluster Update Unit. Returns (distance calcs,
 // skipped tiles, saved calcs).
-func ppaPassRange(lab *slic.LabImage, tiling *Tiling, centers []slic.Center, labels *imgio.LabelMap,
-	acc []sigma, tyFrom, tyTo, subset, k int, invS2 float64, quant func(float64) float64, p Params, settled []bool) (calcs, skippedTiles, saved int64) {
+func (kn *ppaKernel) band(acc []sigma, tyFrom, tyTo int) (calcs, skippedTiles, saved int64) {
+	lab, tiling, centers, labels, settled := kn.lab, kn.tiling, kn.centers, kn.labels, kn.settled
+	subset, k, invS2, quant := kn.subset, kn.k, kn.invS2, kn.quant
+	scheme, preemptive, fused := kn.p.Scheme, kn.p.Preemptive, !kn.p.SoftwareCenterUpdate
 
 	w, h := lab.W, lab.H
 	for ty := tyFrom; ty < tyTo; ty++ {
 		y0 := ty * h / tiling.NY
 		y1 := (ty + 1) * h / tiling.NY
 		for tx := 0; tx < tiling.NX; tx++ {
-			tileIdx := ty*tiling.NX + tx
-			cand := tiling.Candidates[tileIdx]
-
-			if p.Preemptive && allSettled(cand, settled) {
+			cand := tiling.Candidates[ty*tiling.NX+tx]
+			x0 := tx * w / tiling.NX
+			x1 := (tx + 1) * w / tiling.NX
+			if skip, sv := skipTile(preemptive, cand, settled, (x1-x0)*(y1-y0), k); skip {
 				skippedTiles++
-				// Estimate saved work: subset pixels in tile × candidates.
-				x0 := tx * w / tiling.NX
-				x1 := (tx + 1) * w / tiling.NX
-				saved += int64((x1 - x0) * (y1 - y0) / k * len(cand))
+				saved += sv
 				continue
 			}
 
-			x0 := tx * w / tiling.NX
-			x1 := (tx + 1) * w / tiling.NX
 			for y := y0; y < y1; y++ {
 				row := y * w
-				// The Interleaved and Rows schemes admit strided iteration,
-				// so a ratio-1/k pass visits (and pays for) only ~1/k of the
-				// pixels — the bandwidth/compute saving S-SLIC exists for.
-				startX, stepX := x0, 1
-				if k > 1 {
-					switch p.Scheme {
-					case Interleaved:
-						startX = x0 + mod(subset-(x0+y), k)
-						stepX = k
-					case Rows:
-						if y%k != subset {
-							continue
-						}
-					case Blocks:
-						if y*k/h != subset {
-							continue
-						}
-					}
+				startX, stepX, ok := rowStride(scheme, x0, y, h, subset, k)
+				if !ok {
+					continue
 				}
 				for x := startX; x < x1; x += stepX {
-					if k > 1 && p.Scheme == Hashed && subsetOf(p.Scheme, x, y, w, h, k) != subset {
+					if k > 1 && scheme == Hashed && subsetOf(scheme, x, y, w, h, k) != subset {
 						continue
 					}
 					i := row + x
@@ -744,7 +660,7 @@ func ppaPassRange(lab *slic.LabImage, tiling *Tiling, centers []slic.Center, lab
 						}
 					}
 					labels.Labels[i] = best
-					if !p.SoftwareCenterUpdate {
+					if fused {
 						sg := &acc[best]
 						sg.l += l
 						sg.a += a
@@ -758,6 +674,23 @@ func ppaPassRange(lab *slic.LabImage, tiling *Tiling, centers []slic.Center, lab
 		}
 	}
 	return calcs, skippedTiles, saved
+}
+
+func (kn *ppaKernel) update(int) (float64, int) {
+	thresh := kn.p.preemptThreshold()
+	if !kn.p.SoftwareCenterUpdate {
+		return applySigma(kn.centers, kn.acc, kn.settled, thresh, kn.p.Preemptive), len(kn.centers)
+	}
+	var prev []slic.Center
+	if kn.p.Preemptive {
+		prev = append([]slic.Center(nil), kn.centers...)
+	}
+	move := slic.UpdateCenters(kn.lab, kn.labels, kn.centers)
+	for ci := range prev {
+		m := math.Abs(kn.centers[ci].X-prev[ci].X) + math.Abs(kn.centers[ci].Y-prev[ci].Y)
+		kn.settled[ci] = m < thresh
+	}
+	return move, len(kn.centers)
 }
 
 // applySigma is the Center Update Unit: each superpixel's new 5-D center
@@ -784,35 +717,27 @@ func applySigma(centers []slic.Center, acc []sigma, settled []bool, preemptThres
 	return move
 }
 
-func allSettled(cand []int32, settled []bool) bool {
-	for _, ci := range cand {
-		if !settled[ci] {
-			return false
+// ownCenterFill labels pixels with their own cell center: every pixel
+// for the PPA's static initial assignment (the paper initializes the
+// external-memory copy of the assignments before the first pass), or,
+// with unclaimedOnly, just the pixels no CPA window claimed.
+func ownCenterFill(labels *imgio.LabelMap, tiling *Tiling, unclaimedOnly bool) {
+	for y := 0; y < labels.H; y++ {
+		for x := 0; x < labels.W; x++ {
+			if !unclaimedOnly || labels.At(x, y) < 0 {
+				labels.Set(x, y, tiling.OwnCenter(x, y))
+			}
 		}
 	}
-	return true
 }
 
 // labelBufOrNew returns buf when it matches w×h, else a fresh label map.
-// CPA assigns pixels through a running minimum rather than visiting every
-// pixel each pass, so a reused buffer must be reset to Unassigned first.
-func labelBufOrNew(buf *imgio.LabelMap, w, h int, reset bool) *imgio.LabelMap {
+// The kernel's seed step overwrites whatever a reused buffer held.
+func labelBufOrNew(buf *imgio.LabelMap, w, h int) *imgio.LabelMap {
 	if buf == nil || buf.W != w || buf.H != h {
 		return imgio.NewLabelMap(w, h)
 	}
-	if reset {
-		for i := range buf.Labels {
-			buf.Labels[i] = imgio.Unassigned
-		}
-	}
 	return buf
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // mod returns a mod k in [0, k), also for negative a.

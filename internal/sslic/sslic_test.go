@@ -214,7 +214,7 @@ func TestSegmentSubsampledQualityClose(t *testing.T) {
 	var impure int
 	for lbl, lc := range left {
 		if rc := right[lbl]; rc > 0 && lc > 0 {
-			impure += minInt(lc, rc)
+			impure += min(lc, rc)
 		}
 	}
 	if impure > 64*64/25 {
@@ -286,7 +286,7 @@ func TestCPAvsPPAQualitySimilar(t *testing.T) {
 		var imp int
 		for lbl, lc := range left {
 			if rc := right[lbl]; rc > 0 && lc > 0 {
-				imp += minInt(lc, rc)
+				imp += min(lc, rc)
 			}
 		}
 		return imp
