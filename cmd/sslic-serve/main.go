@@ -79,7 +79,6 @@ func main() {
 		profCap      = flag.Int("profile-capacity", 8, "profile bundles retained by the burn-triggered capturer")
 		profCPUDur   = flag.Duration("profile-cpu-duration", 250*time.Millisecond, "CPU sampling window per profile capture")
 		profCooldown = flag.Duration("profile-cooldown", 30*time.Second, "minimum spacing between burn-triggered captures (on-demand captures ignore it)")
-		noPool       = flag.Bool("no-buffer-pool", false, "disable the request buffer pool (every request allocates fresh frame and label buffers; for allocation A/B measurements)")
 		qMaxChurn    = flag.Float64("quality-max-churn", 0, "inter-frame label churn ratio above which a frame counts as quality-collapsed; collapse pins the degrade ladder at its current level (<=0 disables)")
 		qMaxEmpty    = flag.Float64("quality-max-empty", 0, "empty-cluster fraction above which a frame counts as quality-collapsed (<=0 disables)")
 		qMaxDecay    = flag.Float64("quality-max-residual-decay", 0, "final/first residual ratio above which a cold frame counts as non-converged (<=0 disables)")
@@ -158,7 +157,6 @@ func main() {
 		MaxPixels:               *maxPixels,
 		RequestTimeout:          *reqTimeout,
 		MaxTimeout:              *maxTimeout,
-		NoBufferPool:            *noPool,
 		DegradeInterval:         *degradeEvery,
 		QualityMaxChurn:         *qMaxChurn,
 		QualityMaxEmptyFrac:     *qMaxEmpty,

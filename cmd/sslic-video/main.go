@@ -56,14 +56,14 @@ func main() {
 		workers    = flag.Int("pipeline-workers", 1, "segment-stage worker count (<=0 uses all CPUs); warm streams shard frame f to worker f mod N")
 		tileWork   = flag.Int("tile-workers", 0, "intra-frame row-band parallelism per frame (0/1 serial, -1 all CPUs)")
 		datapath   = flag.String("datapath", "float64", "hot-loop arithmetic: float64 or fixed (the integer LUT datapath)")
-		queue      = flag.Int("queue", 0, "bounded inter-stage queue depth (<=0 selects 2x workers)")
+		queue      = flag.Int("queue", 0, "most frames between render and delivery (<=0 selects 2x workers)")
 		telAddr    = flag.String("telemetry-addr", "", "serve /metrics, /healthz, /debug/vars, /debug/pprof and /debug/trace on this address (e.g. :9090); empty disables")
 		traceBuf   = flag.Int("trace-buffer", 64, "finished frame traces the flight recorder retains")
 		traceAll   = flag.Bool("trace-all", false, "keep every frame trace (default keeps only slow or failed frames)")
 		qualityCol = flag.Bool("quality", false, "print the live quality proxies per frame (inter-frame label churn and boundary density — the online stand-ins for the exact USE/BR columns)")
 		logLevel   = flag.String("log-level", "info", "log level: debug, info, warn or error (debug adds per-frame span traces)")
 		logJSON    = flag.Bool("log-json", false, "emit logs as JSON instead of text")
-		faultSpec  = flag.String("faults", "", "fault-injection schedule, e.g. 'pipeline.segment:error,every=5' (default off; see internal/faults)")
+		faultSpec  = flag.String("faults", "", "fault-injection schedule, e.g. 'pool.run:error,every=5' (default off; see internal/faults)")
 		faultSeed  = flag.Int64("faults-seed", 1, "seed for probabilistic fault schedules (deterministic per seed)")
 	)
 	flag.Parse()

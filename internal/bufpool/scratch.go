@@ -5,9 +5,7 @@ import "sslic/internal/sslic"
 // Scratch recycling: per-worker segmentation working memory (Lab
 // planes, gradient maps, accumulator register files) flows through the
 // pool like every other frame-sized buffer, so the held-bytes gauge and
-// the hit/miss counters describe ALL resident recycled memory, and
-// disabling the pool (-no-buffer-pool) disables scratch reuse too for
-// clean allocation A/B runs.
+// the hit/miss counters describe ALL resident recycled memory.
 //
 // Unlike images and label maps, a Scratch is self-sizing — it grows to
 // the largest frame it has seen — so there is a single free list, not

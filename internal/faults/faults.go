@@ -45,7 +45,7 @@ const (
 	// PointDecode fires inside imgio.DecodeImageLimit, before the format
 	// sniff — a failing or slow frame decoder.
 	PointDecode = "imgio.decode"
-	// PointPoolSubmit fires in pipeline.(*Pool).Submit before admission —
+	// PointPoolSubmit fires before every pipeline.Pool admission —
 	// a failing or slow admission layer.
 	PointPoolSubmit = "pool.submit"
 	// PointPoolRun fires in the pool worker at the top of each
@@ -54,11 +54,11 @@ const (
 	// absorbs; a panic action simulates a crashing worker and surfaces
 	// as ErrSegmentPanic, never a process crash.
 	PointPoolRun = "pool.run"
-	// PointPipelineSource, PointPipelineSegment and PointPipelineSink
-	// fire at the streaming pipeline's stage hand-offs.
-	PointPipelineSource  = "pipeline.source"
-	PointPipelineSegment = "pipeline.segment"
-	PointPipelineSink    = "pipeline.sink"
+	// PointPipelineSource and PointPipelineSink fire at the streaming
+	// pipeline's render and in-order delivery; its segmentation runs on
+	// a Pool, under pool.submit and pool.run.
+	PointPipelineSource = "pipeline.source"
+	PointPipelineSink   = "pipeline.sink"
 	// PointSubsetPass fires at the top of every S-SLIC subset pass (PPA
 	// and CPA) — a fault inside the core compute loop.
 	PointSubsetPass = "sslic.pass"
@@ -82,7 +82,7 @@ const (
 func KnownPoints() []string {
 	pts := []string{
 		PointDecode, PointPoolSubmit, PointPoolRun,
-		PointPipelineSource, PointPipelineSegment, PointPipelineSink,
+		PointPipelineSource, PointPipelineSink,
 		PointSubsetPass, PointTile, PointDRAM, PointTenantAdmit,
 	}
 	sort.Strings(pts)

@@ -1,48 +1,49 @@
-// Package pipeline runs the inter-frame concurrency layer of the video
-// path: a multi-stage source → segment → sink pipeline that overlaps
-// frame rendering, S-SLIC segmentation and result consumption the way
-// the accelerator overlaps its DMA and compute phases. The intra-frame
-// parallelism of sslic.Params.Workers scales one frame across cores;
-// this package scales the *stream*, which is what a real-time claim is
-// about (gSLICr frames-per-second framing rather than seconds-per-image).
+// Package pipeline holds the segmentation worker engine, Pool, and the
+// inter-frame concurrency layer of the video path, Pipeline: a source →
+// pool → in-order sink stream that overlaps frame rendering, S-SLIC
+// segmentation and result consumption the way the accelerator overlaps
+// its DMA and compute phases. The intra-frame parallelism of
+// sslic.Params.Workers scales one frame across cores; this package
+// scales the *stream*, which is what a real-time claim is about (gSLICr
+// frames-per-second framing rather than seconds-per-image).
 //
-// Design:
+// Pipeline design:
 //
-//   - Stages are connected by bounded channels, so a slow sink
-//     backpressures segmentation and a slow segmenter backpressures the
-//     source. Nothing buffers unboundedly.
-//   - A configurable worker pool runs the segment stage. Cold mode fans
-//     frames out to any idle worker; warm mode shards the stream — frame
-//     f belongs to shard f mod Workers and stays on that shard's sticky
+//   - The source renders frames in order into buffers from an
+//     internal/bufpool pool and enqueues each on a private Pool, whose
+//     workers segment them. Config.QueueDepth bounds the frames between
+//     render and delivery, so a slow sink or segmenter backpressures the
+//     source and nothing buffers unboundedly.
+//   - Cold mode spreads frames round-robin over the pool's workers. Warm
+//     mode makes lane f mod Workers one pool stream pinned to its own
 //     worker, so each warm-start chain (frame f seeded with the centers
 //     of frame f−Workers) is deterministic.
-//   - Delivery order is restored by a reorder buffer keyed by frame
-//     index before the sink runs, so temporal metrics (label consistency
-//     between consecutive frames) and golden comparisons against the
-//     sequential loop remain valid.
-//   - Frame and label buffers cycle through sync.Pools; the steady-state
-//     hot loop allocates no image-sized buffers. The sink calls Recycle
-//     when it is done with a Result.
-//   - Cancellation via context.Context drains gracefully: in-flight
-//     frames finish or are recycled, every goroutine exits, and Run
+//   - The sink waits on each frame's reply in frame order, so temporal
+//     metrics (label consistency between consecutive frames) and golden
+//     comparisons against the sequential loop remain valid.
+//   - The sink calls Recycle when it is done with a Result; the
+//     steady-state loop then allocates no image-sized buffers.
+//   - Cancellation via context.Context drains gracefully: queued frames
+//     are skipped, running ones abort between subset passes, every
+//     frame's buffers return to the pool, every goroutine exits, and Run
 //     returns the first error (or the context error).
 //
-// Per-stage counters (frames in/out, bounded-queue high-water mark,
-// latency min/mean/max) are available from Stats at any time. They are
-// backed by an internal/telemetry registry — pass one in Config.Registry
-// to expose the same series live on a /metrics endpoint; Stats is a thin
-// view over those series.
+// Per-stage counters (frames in/out, queue high-water mark, latency
+// min/mean/max) are available from Stats at any time. They are backed
+// by an internal/telemetry registry — pass one in Config.Registry to
+// expose the same series live on a /metrics endpoint; Stats is a thin
+// view over those series, the pool's for the segment stage.
 package pipeline
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"runtime"
 	"sync"
 	"time"
 
+	"sslic/internal/bufpool"
 	"sslic/internal/faults"
 	"sslic/internal/imgio"
 	"sslic/internal/slic"
@@ -64,28 +65,30 @@ type SinkFunc func(r *Result) error
 
 // Config sizes the pipeline.
 type Config struct {
-	// Width, Height are the frame dimensions (they size the buffer pools).
+	// Width, Height are the frame dimensions (they size the buffers).
 	Width, Height int
 	// Frames is the number of frames to pull from the source.
 	Frames int
-	// Workers is the segment-stage pool size; <= 0 selects
+	// Workers is the pool's worker count; <= 0 selects
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// QueueDepth bounds each inter-stage channel; <= 0 selects
-	// 2 × Workers.
+	// QueueDepth bounds the frames between render and delivery; <= 0
+	// selects 2 × Workers.
 	QueueDepth int
 	// Params is the base segmentation configuration for cold frames.
 	Params sslic.Params
 	// Warm enables warm-start chains: frame f seeds its centers from
-	// frame f−Workers on the same sticky worker. The first frame of each
-	// shard runs cold. With Workers = 1 this reproduces the sequential
-	// warm loop exactly.
+	// frame f−Workers, its lane's previous frame on the same sticky
+	// worker. The first frame of each lane runs cold, and so does every
+	// CPA frame. With Workers = 1 this reproduces the sequential warm
+	// loop exactly.
 	Warm bool
 	// WarmIters is FullIters for warm-started frames; <= 0 selects 3.
 	WarmIters int
 	// Registry receives the pipeline's metrics: per-stage frame counters,
 	// service-time histograms (span families with in-flight gauges),
-	// queue high-water gauges, and delivered/dropped counters. nil
+	// queue high-water gauges, delivered/dropped counters, and the
+	// series of its pool and buffer pool. nil
 	// selects a private registry so Stats always works; pass a shared
 	// registry to expose the series on a /metrics endpoint. Sharing one
 	// registry across concurrently running pipelines aggregates their
@@ -93,9 +96,9 @@ type Config struct {
 	// dedicated registry.
 	Registry *telemetry.Registry
 	// Recorder, when set, gives every frame its own flight-recorder
-	// trace (ID "<run>-frame<index>"): render, queue waits, the segment
-	// stage with its per-subset-pass events, and in-order delivery all
-	// land on one timeline, fetchable from /debug/trace. The recorder's
+	// trace (ID "<run>-frame<index>"): render, queue waits, the pool job
+	// with its per-subset-pass events, and in-order delivery all land on
+	// one timeline, fetchable from /debug/trace. The recorder's
 	// sampling decides which frames are kept; nil disables per-frame
 	// tracing entirely.
 	Recorder *telemetry.FlightRecorder
@@ -133,17 +136,15 @@ type Result struct {
 	// hardware model's charging ticks via telemetry.WithTrace — and the
 	// pipeline finishes it after the sink returns.
 	Trace *telemetry.Trace
-
-	enqueuedAt time.Time // when the result entered the sink queue
 }
 
-// task is a rendered frame travelling source → segment.
-type task struct {
-	index    int
-	img      *imgio.Image
-	gt       *imgio.LabelMap
-	trace    *telemetry.Trace
-	enqueued time.Time
+// frame is a rendered frame awaiting in-order delivery; its image and
+// label buffer travel in the pool job.
+type frame struct {
+	index int
+	gt    *imgio.LabelMap
+	trace *telemetry.Trace
+	req   *poolReq
 }
 
 // Pipeline is a single-use frame pipeline: construct with New, drive
@@ -154,12 +155,11 @@ type Pipeline struct {
 	sink   SinkFunc
 	runID  string // prefix of per-frame trace IDs
 
-	imgPool sync.Pool
-	lblPool sync.Pool
+	bufs *bufpool.Pool
+	pool *Pool
 
 	registry *telemetry.Registry
 	srcStats *stageMetrics
-	segStats *stageMetrics
 	snkStats *stageMetrics
 
 	reorderHW *telemetry.Gauge
@@ -183,21 +183,29 @@ func New(cfg Config, render RenderFunc, sink SinkFunc) (*Pipeline, error) {
 		return nil, fmt.Errorf("pipeline: nil render or sink func")
 	}
 	cfg = cfg.withDefaults()
-	p := &Pipeline{cfg: cfg, render: render, sink: sink, runID: telemetry.NewTraceID()}
-	w, h := cfg.Width, cfg.Height
-	p.imgPool.New = func() any { return imgio.NewImage(w, h) }
-	p.lblPool.New = func() any { return imgio.NewLabelMap(w, h) }
-
 	reg := cfg.Registry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	p.registry = reg
-	p.srcStats = newStageMetrics(reg, cfg.Logger, "source")
-	p.segStats = newStageMetrics(reg, cfg.Logger, "segment")
-	p.snkStats = newStageMetrics(reg, cfg.Logger, "sink")
+	// Each frame holds two label maps (ground truth and labels); the
+	// free lists keep those of every frame in flight plus the one a sink
+	// may hold back, so the steady state never allocates.
+	bufs := bufpool.New(bufpool.Config{MaxPerClass: 2 * (cfg.QueueDepth + 1), Registry: reg})
+	p := &Pipeline{
+		cfg: cfg, render: render, sink: sink, runID: telemetry.NewTraceID(),
+		bufs: bufs,
+		// No shard ever holds more than the QueueDepth frames in flight,
+		// so admission never fails with ErrSaturated.
+		pool: newPool(PoolConfig{
+			Workers: cfg.Workers, QueueDepth: cfg.QueueDepth, WarmIters: cfg.WarmIters,
+			Buffers: bufs, Registry: reg, Logger: cfg.Logger,
+		}),
+		registry: reg,
+		srcStats: newStageMetrics(reg, cfg.Logger, "source"),
+		snkStats: newStageMetrics(reg, cfg.Logger, "sink"),
+	}
 	p.reorderHW = reg.Gauge("sslic_pipeline_reorder_high_water",
-		"Most out-of-order results ever held awaiting in-order delivery.")
+		"Most frames ever held awaiting in-order delivery.")
 	p.delivered = reg.Counter("sslic_pipeline_frames_delivered_total",
 		"Results the sink accepted.")
 	p.dropped = reg.Counter("sslic_pipeline_frames_dropped_total",
@@ -209,31 +217,17 @@ func New(cfg Config, render RenderFunc, sink SinkFunc) (*Pipeline, error) {
 // one from Config, or the private registry created when none was given.
 func (p *Pipeline) Registry() *telemetry.Registry { return p.registry }
 
-// Recycle returns a Result's buffers to the pipeline's pools. The Result
-// and its buffers must not be used afterwards. Never recycling is safe —
-// the pools just miss and allocate.
+// Recycle returns a Result's buffers to the pipeline's buffer pool. The
+// Result and its buffers must not be used afterwards. Never recycling
+// is safe — the pool just misses and allocates.
 func (p *Pipeline) Recycle(r *Result) {
 	if r == nil {
 		return
 	}
-	if r.Image != nil {
-		p.imgPool.Put(r.Image)
-		r.Image = nil
-	}
-	if r.GT != nil {
-		p.lblPool.Put(r.GT)
-		r.GT = nil
-	}
-	if r.Labels != nil {
-		p.lblPool.Put(r.Labels)
-		r.Labels = nil
-	}
-	r.Centers = nil
-}
-
-func (p *Pipeline) recycleTask(tk *task) {
-	p.imgPool.Put(tk.img)
-	p.lblPool.Put(tk.gt)
+	p.bufs.PutImage(r.Image)
+	p.bufs.PutLabelMap(r.GT)
+	p.bufs.PutLabelMap(r.Labels)
+	r.Image, r.GT, r.Labels, r.Centers = nil, nil, nil, nil
 }
 
 // fail records the first error and cancels the run.
@@ -251,207 +245,134 @@ func (p *Pipeline) Run(ctx context.Context) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	p.cancel = cancel
+	p.pool.start()
+	defer p.pool.Close()
 
-	cfg := p.cfg
-	// Cold mode shares one queue across the pool; warm mode gives every
-	// shard its own queue so sticky workers preserve chain order.
-	var queues []chan *task
-	if cfg.Warm {
-		queues = make([]chan *task, cfg.Workers)
-		for i := range queues {
-			queues[i] = make(chan *task, cfg.QueueDepth)
-		}
-	} else {
-		queues = []chan *task{make(chan *task, cfg.QueueDepth)}
+	// slots is the QueueDepth semaphore over frames between render and
+	// delivery. inflight carries them to the sink in frame order; it
+	// has room for every slot, so sends never block.
+	slots := make(chan struct{}, p.cfg.QueueDepth)
+	inflight := make(chan *frame, p.cfg.QueueDepth)
+	go p.source(ctx, slots, inflight)
+	for fr := range inflight {
+		p.deliver(ctx, fr, len(inflight))
+		<-slots
 	}
-	results := make(chan *Result, cfg.QueueDepth)
-
-	// Source stage: render frames in order into pooled buffers.
-	go func() {
-		defer func() {
-			for _, q := range queues {
-				close(q)
-			}
-		}()
-		for t := 0; t < cfg.Frames; t++ {
-			if ctx.Err() != nil {
-				return
-			}
-			img := p.imgPool.Get().(*imgio.Image)
-			gt := p.lblPool.Get().(*imgio.LabelMap)
-			// Each frame gets its own trace; the recorder's sampling decides
-			// retention. The nil-recorder guard keeps the untraced hot path
-			// free of the ID formatting allocation.
-			var tr *telemetry.Trace
-			if p.cfg.Recorder != nil {
-				tr = p.cfg.Recorder.StartTrace(fmt.Sprintf("%s-frame%05d", p.runID, t), false)
-			}
-			tctx := telemetry.WithTrace(ctx, tr)
-			p.srcStats.arrive(0)
-			sp := p.srcStats.beginCtx(tctx, "frame", t)
-			err := faults.Fire(faults.PointPipelineSource)
-			if err == nil {
-				err = p.render(t, img, gt)
-			}
-			if err != nil {
-				sp.Abort()
-				tr.SetError(err)
-				tr.Finish()
-				p.imgPool.Put(img)
-				p.lblPool.Put(gt)
-				p.fail(fmt.Errorf("pipeline: source frame %d: %w", t, err))
-				return
-			}
-			sp.End()
-			q := queues[0]
-			if cfg.Warm {
-				q = queues[t%cfg.Workers]
-			}
-			select {
-			case q <- &task{index: t, img: img, gt: gt, trace: tr, enqueued: time.Now()}:
-				p.srcStats.sent(len(q))
-			case <-ctx.Done():
-				tr.Finish()
-				p.imgPool.Put(img)
-				p.lblPool.Put(gt)
-				return
-			}
-		}
-	}()
-
-	// Segment stage: the worker pool.
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		in := queues[0]
-		if cfg.Warm {
-			in = queues[w]
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// prevCenters is the warm-start chain state of this worker's
-			// shard; only ever touched by this goroutine.
-			var prevCenters []slic.Center
-			for tk := range in {
-				p.segStats.waited(tk.trace, tk.enqueued)
-				if ctx.Err() != nil {
-					// Drain mode: the run is over, return buffers and move on.
-					tk.trace.Finish()
-					p.recycleTask(tk)
-					p.dropped.Inc()
-					continue
-				}
-				p.segStats.arrive(0)
-				params := cfg.Params
-				warm := false
-				if cfg.Warm && prevCenters != nil {
-					params.InitialCenters = prevCenters
-					params.FullIters = cfg.WarmIters
-					warm = true
-				}
-				params.LabelBuf = p.lblPool.Get().(*imgio.LabelMap)
-				tctx := telemetry.WithTrace(ctx, tk.trace)
-				sp := p.segStats.beginCtx(tctx, "frame", tk.index, "warm", warm)
-				var r *sslic.Result
-				err := faults.Fire(faults.PointPipelineSegment)
-				if err == nil {
-					r, err = sslic.SegmentContext(tctx, tk.img, params)
-				}
-				if err != nil {
-					sp.Abort()
-					tk.trace.SetError(err)
-					tk.trace.Finish()
-					p.lblPool.Put(params.LabelBuf)
-					p.recycleTask(tk)
-					// A frame aborted by the run's cancellation is a drain
-					// drop, not a pipeline failure; Run reports ctx.Err().
-					if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-						p.dropped.Inc()
-						continue
-					}
-					p.fail(fmt.Errorf("pipeline: segment frame %d: %w", tk.index, err))
-					continue
-				}
-				lat := sp.End()
-				if cfg.Warm {
-					prevCenters = r.Centers
-				}
-				res := &Result{
-					Index:      tk.index,
-					Image:      tk.img,
-					GT:         tk.gt,
-					Labels:     r.Labels,
-					Centers:    r.Centers,
-					Warm:       warm,
-					SegLatency: lat,
-					Trace:      tk.trace,
-					enqueuedAt: time.Now(),
-				}
-				select {
-				case results <- res:
-					p.segStats.sent(len(results))
-				case <-ctx.Done():
-					res.Trace.Finish()
-					p.Recycle(res)
-					p.dropped.Inc()
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Sink stage: reorder by frame index, then deliver in order.
-	pending := make(map[int]*Result)
-	next := 0
-	for res := range results {
-		p.snkStats.waited(res.Trace, res.enqueuedAt)
-		p.snkStats.arrive(len(results))
-		pending[res.Index] = res
-		p.reorderHW.SetMax(float64(len(pending)))
-		for {
-			r, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			if ctx.Err() != nil {
-				r.Trace.Finish()
-				p.Recycle(r)
-				p.dropped.Inc()
-				continue
-			}
-			sp := p.snkStats.beginCtx(telemetry.WithTrace(ctx, r.Trace), "frame", r.Index)
-			tr := r.Trace // the sink may recycle r; finish the trace after
-			err := faults.Fire(faults.PointPipelineSink)
-			if err == nil {
-				err = p.sink(r)
-			}
-			if err != nil {
-				sp.Abort()
-				tr.SetError(err)
-				tr.Finish()
-				p.fail(fmt.Errorf("pipeline: sink frame %d: %w", r.Index, err))
-				continue
-			}
-			sp.End()
-			tr.Finish()
-			p.snkStats.sent(0)
-			p.delivered.Inc()
-		}
-	}
-	// Out-of-order leftovers only exist after cancellation.
-	for _, r := range pending {
-		r.Trace.Finish()
-		p.Recycle(r)
-		p.dropped.Inc()
-	}
-
 	if p.firstErr != nil {
 		return p.firstErr
 	}
 	return ctx.Err()
+}
+
+// source renders frames in order into pooled buffers and enqueues each
+// on the pool, taking a slot per frame first.
+func (p *Pipeline) source(ctx context.Context, slots chan struct{}, inflight chan<- *frame) {
+	defer close(inflight)
+	w, h := p.cfg.Width, p.cfg.Height
+	// Warm lane f mod Workers is pool stream lanes[f mod Workers].
+	var lanes []string
+	if p.cfg.Warm {
+		lanes = p.pool.laneStreams()
+	}
+	for t := 0; t < p.cfg.Frames; t++ {
+		select {
+		case slots <- struct{}{}:
+		case <-ctx.Done():
+			return
+		}
+		img, _ := p.bufs.GetImage(w, h)
+		gt, _ := p.bufs.GetLabelMap(w, h)
+		labels, _ := p.bufs.GetLabelMap(w, h)
+		// Each frame gets its own trace; the recorder's sampling decides
+		// retention. The nil-recorder guard keeps the untraced hot path
+		// free of the ID formatting allocation.
+		var tr *telemetry.Trace
+		if p.cfg.Recorder != nil {
+			tr = p.cfg.Recorder.StartTrace(fmt.Sprintf("%s-frame%05d", p.runID, t), false)
+		}
+		tctx := telemetry.WithTrace(ctx, tr)
+		p.srcStats.arrive(0)
+		sp := p.srcStats.beginCtx(tctx, "frame", t)
+		err := faults.Fire(faults.PointPipelineSource)
+		if err == nil {
+			err = p.render(t, img, gt)
+		}
+		var req *poolReq
+		if err != nil {
+			sp.Abort()
+		} else {
+			// The span ends before the enqueue so the frame's trace reads
+			// in stage order.
+			sp.End()
+			job := Job{Image: img, Params: p.cfg.Params, LabelBuf: labels}
+			if lanes != nil {
+				job.StreamID = lanes[t%len(lanes)]
+			}
+			req, err = p.pool.enqueue(tctx, job)
+		}
+		if err != nil {
+			tr.SetError(err)
+			tr.Finish()
+			p.bufs.PutImage(img)
+			p.bufs.PutLabelMap(gt)
+			p.bufs.PutLabelMap(labels)
+			p.fail(fmt.Errorf("pipeline: source frame %d: %w", t, err))
+			return
+		}
+		inflight <- &frame{index: t, gt: gt, trace: tr, req: req}
+		p.srcStats.sent(len(inflight))
+		p.reorderHW.SetMax(float64(len(slots)))
+	}
+}
+
+// deliver waits for one frame's reply and hands the result to the sink;
+// queued is the number of frames behind it. Once the run is failing or
+// cancelled it recycles the frame instead. The worker has returned when
+// the reply arrives, so the frame's buffers are always safe to reuse.
+func (p *Pipeline) deliver(ctx context.Context, fr *frame, queued int) {
+	rep := <-fr.req.reply
+	job := fr.req.job
+	if rep.err != nil || ctx.Err() != nil {
+		fr.trace.SetError(rep.err)
+		fr.trace.Finish()
+		p.bufs.PutImage(job.Image)
+		p.bufs.PutLabelMap(fr.gt)
+		p.bufs.PutLabelMap(job.LabelBuf)
+		// A frame aborted by the run's cancellation is a drain drop, not
+		// a pipeline failure; Run reports ctx.Err().
+		if ctx.Err() != nil {
+			p.dropped.Inc()
+			return
+		}
+		p.fail(fmt.Errorf("pipeline: segment frame %d: %w", fr.index, rep.err))
+		return
+	}
+	p.snkStats.waited(fr.trace, fr.req.enqueued)
+	p.snkStats.arrive(queued)
+	r := &Result{
+		Index:      fr.index,
+		Image:      job.Image,
+		GT:         fr.gt,
+		Labels:     rep.res.Result.Labels,
+		Centers:    rep.res.Result.Centers,
+		Warm:       rep.res.Warm,
+		SegLatency: rep.res.Latency,
+		Trace:      fr.trace,
+	}
+	sp := p.snkStats.beginCtx(telemetry.WithTrace(ctx, fr.trace), "frame", fr.index)
+	err := faults.Fire(faults.PointPipelineSink)
+	if err == nil {
+		err = p.sink(r)
+	}
+	if err != nil {
+		sp.Abort()
+		fr.trace.SetError(err)
+		fr.trace.Finish()
+		p.fail(fmt.Errorf("pipeline: sink frame %d: %w", fr.index, err))
+		return
+	}
+	sp.End()
+	fr.trace.Finish()
+	p.snkStats.sent(0)
+	p.delivered.Inc()
 }

@@ -5,13 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"sslic/internal/dataset"
+	"sslic/internal/faults"
 	"sslic/internal/imgio"
 	"sslic/internal/slic"
 	"sslic/internal/sslic"
+	"sslic/internal/telemetry"
 	"sslic/internal/telemetry/testutil"
 	"sslic/internal/video"
 )
@@ -364,5 +367,148 @@ func TestZeroFrames(t *testing.T) {
 	}
 	if st := pl.Stats(); st.Delivered != 0 || st.Source.FramesOut != 0 {
 		t.Fatalf("unexpected stats for empty run: %+v", st)
+	}
+}
+
+// TestWarmCPARunsCold: warm start needs PPA, so a warm pipeline with CPA
+// params completes with every frame cold.
+func TestWarmCPARunsCold(t *testing.T) {
+	s := testStream(t)
+	w, h := s.Size()
+	params := testParams()
+	params.Arch = sslic.CPA
+	const frames = 3
+	var warm []bool
+	var pl *Pipeline
+	pl, err := New(Config{
+		Width: w, Height: h, Frames: frames, Workers: 1,
+		Params: params, Warm: true,
+	}, s.FrameInto, func(r *Result) error {
+		warm = append(warm, r.Warm)
+		pl.Recycle(r)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pl.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if len(warm) != frames {
+		t.Fatalf("delivered %d frames, want %d", len(warm), frames)
+	}
+	for f, wf := range warm {
+		if wf {
+			t.Fatalf("CPA frame %d ran warm", f)
+		}
+	}
+}
+
+// TestPipelineRetriesTransientFault: frames segment on the pool, so a
+// transient pool.run fault is retried and the labels equal a fault-free
+// run byte for byte. One worker keeps the fault schedule deterministic:
+// every other attempt fails, so each retry succeeds.
+func TestPipelineRetriesTransientFault(t *testing.T) {
+	s := testStream(t)
+	cfg := Config{Frames: 6, Workers: 1, Params: testParams(), Warm: true}
+	want := runPipeline(t, s, cfg)
+
+	inj, err := faults.NewFromSpec(1, "pool.run:error,every=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults.Enable(inj)
+	defer faults.Disable()
+	cfg.Registry = telemetry.NewRegistry()
+	got := runPipeline(t, s, cfg)
+	faults.Disable()
+
+	for f := range want {
+		if !labelsEqual(want[f], got[f]) {
+			t.Fatalf("frame %d labels differ from the fault-free run", f)
+		}
+	}
+	if n := cfg.Registry.Counter("sslic_pool_retries_total", "").Value(); n <= 0 {
+		t.Fatalf("sslic_pool_retries_total = %v, want > 0", n)
+	}
+}
+
+// TestPipelineSegmentPanic: a panicking backend fails the run with an
+// error matching ErrSegmentPanic, and the run still drains cleanly.
+func TestPipelineSegmentPanic(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	inj, err := faults.NewFromSpec(1, "pool.run:panic,every=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults.Enable(inj)
+	defer faults.Disable()
+
+	s := testStream(t)
+	w, h := s.Size()
+	pl, err := New(Config{
+		Width: w, Height: h, Frames: 8, Workers: 2, Params: testParams(),
+	}, s.FrameInto, func(r *Result) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pl.Run(context.Background()); !errors.Is(err, ErrSegmentPanic) {
+		t.Fatalf("Run returned %v, want ErrSegmentPanic", err)
+	}
+}
+
+// TestPipelineFrameTrace: each frame's trace reads source → pool →
+// S-SLIC phases → sink, with one pass event per subset pass of the
+// frame's iteration budget.
+func TestPipelineFrameTrace(t *testing.T) {
+	s := testStream(t)
+	w, h := s.Size()
+	params := testParams()
+	const frames, warmIters = 3, 2
+	rec := telemetry.NewFlightRecorder(telemetry.FlightRecorderConfig{HeadRate: 1}, nil)
+	var ids []string
+	var warm []bool
+	pl, err := New(Config{
+		Width: w, Height: h, Frames: frames, Workers: 1, Params: params,
+		Warm: true, WarmIters: warmIters, Recorder: rec,
+	}, s.FrameInto, func(r *Result) error {
+		ids = append(ids, r.Trace.ID())
+		warm = append(warm, r.Warm)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pl.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != frames {
+		t.Fatalf("delivered %d frames, want %d", len(ids), frames)
+	}
+	for f, id := range ids {
+		if warm[f] != (f > 0) {
+			t.Fatalf("frame %d warm=%v, want %v", f, warm[f], f > 0)
+		}
+		iters := params.FullIters
+		if warm[f] {
+			iters = warmIters
+		}
+		want := []string{"pipeline:source/sslic_pipeline_stage", "pool/queue_wait", "sslic/colorconv", "sslic/init"}
+		for i := 0; i < iters*params.Subsets(); i++ {
+			want = append(want, "sslic/pass")
+		}
+		want = append(want, "sslic/connectivity", "pool/sslic_pool_job",
+			"pipeline:sink/queue_wait", "pipeline:sink/sslic_pipeline_stage")
+		td := rec.Lookup(id)
+		if td == nil {
+			t.Fatalf("frame %d: trace %q not recorded", f, id)
+		}
+		var got []string
+		for _, ev := range td.Events {
+			got = append(got, ev.Track+"/"+ev.Name)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("frame %d trace events:\n got %v\nwant %v", f, got, want)
+		}
 	}
 }

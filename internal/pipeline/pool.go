@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"log/slog"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,10 +20,11 @@ import (
 	"sslic/internal/telemetry"
 )
 
-// Pool is the request/response face of the segmentation layer: where
-// Pipeline drives a known-length frame *stream* through staged
-// channels, Pool accepts one frame at a time from many concurrent
-// callers — the shape an HTTP serving front end needs.
+// Pool is the segmentation worker engine. It accepts one frame at a
+// time from many concurrent callers — the shape an HTTP serving front
+// end needs — and Pipeline drives a known-length frame stream through
+// it, so warm starts, retries, the watchdog, panic isolation and
+// scratch reuse exist once.
 //
 // Admission control is explicit: every shard has a bounded queue, and
 // Submit never blocks on a full one — it fails fast with ErrSaturated
@@ -33,10 +35,9 @@ import (
 // Warm starts survive across submissions: jobs carrying a StreamID are
 // sharded by a hash of that ID, so consecutive frames of one client
 // stream land on the same worker, which keeps the stream's last centers
-// and seeds the next frame with them (the same warm-start chain the
-// streaming pipeline builds, keyed by client instead of frame index).
-// Sharding also serializes each stream: two in-flight frames of one
-// stream cannot race on its warm state.
+// and seeds the next frame with them (Pipeline's warm lanes are such
+// streams). Sharding also serializes each stream: two in-flight frames
+// of one stream cannot race on its warm state.
 //
 // Cancellation: Submit honors its context both while queued (the job is
 // discarded before it runs) and mid-run (the context reaches
@@ -103,14 +104,13 @@ type PoolConfig struct {
 	// is discarded. 0 disables (jobs without a deadline are never
 	// watched either way).
 	WatchdogGrace time.Duration
-	// Buffers, when set, hands every worker a reusable sslic.Scratch
-	// from the shared buffer pool for its lifetime, so steady-state
-	// frames segment without reallocating the Lab planes and
-	// accumulators (~32 bytes/pixel). Workers are single-threaded and
-	// streams shard stickily, so one scratch per worker is race-free; a
-	// watchdog-abandoned frame poisons its scratch (the orphaned
-	// attempt may still write into it) and the worker draws a fresh
-	// one. nil disables scratch reuse.
+	// Buffers hands every worker a reusable sslic.Scratch for its
+	// lifetime, so steady-state frames segment without reallocating
+	// the Lab planes and accumulators (~32 bytes/pixel). Workers are
+	// single-threaded and streams shard stickily, so one scratch per
+	// worker is race-free; a watchdog-abandoned frame poisons its
+	// scratch (the orphaned attempt may still write into it) and the
+	// worker draws a fresh one. nil selects a private pool.
 	Buffers *bufpool.Pool
 	// Segment is the backend; nil selects sslic.SegmentContext.
 	Segment SegmentFunc
@@ -147,6 +147,9 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	if c.Registry == nil {
 		c.Registry = telemetry.NewRegistry()
 	}
+	if c.Buffers == nil {
+		c.Buffers = bufpool.New(bufpool.Config{Registry: c.Registry})
+	}
 	return c
 }
 
@@ -156,7 +159,7 @@ type Job struct {
 	Image *imgio.Image
 	// Params is the full segmentation configuration for a cold run. The
 	// pool overrides InitialCenters and FullIters when a warm state is
-	// available for the stream.
+	// available for the stream and Params selects PPA.
 	Params sslic.Params
 	// StreamID identifies a client stream for warm-start stickiness.
 	// Empty runs cold and spreads round-robin across shards. The ID is
@@ -227,6 +230,14 @@ type warmState struct {
 
 // NewPool starts the workers and returns a ready pool.
 func NewPool(cfg PoolConfig) *Pool {
+	p := newPool(cfg)
+	p.start()
+	return p
+}
+
+// newPool builds a pool and registers its series without starting the
+// workers, so a Pipeline's Stats can view them before Run.
+func newPool(cfg PoolConfig) *Pool {
 	cfg = cfg.withDefaults()
 	reg := cfg.Registry
 	p := &Pool{
@@ -259,10 +270,16 @@ func NewPool(cfg PoolConfig) *Pool {
 	}
 	for i := range p.shards {
 		p.shards[i] = make(chan *poolReq, cfg.QueueDepth)
-		p.wg.Add(1)
-		go p.worker(p.shards[i])
 	}
 	return p
+}
+
+// start launches one worker per shard.
+func (p *Pool) start() {
+	for _, sh := range p.shards {
+		p.wg.Add(1)
+		go p.worker(sh)
+	}
 }
 
 // Registry returns the registry carrying the pool's metrics.
@@ -297,15 +314,54 @@ func (p *Pool) shardFor(streamID string) chan *poolReq {
 	if streamID == "" {
 		return p.shards[p.rr.Add(1)%uint64(len(p.shards))]
 	}
+	return p.shards[shardIndex(streamID, len(p.shards))]
+}
+
+func shardIndex(streamID string, shards int) int {
 	h := fnv.New32a()
 	h.Write([]byte(streamID))
-	return p.shards[h.Sum32()%uint32(len(p.shards))]
+	return int(h.Sum32() % uint32(shards))
+}
+
+// laneStreams returns one stream ID per shard, ID i sticking to shard
+// i, so a caller can give every worker one stream of its own. The IDs
+// are the first decimal integers that do so; consecutive integers
+// alone would not (FNV-1a puts "0" and "2" on one shard of three).
+func (p *Pool) laneStreams() []string {
+	ids := make([]string, len(p.shards))
+	for n, left := 0, len(ids); left > 0; n++ {
+		id := strconv.Itoa(n)
+		if i := shardIndex(id, len(ids)); ids[i] == "" {
+			ids[i] = id
+			left--
+		}
+	}
+	return ids
 }
 
 // Submit runs one job and blocks until its result, its context's
 // cancellation, or an admission failure. It is safe from any number of
 // goroutines. Exactly one of the results is non-nil.
 func (p *Pool) Submit(ctx context.Context, job Job) (*JobResult, error) {
+	req, err := p.enqueue(ctx, job)
+	if err != nil {
+		return nil, err
+	}
+	select {
+	case rep := <-req.reply:
+		return rep.res, rep.err
+	case <-ctx.Done():
+		// The job may still be queued (the worker will discard it) or
+		// running (SegmentContext will abort it); either way the reply
+		// lands in the buffered channel and is garbage collected.
+		return nil, ctx.Err()
+	}
+}
+
+// enqueue admits one job without waiting for it. Once admitted, the
+// job's worker always answers on req.reply, also when the job's context
+// ends while it is queued or running.
+func (p *Pool) enqueue(ctx context.Context, job Job) (*poolReq, error) {
 	if job.Image == nil {
 		return nil, fmt.Errorf("pipeline: job without image")
 	}
@@ -336,21 +392,12 @@ func (p *Pool) Submit(ctx context.Context, job Job) (*JobResult, error) {
 		d := float64(p.depth.Add(1))
 		p.queueDepth.Set(d)
 		p.queueHW.SetMax(d)
+		return req, nil
 	default:
 		p.mu.RUnlock()
 		p.streamDone(job.StreamID)
 		p.rejected.Inc()
 		return nil, ErrSaturated
-	}
-
-	select {
-	case rep := <-req.reply:
-		return rep.res, rep.err
-	case <-ctx.Done():
-		// The job may still be queued (the worker will discard it) or
-		// running (SegmentContext will abort it); either way the reply
-		// lands in the buffered channel and is garbage collected.
-		return nil, ctx.Err()
 	}
 }
 
@@ -393,11 +440,8 @@ func (p *Pool) worker(in chan *poolReq) {
 	defer p.wg.Done()
 	states := make(map[string]*warmState)
 	var order []string // least- to most-recently-used, for eviction
-	var scratch *sslic.Scratch
-	if p.cfg.Buffers != nil {
-		scratch = p.cfg.Buffers.GetScratch()
-		defer func() { p.cfg.Buffers.PutScratch(scratch) }()
-	}
+	scratch := p.cfg.Buffers.GetScratch()
+	defer func() { p.cfg.Buffers.PutScratch(scratch) }()
 	for req := range in {
 		p.streamDone(req.job.StreamID)
 		p.queueDepth.Set(float64(p.depth.Add(-1)))
@@ -416,11 +460,10 @@ func (p *Pool) worker(in chan *poolReq) {
 		if req.job.LabelBuf != nil {
 			params.LabelBuf = req.job.LabelBuf
 		}
-		if scratch != nil {
-			params.Scratch = scratch
-		}
+		params.Scratch = scratch
+		// Only PPA takes InitialCenters, so CPA jobs always run cold.
 		warm := false
-		if st := states[req.job.StreamID]; st != nil &&
+		if st := states[req.job.StreamID]; st != nil && params.Arch == sslic.PPA &&
 			st.w == req.job.Image.W && st.h == req.job.Image.H && st.k == params.K {
 			params.InitialCenters = st.centers
 			params.FullIters = p.cfg.WarmIters
@@ -429,7 +472,7 @@ func (p *Pool) worker(in chan *poolReq) {
 		sp := p.spans.StartCtx(req.ctx, "stream", req.job.StreamID, "warm", warm)
 		r, err := p.runJob(req.ctx, req.job.Image, params)
 		if err != nil {
-			if scratch != nil && errors.Is(err, ErrWorkerStuck) {
+			if errors.Is(err, ErrWorkerStuck) {
 				// The abandoned attempt's goroutine may still be
 				// writing into the scratch; leak it and draw a clean
 				// one, exactly like the caller's poisoned LabelBuf.

@@ -106,6 +106,50 @@ func TestPoolWarmSticky(t *testing.T) {
 	}
 }
 
+// TestPoolWarmStickyCPA: warm start needs PPA, so every frame of a CPA
+// stream runs cold — the second must not fail validation on the
+// stream's stored centers.
+func TestPoolWarmStickyCPA(t *testing.T) {
+	im := poolTestImage(48, 32)
+	params := sslic.DefaultParams(12, 0.5)
+	params.Arch = sslic.CPA
+	want, err := sslic.Segment(im, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	pool := NewPool(PoolConfig{Workers: 1, QueueDepth: 2})
+	defer pool.Close()
+	for f := 0; f < 2; f++ {
+		res, err := pool.Submit(context.Background(), Job{Image: im, Params: params, StreamID: "cam0"})
+		if err != nil {
+			t.Fatalf("CPA frame %d: %v", f, err)
+		}
+		if res.Warm {
+			t.Fatalf("CPA frame %d reported warm", f)
+		}
+		for i := range want.Labels.Labels {
+			if res.Result.Labels.Labels[i] != want.Labels.Labels[i] {
+				t.Fatalf("CPA frame %d: label %d differs from a cold run", f, i)
+			}
+		}
+	}
+}
+
+// TestLaneStreamsOnePerShard: a warm pipeline's lanes must each stick
+// to a shard of their own, or two warm chains serialize on one worker
+// while another idles.
+func TestLaneStreamsOnePerShard(t *testing.T) {
+	for workers := 1; workers <= 16; workers++ {
+		p := newPool(PoolConfig{Workers: workers})
+		for i, id := range p.laneStreams() {
+			if p.shardFor(id) != p.shards[i] {
+				t.Fatalf("workers=%d: lane %d stream %q is not on shard %d", workers, i, id, i)
+			}
+		}
+	}
+}
+
 // blockingSegment is a SegmentFunc that parks until released, counting
 // how many jobs entered.
 type blockingSegment struct {

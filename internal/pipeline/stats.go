@@ -21,9 +21,9 @@ type StageStats struct {
 	// yet" (Completed == 0, latencies zero) from "very fast frames"
 	// (Completed > 0, latencies legitimately near zero).
 	Completed int64
-	// QueueHighWater is the deepest the stage's outgoing bounded queue
-	// ever got — the backpressure indicator. The sink stage reports its
-	// incoming queue instead (it has no outgoing one).
+	// QueueHighWater is the deepest the stage's queue ever got — the
+	// backpressure indicator: the in-order delivery queue for source and
+	// sink, the pool's admission queues for segment.
 	QueueHighWater int
 	// LatencyMin/Mean/Max summarize per-frame service time. Zero when no
 	// frame completed.
@@ -43,8 +43,8 @@ func (s StageStats) String() string {
 // call concurrently with Run.
 type Stats struct {
 	Source, Segment, Sink StageStats
-	// ReorderHighWater is the most out-of-order results ever held while
-	// waiting for the next in-order frame index.
+	// ReorderHighWater is the most frames ever held awaiting in-order
+	// delivery (rendered, not yet delivered); QueueDepth bounds it.
 	ReorderHighWater int
 	// Delivered counts results the sink accepted; Dropped counts frames
 	// recycled during a cancellation drain.
@@ -110,12 +110,23 @@ func (m *stageMetrics) sent(queueLen int) {
 }
 
 func (m *stageMetrics) snapshot() StageStats {
-	h := m.spans.Snapshot()
+	s := stageStats(m.in.Value(), m.spans.Snapshot(), m.queueHW.Value())
+	s.FramesOut = int64(m.out.Value())
+	return s
+}
+
+// segmentStats views the pool's series as the pipeline's segment stage:
+// admitted jobs in, completed job spans out.
+func (p *Pool) segmentStats() StageStats {
+	return stageStats(p.admitted.Value(), p.spans.Snapshot(), p.queueHW.Value())
+}
+
+func stageStats(in float64, h telemetry.HistogramSnapshot, queueHW float64) StageStats {
 	s := StageStats{
-		FramesIn:       int64(m.in.Value()),
-		FramesOut:      int64(m.out.Value()),
+		FramesIn:       int64(in),
+		FramesOut:      int64(h.Count),
 		Completed:      int64(h.Count),
-		QueueHighWater: int(m.queueHW.Value()),
+		QueueHighWater: int(queueHW),
 	}
 	if h.Count > 0 {
 		s.LatencyMin = secondsToDuration(h.Min)
@@ -135,7 +146,7 @@ func secondsToDuration(s float64) time.Duration {
 func (p *Pipeline) Stats() Stats {
 	return Stats{
 		Source:           p.srcStats.snapshot(),
-		Segment:          p.segStats.snapshot(),
+		Segment:          p.pool.segmentStats(),
 		Sink:             p.snkStats.snapshot(),
 		ReorderHighWater: int(p.reorderHW.Value()),
 		Delivered:        int64(p.delivered.Value()),

@@ -84,11 +84,12 @@ func TestPipelineSharedRegistry(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		`sslic_pipeline_frames_in_total{stage="source"} 2`,
-		`sslic_pipeline_frames_out_total{stage="segment"} 2`,
+		`sslic_pool_jobs_admitted_total 2`,
+		`sslic_pool_job_seconds_count 2`,
 		`sslic_pipeline_stage_seconds_count{stage="sink"} 2`,
 		`sslic_pipeline_frames_delivered_total 2`,
 		`sslic_pipeline_frames_dropped_total 0`,
-		`sslic_pipeline_stage_in_flight{stage="segment"} 0`,
+		`sslic_pool_job_in_flight 0`,
 	} {
 		if !strings.Contains(out, want+"\n") {
 			t.Fatalf("missing %q in exposition:\n%s", want, out)

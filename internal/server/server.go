@@ -94,13 +94,6 @@ type Config struct {
 	// MaxPixels bounds the decoded frame size; exceeding it is a 413.
 	// <= 0 selects 4 Mpixel (comfortably above the paper's 1080p rows).
 	MaxPixels int
-	// NoBufferPool disables the zero-copy buffer pool: every request
-	// decodes into fresh planes and segments into a fresh label map,
-	// and X-Cost-Alloc-Bytes falls back to deterministic size
-	// estimates. The default (pooling on) recycles frame-sized buffers
-	// across requests — the serving analogue of the accelerator's
-	// resident scratchpads — and reports measured fresh bytes.
-	NoBufferPool bool
 	// RequestTimeout is the default per-request deadline; <= 0 selects
 	// 10s. Clients may tighten (never extend) it via ?timeout_ms=,
 	// capped at MaxTimeout (<= 0 selects 30s).
@@ -264,8 +257,8 @@ type Server struct {
 	capturer *telemetry.Capturer
 	runtime  *telemetry.RuntimeMetrics
 
-	bufs   *bufpool.Pool // nil when Config.NoBufferPool
-	deltas *deltaCache   // per-stream slbl-delta bases
+	bufs   *bufpool.Pool
+	deltas *deltaCache // per-stream slbl-delta bases
 
 	inflightMu     sync.Mutex
 	inflightTraces map[string]struct{} // trace IDs currently being served
@@ -281,9 +274,10 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: MaxTimeout %v below RequestTimeout %v", cfg.MaxTimeout, cfg.RequestTimeout)
 	}
 	s := &Server{cfg: cfg}
-	if !cfg.NoBufferPool {
-		s.bufs = bufpool.New(bufpool.Config{Registry: cfg.Registry})
-	}
+	// The buffer pool recycles frame-sized buffers across requests — the
+	// serving analogue of the accelerator's resident scratchpads — so
+	// X-Cost-Alloc-Bytes reports measured fresh bytes.
+	s.bufs = bufpool.New(bufpool.Config{Registry: cfg.Registry})
 	s.pool = pipeline.NewPool(pipeline.PoolConfig{
 		Workers:       cfg.Workers,
 		QueueDepth:    cfg.QueueDepth,
@@ -644,15 +638,9 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 	}
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	t0 := time.Now()
-	// On the pooled path the decode target comes from the buffer pool
-	// and the ledger is charged the bytes the pool really allocated
-	// (zero at steady state); the fresh path charges the full plane
-	// size, which is exactly what NewImage allocates.
-	var alloc imgio.ImageAlloc
-	if s.bufs != nil {
-		alloc = s.bufs.ImageAlloc(cost)
-	}
-	im, err := decodeFrame(body, r.Header.Get("Content-Type"), s.cfg.MaxPixels, alloc)
+	// The decode target comes from the buffer pool and the ledger is
+	// charged the bytes the pool really allocated (zero at steady state).
+	im, err := decodeFrame(body, r.Header.Get("Content-Type"), s.cfg.MaxPixels, s.bufs.ImageAlloc(cost))
 	if err != nil {
 		var mbe *http.MaxBytesError
 		switch {
@@ -673,9 +661,6 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cost.AddDecode(time.Since(t0))
-	if s.bufs == nil {
-		cost.AddAlloc(int64(len(im.C0) + len(im.C1) + len(im.C2)))
-	}
 	if tr != nil {
 		tr.Emit("decode", "server", t0, time.Since(t0),
 			map[string]any{"width": im.W, "height": im.H})
@@ -690,12 +675,8 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 	// straight into it (sslic's ledger charge for a fresh map is
 	// skipped when LabelBuf is set — the pool's measured charge here
 	// replaces the estimate).
-	var lbuf *imgio.LabelMap
-	if s.bufs != nil {
-		var fresh int64
-		lbuf, fresh = s.bufs.GetLabelMap(im.W, im.H)
-		cost.AddAlloc(fresh)
-	}
+	lbuf, fresh := s.bufs.GetLabelMap(im.W, im.H)
+	cost.AddAlloc(fresh)
 
 	res, err := s.pool.Submit(ctx, pipeline.Job{Image: im, Params: params, StreamID: opts.Stream, LabelBuf: lbuf})
 	if err != nil {
@@ -756,15 +737,13 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 	s.writeResult(w, opts, im, res, tr, cost, base)
 	// Success path: the response is fully written, no goroutine can
 	// still touch these buffers — park them for the next request.
-	if s.bufs != nil {
-		s.bufs.PutImage(im)
-		s.bufs.PutLabelMap(res.Result.Labels)
-		if lbuf != nil && res.Result.Labels != lbuf {
-			// The backend fell back to a fresh map (defensive: it only
-			// would on a dimension mismatch); the untouched pooled
-			// buffer is still clean to recycle.
-			s.bufs.PutLabelMap(lbuf)
-		}
+	s.bufs.PutImage(im)
+	s.bufs.PutLabelMap(res.Result.Labels)
+	if res.Result.Labels != lbuf {
+		// The backend fell back to a fresh map (defensive: it only
+		// would on a dimension mismatch); the untouched pooled
+		// buffer is still clean to recycle.
+		s.bufs.PutLabelMap(lbuf)
 	}
 }
 
@@ -901,7 +880,7 @@ func (s *Server) writeResult(w http.ResponseWriter, opts options, im *imgio.Imag
 		// Non-delta format on a stream with a cached base: restore it so
 		// a later delta request still has its comparand.
 		if old := s.deltas.put(opts.Stream, base); old != nil {
-			s.putLabelBuf(old)
+			s.bufs.PutLabelMap(old)
 		}
 	}
 	cost.AddEncode(time.Since(t0))
@@ -927,7 +906,7 @@ func (s *Server) writeResult(w http.ResponseWriter, opts options, im *imgio.Imag
 func (s *Server) writeDelta(w http.ResponseWriter, stream string, labels, base *imgio.LabelMap) error {
 	if base != nil && (base.W != labels.W || base.H != labels.H) {
 		// The stream changed frame geometry; the old base is useless.
-		s.putLabelBuf(base)
+		s.bufs.PutLabelMap(base)
 		base = nil
 	}
 	if base != nil {
@@ -943,30 +922,13 @@ func (s *Server) writeDelta(w http.ResponseWriter, stream string, labels, base *
 	// itself is recycled by the caller, so the cache keeps a copy.
 	next := base
 	if next == nil {
-		next = s.newLabelBuf(labels.W, labels.H)
+		next, _ = s.bufs.GetLabelMap(labels.W, labels.H)
 	}
 	copy(next.Labels, labels.Labels)
 	if old := s.deltas.put(stream, next); old != nil {
-		s.putLabelBuf(old)
+		s.bufs.PutLabelMap(old)
 	}
 	return err
-}
-
-// newLabelBuf and putLabelBuf wrap the buffer pool for internal label
-// buffers (the delta cache), falling back to plain allocation when
-// pooling is disabled.
-func (s *Server) newLabelBuf(w, h int) *imgio.LabelMap {
-	if s.bufs != nil {
-		lm, _ := s.bufs.GetLabelMap(w, h)
-		return lm
-	}
-	return &imgio.LabelMap{W: w, H: h, Labels: make([]int32, w*h)}
-}
-
-func (s *Server) putLabelBuf(lm *imgio.LabelMap) {
-	if s.bufs != nil {
-		s.bufs.PutLabelMap(lm)
-	}
 }
 
 // paramsFor maps request options onto a full parameter set. Kept as a
