@@ -58,7 +58,7 @@ func main() {
 		iters        = flag.Int("iters", 10, "default full iterations (?iters=)")
 		compactness  = flag.Float64("compactness", 10, "default compactness (?compactness=)")
 		warmIters    = flag.Int("warm-iters", 3, "iterations for warm-started stream frames")
-		maxStreams   = flag.Int("max-streams", 64, "warm-start states kept per worker before evicting the oldest stream")
+		maxStreams   = flag.Int("max-streams", 64, "streams whose warm, delta and quality state is kept before evicting the least recently used")
 		maxBody      = flag.Int64("max-body-bytes", 32<<20, "request body limit; beyond it requests get 413")
 		maxPixels    = flag.Int("max-pixels", 4<<20, "decoded frame pixel limit; beyond it requests get 413")
 		reqTimeout   = flag.Duration("request-timeout", 10*time.Second, "default per-request deadline (tightenable via ?timeout_ms=)")

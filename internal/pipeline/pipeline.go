@@ -48,6 +48,7 @@ import (
 	"sslic/internal/imgio"
 	"sslic/internal/slic"
 	"sslic/internal/sslic"
+	"sslic/internal/stream"
 	"sslic/internal/telemetry"
 )
 
@@ -195,9 +196,11 @@ func New(cfg Config, render RenderFunc, sink SinkFunc) (*Pipeline, error) {
 		cfg: cfg, render: render, sink: sink, runID: telemetry.NewTraceID(),
 		bufs: bufs,
 		// No shard ever holds more than the QueueDepth frames in flight,
-		// so admission never fails with ErrSaturated.
+		// so admission never fails with ErrSaturated; the stream table
+		// holds every warm lane, so lanes never evict each other.
 		pool: newPool(PoolConfig{
 			Workers: cfg.Workers, QueueDepth: cfg.QueueDepth, WarmIters: cfg.WarmIters,
+			Streams: stream.New(stream.Config{MaxStreams: cfg.Workers, Registry: reg}),
 			Buffers: bufs, Registry: reg, Logger: cfg.Logger,
 		}),
 		registry: reg,

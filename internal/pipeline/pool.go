@@ -15,8 +15,8 @@ import (
 	"sslic/internal/bufpool"
 	"sslic/internal/faults"
 	"sslic/internal/imgio"
-	"sslic/internal/slic"
 	"sslic/internal/sslic"
+	"sslic/internal/stream"
 	"sslic/internal/telemetry"
 )
 
@@ -34,10 +34,11 @@ import (
 //
 // Warm starts survive across submissions: jobs carrying a StreamID are
 // sharded by a hash of that ID, so consecutive frames of one client
-// stream land on the same worker, which keeps the stream's last centers
-// and seeds the next frame with them (Pipeline's warm lanes are such
-// streams). Sharding also serializes each stream: two in-flight frames
-// of one stream cannot race on its warm state.
+// stream land on the same worker, which stores the stream's last
+// centers in the stream table and seeds the next frame with them
+// (Pipeline's warm lanes are such streams). Sharding also serializes
+// each stream: two in-flight frames of one stream cannot race on its
+// warm state.
 //
 // Cancellation: Submit honors its context both while queued (the job is
 // discarded before it runs) and mid-run (the context reaches
@@ -51,12 +52,6 @@ type Pool struct {
 	mu     sync.RWMutex
 	closed bool
 
-	// inflight counts admitted-but-unfinished jobs per stream, so the
-	// warm-state eviction can tell an idle stream from one with frames
-	// still queued ("mid-frame") and never evict the latter.
-	inflightMu sync.Mutex
-	inflight   map[string]int
-
 	depth      atomic.Int64 // authoritative queued-job count behind the gauges
 	queueDepth *telemetry.Gauge
 	queueHW    *telemetry.Gauge
@@ -66,8 +61,6 @@ type Pool struct {
 	warmJobs   *telemetry.Counter
 	retries    *telemetry.Counter
 	stuck      *telemetry.Counter
-	evictions  *telemetry.Counter
-	streams    *telemetry.Gauge
 	spans      *telemetry.Spans
 }
 
@@ -84,10 +77,10 @@ type PoolConfig struct {
 	QueueDepth int
 	// WarmIters is FullIters for warm-started jobs; <= 0 selects 3.
 	WarmIters int
-	// MaxStreams caps the warm states kept per shard; the
-	// least-recently-used stream without queued work is evicted beyond
-	// it. <= 0 selects 64.
-	MaxStreams int
+	// Streams keeps every stream's warm centers; the table knows which
+	// streams have admitted jobs, so its eviction spares them. nil
+	// selects a private table.
+	Streams *stream.Table
 	// Retries bounds per-job retries of transient faults (injected
 	// failures per faults.IsTransient): the frame is re-run from scratch
 	// after a doubling backoff, so a surviving retry still yields the
@@ -130,9 +123,6 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	if c.WarmIters <= 0 {
 		c.WarmIters = 3
 	}
-	if c.MaxStreams <= 0 {
-		c.MaxStreams = 64
-	}
 	if c.Retries == 0 {
 		c.Retries = 2
 	} else if c.Retries < 0 {
@@ -149,6 +139,9 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	}
 	if c.Buffers == nil {
 		c.Buffers = bufpool.New(bufpool.Config{Registry: c.Registry})
+	}
+	if c.Streams == nil {
+		c.Streams = stream.New(stream.Config{Registry: c.Registry})
 	}
 	return c
 }
@@ -208,10 +201,12 @@ var ErrSegmentPanic = errors.New("pipeline: segment backend panic")
 // frame fails instead of the shard hanging.
 var ErrWorkerStuck = errors.New("pipeline: worker abandoned stuck frame")
 
-// poolReq is one queued submission.
+// poolReq is one queued submission; entry is its stream's admission
+// (nil without a stream).
 type poolReq struct {
 	ctx      context.Context
 	job      Job
+	entry    *stream.Entry
 	enqueued time.Time
 	reply    chan poolReply
 }
@@ -219,13 +214,6 @@ type poolReq struct {
 type poolReply struct {
 	res *JobResult
 	err error
-}
-
-// warmState is one stream's carry-over between frames. Centers are only
-// reused when the frame geometry and K still match.
-type warmState struct {
-	centers []slic.Center
-	w, h, k int
 }
 
 // NewPool starts the workers and returns a ready pool.
@@ -241,9 +229,8 @@ func newPool(cfg PoolConfig) *Pool {
 	cfg = cfg.withDefaults()
 	reg := cfg.Registry
 	p := &Pool{
-		cfg:      cfg,
-		shards:   make([]chan *poolReq, cfg.Workers),
-		inflight: make(map[string]int),
+		cfg:    cfg,
+		shards: make([]chan *poolReq, cfg.Workers),
 		queueDepth: reg.Gauge("sslic_pool_queue_depth",
 			"Jobs admitted but not yet started, across all shards."),
 		queueHW: reg.Gauge("sslic_pool_queue_depth_high_water",
@@ -261,10 +248,6 @@ func newPool(cfg PoolConfig) *Pool {
 			"Segmentation attempts re-run after a transient fault."),
 		stuck: reg.Counter("sslic_pool_stuck_frames_total",
 			"Jobs the watchdog abandoned past their deadline plus grace."),
-		evictions: reg.Counter("sslic_pool_stream_evictions_total",
-			"Warm-start states evicted to respect MaxStreams."),
-		streams: reg.Gauge("sslic_pool_streams",
-			"Warm-start stream states currently held."),
 		spans: telemetry.NewSpans(reg, "sslic_pool_job",
 			"Per-job segment service time (queueing excluded).", nil, cfg.Logger),
 	}
@@ -372,17 +355,18 @@ func (p *Pool) enqueue(ctx context.Context, job Job) (*poolReq, error) {
 		return nil, err
 	}
 	req := &poolReq{ctx: ctx, job: job, enqueued: time.Now(), reply: make(chan poolReply, 1)}
-
-	// The stream's in-flight count is raised before the send so the
-	// worker's matching decrement (at dequeue) can never run first.
-	p.streamAdd(job.StreamID)
+	// The admission is recorded before the send so the worker's release
+	// (at dequeue) can never run first.
+	if job.StreamID != "" {
+		req.entry = p.cfg.Streams.Admit(job.StreamID)
+	}
 
 	// The RLock pairs with Close's Lock: it guarantees no Submit is
 	// mid-send on a channel Close is about to close.
 	p.mu.RLock()
 	if p.closed {
 		p.mu.RUnlock()
-		p.streamDone(job.StreamID)
+		p.cfg.Streams.Release(req.entry)
 		return nil, ErrPoolClosed
 	}
 	select {
@@ -395,55 +379,20 @@ func (p *Pool) enqueue(ctx context.Context, job Job) (*poolReq, error) {
 		return req, nil
 	default:
 		p.mu.RUnlock()
-		p.streamDone(job.StreamID)
+		p.cfg.Streams.Release(req.entry)
 		p.rejected.Inc()
 		return nil, ErrSaturated
 	}
 }
 
-// streamAdd raises a stream's in-flight count (no-op for anonymous
-// jobs); streamDone lowers it, dropping the entry at zero so the map
-// stays bounded by concurrent streams, not historical ones.
-func (p *Pool) streamAdd(id string) {
-	if id == "" {
-		return
-	}
-	p.inflightMu.Lock()
-	p.inflight[id]++
-	p.inflightMu.Unlock()
-}
-
-func (p *Pool) streamDone(id string) {
-	if id == "" {
-		return
-	}
-	p.inflightMu.Lock()
-	if n := p.inflight[id] - 1; n <= 0 {
-		delete(p.inflight, id)
-	} else {
-		p.inflight[id] = n
-	}
-	p.inflightMu.Unlock()
-}
-
-// streamBusy reports whether the stream has admitted jobs not yet
-// dequeued by its worker — the "mid-frame" state eviction must spare.
-func (p *Pool) streamBusy(id string) bool {
-	p.inflightMu.Lock()
-	busy := p.inflight[id] > 0
-	p.inflightMu.Unlock()
-	return busy
-}
-
-// worker owns one shard: its queue and its streams' warm states.
+// worker owns one shard: its queue, and the warm centers of the
+// streams sharded onto it.
 func (p *Pool) worker(in chan *poolReq) {
 	defer p.wg.Done()
-	states := make(map[string]*warmState)
-	var order []string // least- to most-recently-used, for eviction
 	scratch := p.cfg.Buffers.GetScratch()
 	defer func() { p.cfg.Buffers.PutScratch(scratch) }()
 	for req := range in {
-		p.streamDone(req.job.StreamID)
+		p.cfg.Streams.Release(req.entry)
 		p.queueDepth.Set(float64(p.depth.Add(-1)))
 		wait := time.Since(req.enqueued)
 		p.queueWait.Observe(wait.Seconds())
@@ -461,16 +410,16 @@ func (p *Pool) worker(in chan *poolReq) {
 			params.LabelBuf = req.job.LabelBuf
 		}
 		params.Scratch = scratch
+		id, im := req.job.StreamID, req.job.Image
 		// Only PPA takes InitialCenters, so CPA jobs always run cold.
 		warm := false
-		if st := states[req.job.StreamID]; st != nil && params.Arch == sslic.PPA &&
-			st.w == req.job.Image.W && st.h == req.job.Image.H && st.k == params.K {
-			params.InitialCenters = st.centers
+		if c := p.cfg.Streams.Centers(id, im.W, im.H, params.K); c != nil && params.Arch == sslic.PPA {
+			params.InitialCenters = c
 			params.FullIters = p.cfg.WarmIters
 			warm = true
 		}
 		sp := p.spans.StartCtx(req.ctx, "stream", req.job.StreamID, "warm", warm)
-		r, err := p.runJob(req.ctx, req.job.Image, params)
+		r, err := p.runJob(req.ctx, im, params)
 		if err != nil {
 			if errors.Is(err, ErrWorkerStuck) {
 				// The abandoned attempt's goroutine may still be
@@ -486,49 +435,11 @@ func (p *Pool) worker(in chan *poolReq) {
 		if warm {
 			p.warmJobs.Inc()
 		}
-		if req.job.StreamID != "" {
-			order = p.storeState(states, order, req.job.StreamID, &warmState{
-				centers: r.Centers, w: req.job.Image.W, h: req.job.Image.H, k: req.job.Params.K,
-			})
+		if id != "" {
+			p.cfg.Streams.StoreCenters(id, r.Centers, im.W, im.H, req.job.Params.K)
 		}
 		req.reply <- poolReply{res: &JobResult{Result: r, Warm: warm, Latency: lat}}
 	}
-	p.streams.Add(-float64(len(states)))
-}
-
-// storeState records a stream's warm state, maintaining LRU order and
-// evicting beyond MaxStreams. The victim is the least-recently-used
-// stream with no in-flight work; only if every candidate is mid-frame
-// does strict LRU apply — so a hot stream (steadily resubmitting) is
-// never evicted between two of its queued frames.
-func (p *Pool) storeState(states map[string]*warmState, order []string, id string, st *warmState) []string {
-	if states[id] == nil {
-		order = append(order, id)
-		p.streams.Add(1)
-		if len(order) > p.cfg.MaxStreams {
-			victim := 0
-			for i, sid := range order[:len(order)-1] { // the new id is last, never the victim
-				if !p.streamBusy(sid) {
-					victim = i
-					break
-				}
-			}
-			sid := order[victim]
-			order = append(order[:victim], order[victim+1:]...)
-			delete(states, sid)
-			p.streams.Add(-1)
-			p.evictions.Inc()
-		}
-	} else {
-		for i, sid := range order { // LRU touch: move to back
-			if sid == id {
-				order = append(append(order[:i], order[i+1:]...), id)
-				break
-			}
-		}
-	}
-	states[id] = st
-	return order
 }
 
 // runJob is one job's full attempt chain: the injected-fault hook, the

@@ -11,6 +11,7 @@ import (
 	"sslic/internal/faults"
 	"sslic/internal/imgio"
 	"sslic/internal/sslic"
+	"sslic/internal/stream"
 	"sslic/internal/telemetry/testutil"
 )
 
@@ -200,7 +201,7 @@ func TestPoolHotStreamNeverEvictedMidFrame(t *testing.T) {
 		<-step
 		return sslic.SegmentContext(ctx, im, p)
 	}
-	pool := NewPool(PoolConfig{Workers: 1, QueueDepth: 4, MaxStreams: 2, Segment: gated})
+	pool := NewPool(PoolConfig{Workers: 1, QueueDepth: 4, Streams: stream.New(stream.Config{MaxStreams: 2}), Segment: gated})
 	defer pool.Close()
 
 	im := poolTestImage(32, 24)
@@ -277,4 +278,65 @@ func TestPoolHotStreamNeverEvictedMidFrame(t *testing.T) {
 	if res := <-ra2; res.Warm {
 		t.Fatal("idle stream a kept its state — no eviction occurred")
 	}
+}
+
+// TestPoolHotStreamWarmBehindQueuedStreams: streams that are queued but
+// have never run hold no state, so they cannot crowd a hot stream out
+// of the table. The worker is parked on "x" while a second hot frame,
+// "b" and "c" queue up (more queued streams than MaxStreams); the hot
+// frame still runs warm.
+func TestPoolHotStreamWarmBehindQueuedStreams(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	step := make(chan struct{})
+	var entered atomic.Int64
+	gated := func(ctx context.Context, im *imgio.Image, p sslic.Params) (*sslic.Result, error) {
+		entered.Add(1)
+		<-step
+		return sslic.SegmentContext(ctx, im, p)
+	}
+	pool := NewPool(PoolConfig{Workers: 1, QueueDepth: 4, Streams: stream.New(stream.Config{MaxStreams: 2}), Segment: gated})
+	defer pool.Close()
+
+	im := poolTestImage(32, 24)
+	params := sslic.DefaultParams(6, 0.5)
+	submit := func(stream string) chan *JobResult {
+		out := make(chan *JobResult, 1)
+		go func() {
+			res, err := pool.Submit(context.Background(), Job{Image: im, Params: params, StreamID: stream})
+			if err != nil {
+				t.Errorf("stream %s: %v", stream, err)
+			}
+			out <- res
+		}()
+		return out
+	}
+	waitFor := func(what string, cond func() bool) {
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("never reached: %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	run := func(n int64, out chan *JobResult) *JobResult {
+		waitFor("backend entry", func() bool { return entered.Load() >= n })
+		step <- struct{}{}
+		return <-out
+	}
+
+	run(1, submit("hot"))
+	rx := submit("x")
+	waitFor("x running", func() bool { return entered.Load() >= 2 })
+	var queued []chan *JobResult
+	for i, id := range []string{"hot", "b", "c"} {
+		queued = append(queued, submit(id))
+		waitFor("queued jobs", func() bool { return pool.Queued() > i })
+	}
+	run(2, rx)
+	if res := run(3, queued[0]); !res.Warm {
+		t.Error("hot stream lost its state to streams still queued: its frame ran cold")
+	}
+	run(4, queued[1])
+	run(5, queued[2])
 }

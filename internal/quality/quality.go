@@ -12,27 +12,30 @@
 //   - residual convergence (final residual and first→last decay) from
 //     sslic.Stats.MoveHistory — the run already records it per pass;
 //   - inter-frame label churn, the fraction of pixels whose label
-//     changed against the previous frame, read off the slbl-delta base
-//     cache the wire layer already keeps;
+//     changed against the previous frame, read off the stream's
+//     slbl-delta base the wire layer already keeps;
 //   - empty-cluster count and cluster-size coefficient of variation
 //     from the final label scan (under-segmentation collapse);
 //   - boundary density (boundary pixels / frame pixels), the live
 //     stand-in for the paper's boundary-recall axis.
 //
 // A Tracker folds per-frame Samples into registry series (global
-// histograms plus capped per-stream gauges, mirroring the cost
-// accountant's cardinality rules), serves the /debug/streams
-// introspection JSON, and distills a two-sided control signal for the
-// degrade controller: TickSignal reports whether quality has collapsed
-// below configured floors, so a blown latency budget cannot walk the
-// ladder past the point where segmentations stop being worth serving.
+// histograms plus per-stream gauges under the stream table's labels)
+// and into each stream's record in that table, serves the
+// /debug/streams introspection JSON, and distills a two-sided control
+// signal for the degrade controller: TickSignal reports whether
+// quality has collapsed below configured floors, so a blown latency
+// budget cannot walk the ladder past the point where segmentations
+// stop being worth serving.
 package quality
 
 import (
+	"strings"
 	"sync"
 	"time"
 
 	"sslic/internal/imgio"
+	"sslic/internal/stream"
 	"sslic/internal/telemetry"
 )
 
@@ -82,31 +85,13 @@ func BoundaryDensity(lm *imgio.LabelMap) float64 {
 	return float64(boundary) / float64(w*h)
 }
 
-// maxStreams caps both the introspection states and the per-stream
-// registry series, matching the cost accountant's cardinality rule:
-// registry series are never evicted, so minted stream labels must stay
-// bounded. Introspection states ARE evicted (least-recently-seen) so
-// /debug/streams always shows the live working set.
-const maxStreams = 32
-
-// ringLen is the per-stream history depth for churn trend, level
-// history and trace IDs.
-const ringLen = 16
-
 // Config tunes a Tracker.
 type Config struct {
 	// Registry receives the quality series; nil selects a private one.
 	Registry *telemetry.Registry
-	// MaxStreams caps per-stream introspection states and minted
-	// per-stream series; <= 0 selects 32.
-	MaxStreams int
-	// TenantSlice, when > 0, makes the minted-series cap tenant-fair:
-	// each tenant (Sample.Tenant) may mint at most TenantSlice
-	// per-stream label sets, overflowing into its own
-	// "<tenant>/_other" series — so one tenant churning stream IDs
-	// cannot exhaust the label budget for everyone. 0 keeps the
-	// single global MaxStreams cap.
-	TenantSlice int
+	// Streams keeps each stream's quality record and metric label next
+	// to its warm and delta state; nil selects a private table.
+	Streams *stream.Table
 
 	// Floor thresholds: a frame trips the quality floor when any
 	// enabled check fails. <= 0 disables a check.
@@ -127,71 +112,13 @@ type Config struct {
 	FloorFunc func() (level int, pinned bool)
 }
 
-// Sample is one successfully segmented frame's quality observation.
-// Everything in it is already computed by the hot path; the Tracker
-// only folds it into series and rings.
-type Sample struct {
-	Stream string
-	// Tenant is the owning tenant's ID ("" in single-tenant mode).
-	// Stream is expected to already be tenant-scoped by the caller;
-	// Tenant only drives the per-tenant metric label budget.
-	Tenant  string
-	TraceID string
-	W, H, K int
-	// Level is the degrade level the frame was served at.
-	Level int
-	Warm  bool
-	// WireFormat is the response label framing (labels, slbl-rle,
-	// slbl-delta, overlay, ...).
-	WireFormat string
-	// DeltaBase reports whether a delta base was found in the wire
-	// cache for this frame (a hit); only meaningful for streams.
-	DeltaBase bool
-	// Churn is the changed-pixel fraction vs the previous frame; < 0
-	// means unknown (no base to compare against).
-	Churn         float64
-	EmptyClusters int
-	// Clusters is the effective superpixel count (the tiling's K).
-	Clusters        int
-	ClusterSizeCV   float64
-	BoundaryDensity float64
-	// Residual is the final pass's mean center movement;
-	// ResidualDecay is final/first (1 = no convergence progress).
-	Residual      float64
-	ResidualDecay float64
-	Converged     bool
-	Passes        int
-}
+// Sample is one successfully segmented frame's quality observation;
+// the stream table keeps each stream's latest.
+type Sample = stream.Sample
 
-// streamState is one stream's introspection record. Gauges are cached
-// here so a steady-state Observe does no registry lookups (and so no
-// allocations).
-type streamState struct {
-	stream      string
-	firstSeen   time.Time
-	lastSeen    time.Time
-	frames      uint64
-	warmFrames  uint64
-	w, h, k     int
-	level       int
-	wireFormat  string
-	deltaHits   uint64
-	deltaMisses uint64
-	collapsed   bool // last frame tripped a floor check
-
-	churn   [ringLen]float64 // most recent last; -1 = unknown
-	levels  [ringLen]int32
-	traces  [4]string
-	nChurn  int // total observations, rings are [max(0,n-ringLen), n)
-	nTraces int
-
-	last Sample
-
-	churnG, emptyG, residualG, boundaryG *telemetry.Gauge
-}
-
-// Tracker folds frame Samples into live quality series and keeps the
-// per-stream introspection states behind /debug/streams.
+// Tracker folds frame Samples into live quality series and into the
+// per-stream records behind /debug/streams, which live in the stream
+// table.
 type Tracker struct {
 	cfg Config
 	reg *telemetry.Registry
@@ -201,12 +128,8 @@ type Tracker struct {
 	emptyFr   *telemetry.Counter
 	collapsed *telemetry.Counter
 
-	mu       sync.Mutex
-	streams  map[string]*streamState
-	minted   int            // per-stream series label sets created so far
-	mintedBy map[string]int // label sets minted per tenant (tenancy mode)
-
 	// Tick window counters for the degrade floor signal.
+	mu         sync.Mutex
 	tickFrames int
 	tickBad    int
 }
@@ -216,15 +139,10 @@ func NewTracker(cfg Config) *Tracker {
 	if cfg.Registry == nil {
 		cfg.Registry = telemetry.NewRegistry()
 	}
-	if cfg.MaxStreams <= 0 {
-		cfg.MaxStreams = maxStreams
+	if cfg.Streams == nil {
+		cfg.Streams = stream.New(stream.Config{Registry: cfg.Registry})
 	}
-	t := &Tracker{
-		cfg:      cfg,
-		reg:      cfg.Registry,
-		streams:  make(map[string]*streamState),
-		mintedBy: make(map[string]int),
-	}
+	t := &Tracker{cfg: cfg, reg: cfg.Registry}
 	t.churnHist = cfg.Registry.Histogram("sslic_quality_churn_ratio",
 		"Inter-frame label churn: changed pixels / frame pixels, per delta-capable frame.",
 		[]float64{.001, .0025, .005, .01, .025, .05, .1, .2, .35, .5, .75})
@@ -253,9 +171,9 @@ func (t *Tracker) bad(s Sample) bool {
 	return false
 }
 
-// Observe folds one frame into the tracker. Steady-state calls for an
-// already-known stream are allocation-free: rings and cached gauges
-// only.
+// Observe folds one frame into the tracker and into its stream's
+// record. Steady-state calls for an already-known stream are
+// allocation-free: rings and cached gauges only.
 func (t *Tracker) Observe(s Sample) {
 	t.frames.Inc()
 	if s.EmptyClusters > 0 {
@@ -268,104 +186,61 @@ func (t *Tracker) Observe(s Sample) {
 	if bad {
 		t.collapsed.Inc()
 	}
-
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.tickFrames++
 	if bad {
 		t.tickBad++
 	}
-	st := t.streams[s.Stream]
-	if st == nil {
-		st = t.newStreamLocked(s.Stream, s.Tenant)
-	}
-	now := time.Now()
-	st.lastSeen = now
-	st.frames++
-	if s.Warm {
-		st.warmFrames++
-	}
-	st.w, st.h, st.k = s.W, s.H, s.K
-	st.level = s.Level
-	st.wireFormat = s.WireFormat
-	if s.Stream != "" {
-		if s.DeltaBase {
-			st.deltaHits++
-		} else {
-			st.deltaMisses++
+	t.mu.Unlock()
+
+	t.cfg.Streams.Record(s.Stream, func(q *stream.Quality, label string) {
+		now := time.Now()
+		if q.Frames == 0 {
+			// A new record: its gauges carry the key's label, which is
+			// the same after an eviction, so a returning stream writes
+			// its old series.
+			lbl := telemetry.Label{Name: "stream", Value: label}
+			q.FirstSeen = now
+			q.ChurnG = t.reg.Gauge("sslic_quality_stream_churn",
+				"Latest inter-frame label churn ratio, by stream.", lbl)
+			q.EmptyG = t.reg.Gauge("sslic_quality_stream_empty_clusters",
+				"Latest empty-cluster count, by stream.", lbl)
+			q.ResidualG = t.reg.Gauge("sslic_quality_stream_residual",
+				"Latest final center residual, by stream.", lbl)
+			q.BoundaryG = t.reg.Gauge("sslic_quality_stream_boundary_density",
+				"Latest boundary-pixel density, by stream.", lbl)
 		}
-	}
-	st.churn[st.nChurn%ringLen] = s.Churn
-	st.levels[st.nChurn%ringLen] = int32(s.Level)
-	st.nChurn++
-	if s.TraceID != "" {
-		st.traces[st.nTraces%len(st.traces)] = s.TraceID
-		st.nTraces++
-	}
-	st.collapsed = bad
-	st.last = s
-
-	if s.Churn >= 0 {
-		st.churnG.Set(s.Churn)
-	}
-	st.emptyG.Set(float64(s.EmptyClusters))
-	st.residualG.Set(s.Residual)
-	st.boundaryG.Set(s.BoundaryDensity)
-}
-
-// newStreamLocked creates (and possibly evicts for) a stream state,
-// minting its per-stream gauges under the cardinality cap. tenant
-// selects the per-tenant budget slice when TenantSlice is configured.
-func (t *Tracker) newStreamLocked(stream, tenant string) *streamState {
-	if len(t.streams) >= t.cfg.MaxStreams {
-		var victim string
-		var oldest time.Time
-		for id, st := range t.streams {
-			if victim == "" || st.lastSeen.Before(oldest) {
-				victim, oldest = id, st.lastSeen
+		q.LastSeen = now
+		q.Frames++
+		if s.Warm {
+			q.WarmFrames++
+		}
+		// Only a named stream keeps a delta base; "" and "tenant/"
+		// key requests without one.
+		if i := strings.LastIndexByte(s.Stream, '/'); s.Stream[i+1:] != "" {
+			if s.DeltaBase {
+				q.DeltaHits++
+			} else {
+				q.DeltaMisses++
 			}
 		}
-		delete(t.streams, victim)
-	}
-	label := stream
-	switch {
-	case stream == "" && tenant == "":
-		label = "_anon"
-	case stream == "":
-		label = tenant + "/_anon"
-	case tenant != "" && t.cfg.TenantSlice > 0:
-		// Tenant-fair budget: each tenant mints from its own slice and
-		// overflows into its own series, never the shared pool's.
-		if t.mintedBy[tenant] >= t.cfg.TenantSlice {
-			label = tenant + "/_other"
-		} else {
-			t.mintedBy[tenant]++
+		q.Churn[q.N%stream.RingLen] = s.Churn
+		q.Levels[q.N%stream.RingLen] = int32(s.Level)
+		q.N++
+		if s.TraceID != "" {
+			q.Traces[q.NTraces%len(q.Traces)] = s.TraceID
+			q.NTraces++
 		}
-	case t.minted >= t.cfg.MaxStreams:
-		// Past the cap, recreated streams share the overflow series
-		// (their introspection state stays individual).
-		label = "_other"
-	default:
-		t.minted++
-	}
-	lbl := telemetry.Label{Name: "stream", Value: label}
-	st := &streamState{
-		stream:    stream,
-		firstSeen: time.Now(),
-		churnG: t.reg.Gauge("sslic_quality_stream_churn",
-			"Latest inter-frame label churn ratio, by stream.", lbl),
-		emptyG: t.reg.Gauge("sslic_quality_stream_empty_clusters",
-			"Latest empty-cluster count, by stream.", lbl),
-		residualG: t.reg.Gauge("sslic_quality_stream_residual",
-			"Latest final center residual, by stream.", lbl),
-		boundaryG: t.reg.Gauge("sslic_quality_stream_boundary_density",
-			"Latest boundary-pixel density, by stream.", lbl),
-	}
-	for i := range st.churn {
-		st.churn[i] = -1
-	}
-	t.streams[stream] = st
-	return st
+		q.Collapsed = bad
+		q.Last = s
+
+		if s.Churn >= 0 {
+			q.ChurnG.Set(s.Churn)
+		}
+		q.EmptyG.Set(float64(s.EmptyClusters))
+		q.ResidualG.Set(s.Residual)
+		q.BoundaryG.Set(s.BoundaryDensity)
+	})
 }
 
 // TickSignal is the degrade controller's quality-floor input, called

@@ -1,10 +1,8 @@
 package quality
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"sslic/internal/imgio"
@@ -120,25 +118,6 @@ func TestTrackerSnapshot(t *testing.T) {
 	}
 }
 
-func TestTrackerEviction(t *testing.T) {
-	tr := NewTracker(Config{MaxStreams: 2})
-	tr.Observe(sampleFor("s1", 0.1))
-	tr.Observe(sampleFor("s2", 0.1))
-	tr.Observe(sampleFor("s3", 0.1)) // evicts the least-recently-seen (s1)
-	st := tr.Snapshot()
-	if len(st.Streams) != 2 {
-		t.Fatalf("got %d rows, want 2 after eviction", len(st.Streams))
-	}
-	for _, row := range st.Streams {
-		if row.Stream == "s1" {
-			t.Fatal("s1 should have been evicted")
-		}
-	}
-	if st.Frames != 3 {
-		t.Fatalf("global frame counter = %g, want 3 (eviction must not reset totals)", st.Frames)
-	}
-}
-
 func TestTrackerTickSignal(t *testing.T) {
 	tr := NewTracker(Config{MaxEmptyFrac: 0.1})
 	if collapsed, observed := tr.TickSignal(); collapsed || observed {
@@ -215,76 +194,5 @@ func TestObserveSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() { tr.Observe(s) })
 	if allocs != 0 {
 		t.Fatalf("steady-state Observe allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-func TestStreamLabelCapping(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	tr := NewTracker(Config{Registry: reg, MaxStreams: 2})
-	tr.Observe(sampleFor("", 0.1))   // anonymous → _anon (not counted against the mint cap)
-	tr.Observe(sampleFor("s1", 0.1)) // minted
-	tr.Observe(sampleFor("s2", 0.1)) // minted (second of two)
-	tr.Observe(sampleFor("s3", 0.1)) // past the mint cap → _other
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	if !strings.Contains(text, `sslic_quality_stream_churn{stream="_anon"}`) {
-		t.Fatal("anonymous stream series missing")
-	}
-	if !strings.Contains(text, `sslic_quality_stream_churn{stream="_other"}`) {
-		t.Fatal("overflow stream series missing")
-	}
-	if !strings.Contains(text, `sslic_quality_stream_churn{stream="s1"}`) {
-		t.Fatal("stream s1 should have minted its own series under the cap")
-	}
-	if strings.Contains(text, `sslic_quality_stream_churn{stream="s3"}`) {
-		t.Fatal("stream s3 minted its own series past the cap")
-	}
-}
-
-// TestStreamLabelTenantSliced: with TenantSlice set, each tenant gets
-// its own fair slice of the minted-series budget — one greedy tenant
-// overflows into its own <tenant>/_other, never into another tenant's
-// slice or the global pool.
-func TestStreamLabelTenantSliced(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	tr := NewTracker(Config{Registry: reg, MaxStreams: 8, TenantSlice: 2})
-	// Mirror the server contract: Sample.Stream arrives already
-	// tenant-namespaced; Sample.Tenant only selects the budget slice.
-	post := func(tenant, stream string) {
-		scoped := stream
-		if stream != "" {
-			scoped = tenant + "/" + stream
-		}
-		s := sampleFor(scoped, 0.1)
-		s.Tenant = tenant
-		tr.Observe(s)
-	}
-	post("acme", "s0") // minted: acme/s0
-	post("acme", "s1") // minted: acme/s1 (slice of 2 exhausted)
-	post("acme", "s2") // over acme's slice → acme/_other
-	post("beta", "s2") // beta's slice untouched by acme → beta/s2
-	post("acme", "")   // keyless stream under a tenant → acme/_anon
-
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	for _, want := range []string{
-		`sslic_quality_stream_churn{stream="acme/s0"}`,
-		`sslic_quality_stream_churn{stream="acme/s1"}`,
-		`sslic_quality_stream_churn{stream="acme/_other"}`,
-		`sslic_quality_stream_churn{stream="beta/s2"}`,
-		`sslic_quality_stream_churn{stream="acme/_anon"}`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("missing series %s", want)
-		}
-	}
-	if strings.Contains(text, `sslic_quality_stream_churn{stream="acme/s2"}`) {
-		t.Fatal("acme/s2 minted past acme's tenant slice")
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"sort"
 	"time"
+
+	"sslic/internal/stream"
 )
 
 // StreamStatus is one stream's row in the /debug/streams report.
@@ -70,42 +72,35 @@ type Status struct {
 // global counters.
 func (t *Tracker) Snapshot() Status {
 	now := time.Now()
-	t.mu.Lock()
-	rows := make([]StreamStatus, 0, len(t.streams))
-	for _, st := range t.streams {
+	rows := []StreamStatus{}
+	for _, q := range t.cfg.Streams.Records() {
+		if q.Frames == 0 {
+			continue // warm centers stored, no frame observed yet
+		}
+		s := q.Last
 		row := StreamStatus{
-			Stream:     st.stream,
-			Frames:     st.frames,
-			WarmFrames: st.warmFrames,
-			AgeSec:     now.Sub(st.firstSeen).Seconds(),
-			IdleSec:    now.Sub(st.lastSeen).Seconds(),
-			Width:      st.w,
-			Height:     st.h,
-			K:          st.k,
-			Level:      st.level,
-			WireFormat: st.wireFormat,
+			Stream:     q.Key,
+			Frames:     q.Frames,
+			WarmFrames: q.WarmFrames,
+			AgeSec:     now.Sub(q.FirstSeen).Seconds(),
+			IdleSec:    now.Sub(q.LastSeen).Seconds(),
+			Width:      s.W,
+			Height:     s.H,
+			K:          s.K,
+			Level:      s.Level,
+			WireFormat: s.WireFormat,
 		}
-		row.DeltaHits, row.DeltaMisses = st.deltaHits, st.deltaMisses
-		if n := st.deltaHits + st.deltaMisses; n > 0 {
-			row.DeltaRatio = float64(st.deltaHits) / float64(n)
+		row.DeltaHits, row.DeltaMisses = q.DeltaHits, q.DeltaMisses
+		if n := q.DeltaHits + q.DeltaMisses; n > 0 {
+			row.DeltaRatio = float64(q.DeltaHits) / float64(n)
 		}
-		// Rings hold observations [max(0, n-ringLen), n), oldest first.
-		start := 0
-		if st.nChurn > ringLen {
-			start = st.nChurn - ringLen
+		for i := max(0, q.N-stream.RingLen); i < q.N; i++ {
+			row.LevelHistory = append(row.LevelHistory, q.Levels[i%stream.RingLen])
+			row.Quality.ChurnTrend = append(row.Quality.ChurnTrend, q.Churn[i%stream.RingLen])
 		}
-		for i := start; i < st.nChurn; i++ {
-			row.LevelHistory = append(row.LevelHistory, st.levels[i%ringLen])
-			row.Quality.ChurnTrend = append(row.Quality.ChurnTrend, st.churn[i%ringLen])
+		for i := max(0, q.NTraces-len(q.Traces)); i < q.NTraces; i++ {
+			row.LastTraces = append(row.LastTraces, q.Traces[i%len(q.Traces)])
 		}
-		tStart := 0
-		if st.nTraces > len(st.traces) {
-			tStart = st.nTraces - len(st.traces)
-		}
-		for i := tStart; i < st.nTraces; i++ {
-			row.LastTraces = append(row.LastTraces, st.traces[i%len(st.traces)])
-		}
-		s := st.last
 		row.Quality.Churn = s.Churn
 		row.Quality.EmptyClusters = s.EmptyClusters
 		row.Quality.Clusters = s.Clusters
@@ -115,10 +110,9 @@ func (t *Tracker) Snapshot() Status {
 		row.Quality.ResidualDecay = s.ResidualDecay
 		row.Quality.Converged = s.Converged
 		row.Quality.Passes = s.Passes
-		row.Quality.Collapsed = st.collapsed
+		row.Quality.Collapsed = q.Collapsed
 		rows = append(rows, row)
 	}
-	t.mu.Unlock()
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Stream < rows[j].Stream })
 
 	out := Status{

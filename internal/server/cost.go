@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http"
 	"strconv"
-	"sync"
 
 	"sslic/internal/hw"
 	"sslic/internal/imgio"
@@ -12,13 +11,6 @@ import (
 	"sslic/internal/sslic"
 	"sslic/internal/telemetry"
 )
-
-// maxCostStreams caps the per-stream cost series cardinality: registry
-// series are never evicted, so an attacker (or an enthusiastic client)
-// minting stream IDs must not grow /metrics without bound. Streams past
-// the cap aggregate under "_other"; requests with no stream ID under
-// "_anon".
-const maxCostStreams = 32
 
 // costAccountant folds finished request ledgers into the service-wide
 // cost series and estimates per-frame accelerator energy through the hw
@@ -33,25 +25,12 @@ type costAccountant struct {
 	reqFailed *telemetry.Counter
 	frames    *telemetry.Counter
 	estPJ     *telemetry.Counter
-
-	// tenantSlice is each tenant's share of the stream label budget
-	// (0: tenancy off, the global maxCostStreams cap applies). With
-	// tenancy on, one tenant minting stream IDs exhausts only its own
-	// slice — its streams overflow into "<tenant>/_other" while other
-	// tenants keep minting from theirs.
-	tenantSlice int
-
-	mu        sync.Mutex
-	streams   map[string]struct{} // stream labels already minted
-	perTenant map[string]int      // labels minted per tenant
 }
 
-func newCostAccountant(reg *telemetry.Registry, tenantSlice int) *costAccountant {
+func newCostAccountant(reg *telemetry.Registry) *costAccountant {
 	return &costAccountant{
-		reg:         reg,
-		hwm:         hw.NewMetrics(reg),
-		tenantSlice: tenantSlice,
-		perTenant:   make(map[string]int),
+		reg: reg,
+		hwm: hw.NewMetrics(reg),
 		reqTotal: reg.Counter("sslic_server_requests_total",
 			"Segment requests answered (any status)."),
 		reqFailed: reg.Counter("sslic_server_requests_failed_total",
@@ -60,7 +39,6 @@ func newCostAccountant(reg *telemetry.Registry, tenantSlice int) *costAccountant
 			"Frames with a closed cost ledger."),
 		estPJ: reg.Counter("sslic_server_cost_est_pj_total",
 			"Estimated accelerator energy charged to requests, picojoules."),
-		streams: make(map[string]struct{}),
 	}
 }
 
@@ -108,15 +86,16 @@ func (a *costAccountant) chargeEnergy(cost *telemetry.Cost, im *imgio.Image,
 }
 
 // finish closes a successful request's ledger: service-wide totals,
-// capped per-stream series, and a "cost" instant on the trace so the
+// per-stream series under the stream's table label (bounded by the
+// table's label budget), and a "cost" instant on the trace so the
 // ledger is readable from /debug/trace?id= next to the timeline it
 // prices.
-func (a *costAccountant) finish(cost *telemetry.Cost, tenant, stream string, tr *telemetry.Trace) telemetry.CostSnapshot {
+func (a *costAccountant) finish(cost *telemetry.Cost, label string, tr *telemetry.Trace) telemetry.CostSnapshot {
 	snap := cost.Snapshot()
 	a.frames.Inc()
 	a.estPJ.Add(snap.EstPJ)
 
-	lbl := telemetry.Label{Name: "stream", Value: a.streamLabel(tenant, stream)}
+	lbl := telemetry.Label{Name: "stream", Value: label}
 	a.reg.Counter("sslic_server_stream_cost_cpu_seconds_total",
 		"CPU time charged to requests, by stream.", lbl).Add(float64(snap.CPUNs) / 1e9)
 	a.reg.Counter("sslic_server_stream_cost_alloc_bytes_total",
@@ -136,45 +115,6 @@ func (a *costAccountant) finish(cost *telemetry.Cost, tenant, stream string, tr 
 		"est_pj":        snap.EstPJ,
 	})
 	return snap
-}
-
-// streamLabel maps a request's (tenant, stream) onto a bounded label
-// set. Single-tenant mode keeps the original rule: named streams mint
-// up to maxCostStreams labels, then aggregate under "_other". With a
-// tenant, labels are "<tenant>/<stream>" drawn from the tenant's own
-// slice of the budget, overflowing into "<tenant>/_other" — so one
-// tenant's ID churn can never consume another tenant's labels.
-func (a *costAccountant) streamLabel(tenant, stream string) string {
-	if tenant == "" {
-		if stream == "" {
-			return "_anon"
-		}
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		if _, ok := a.streams[stream]; ok {
-			return stream
-		}
-		if len(a.streams) >= maxCostStreams {
-			return "_other"
-		}
-		a.streams[stream] = struct{}{}
-		return stream
-	}
-	if stream == "" {
-		return tenant + "/_anon"
-	}
-	key := tenant + "/" + stream
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if _, ok := a.streams[key]; ok {
-		return key
-	}
-	if a.perTenant[tenant] >= a.tenantSlice {
-		return tenant + "/_other"
-	}
-	a.perTenant[tenant]++
-	a.streams[key] = struct{}{}
-	return key
 }
 
 // stampCostHeaders writes the ledger's computable fields as X-Cost-*

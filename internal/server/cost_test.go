@@ -269,54 +269,3 @@ func TestSLOBurnEndToEnd(t *testing.T) {
 		t.Fatalf("degrade level on burn signal = %v, want half-iters", lvl)
 	}
 }
-
-// TestStreamCostSeriesCapped guards the per-stream cardinality bound:
-// minting unlimited stream IDs must not grow the registry without
-// bound.
-func TestStreamCostSeriesCapped(t *testing.T) {
-	a := newCostAccountant(telemetry.NewRegistry(), 0)
-	for i := 0; i < maxCostStreams; i++ {
-		if got := a.streamLabel("", "s"+strconv.Itoa(i)); got != "s"+strconv.Itoa(i) {
-			t.Fatalf("stream %d got label %q before the cap", i, got)
-		}
-	}
-	if got := a.streamLabel("", "one-too-many"); got != "_other" {
-		t.Fatalf("over-cap stream label = %q, want _other", got)
-	}
-	// Known streams keep their own label; anonymous requests pool.
-	if got := a.streamLabel("", "s0"); got != "s0" {
-		t.Fatalf("existing stream relabeled to %q", got)
-	}
-	if got := a.streamLabel("", ""); got != "_anon" {
-		t.Fatalf("anonymous stream label = %q, want _anon", got)
-	}
-}
-
-// TestStreamCostSeriesTenantSliced guards the multi-tenant budget rule:
-// each tenant mints from its own slice and overflows into its own
-// "<tenant>/_other", leaving other tenants' slices untouched.
-func TestStreamCostSeriesTenantSliced(t *testing.T) {
-	a := newCostAccountant(telemetry.NewRegistry(), 2)
-	for _, want := range []string{"acme/s0", "acme/s1"} {
-		if got := a.streamLabel("acme", want[5:]); got != want {
-			t.Fatalf("got label %q, want %q", got, want)
-		}
-	}
-	// acme's slice is spent: its new streams overflow into acme/_other…
-	if got := a.streamLabel("acme", "s2"); got != "acme/_other" {
-		t.Fatalf("over-slice label = %q, want acme/_other", got)
-	}
-	// …while another tenant still mints from its own slice, even for
-	// the same bare stream ID.
-	if got := a.streamLabel("beta", "s2"); got != "beta/s2" {
-		t.Fatalf("beta label = %q, want beta/s2", got)
-	}
-	// Already-minted labels survive the overflow; anonymous requests
-	// pool per tenant.
-	if got := a.streamLabel("acme", "s0"); got != "acme/s0" {
-		t.Fatalf("existing label remapped to %q", got)
-	}
-	if got := a.streamLabel("acme", ""); got != "acme/_anon" {
-		t.Fatalf("anonymous label = %q, want acme/_anon", got)
-	}
-}

@@ -15,14 +15,12 @@ import (
 // trace's "quality" instant. It runs after the cost ledger closes and
 // before any body byte, so the headers are still mutable.
 //
-// The churn base is the stream's slbl-delta cache entry, taken out by
-// the caller before the response is written — the same buffer the
-// delta wire format would encode against, so churn costs one extra
-// O(N) compare and no allocation.
-// tenantID is the owning tenant's key ("" in single-tenant mode);
-// opts.Stream is already tenant-scoped by the handler, so tenantID
-// only drives the tracker's per-tenant label budget.
-func (s *Server) observeQuality(h http.Header, opts options, tenantID string, im *imgio.Image, res *pipeline.JobResult, base *imgio.LabelMap, tr *telemetry.Trace, lvl int) {
+// The churn base is the stream's slbl-delta base, taken out by the
+// caller before the response is written — the same buffer the delta
+// wire format would encode against, so churn costs one extra O(N)
+// compare and no allocation. key is the request's stream table key,
+// which holds the stream's quality record.
+func (s *Server) observeQuality(h http.Header, key string, opts options, im *imgio.Image, res *pipeline.JobResult, base *imgio.LabelMap, tr *telemetry.Trace, lvl int) {
 	st := res.Result.Stats
 	pixels := im.W * im.H
 	churn := -1.0
@@ -36,8 +34,7 @@ func (s *Server) observeQuality(h http.Header, opts options, tenantID string, im
 		boundary = float64(st.BoundaryPixels) / float64(pixels)
 	}
 	sample := quality.Sample{
-		Stream:          opts.Stream,
-		Tenant:          tenantID,
+		Stream:          key,
 		TraceID:         tr.ID(),
 		W:               im.W,
 		H:               im.H,

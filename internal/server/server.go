@@ -53,6 +53,7 @@ import (
 	"sslic/internal/quality"
 	"sslic/internal/slo"
 	"sslic/internal/sslic"
+	"sslic/internal/stream"
 	"sslic/internal/telemetry"
 	"sslic/internal/tenant"
 	"sslic/internal/wire"
@@ -86,7 +87,8 @@ type Config struct {
 	// WarmIters is the iteration budget for warm-started frames; <= 0
 	// selects 3.
 	WarmIters int
-	// MaxStreams caps warm-start states kept per shard; <= 0 selects 64.
+	// MaxStreams caps the streams whose warm, delta and quality state
+	// is kept, in total; <= 0 selects 64.
 	MaxStreams int
 	// MaxBodyBytes bounds the request body; exceeding it is a 413.
 	// <= 0 selects 32 MiB.
@@ -257,8 +259,8 @@ type Server struct {
 	capturer *telemetry.Capturer
 	runtime  *telemetry.RuntimeMetrics
 
-	bufs   *bufpool.Pool
-	deltas *deltaCache // per-stream slbl-delta bases
+	bufs    *bufpool.Pool
+	streams *stream.Table // every stream's warm, delta and quality state
 
 	inflightMu     sync.Mutex
 	inflightTraces map[string]struct{} // trace IDs currently being served
@@ -278,11 +280,15 @@ func New(cfg Config) (*Server, error) {
 	// serving analogue of the accelerator's resident scratchpads — so
 	// X-Cost-Alloc-Bytes reports measured fresh bytes.
 	s.bufs = bufpool.New(bufpool.Config{Registry: cfg.Registry})
+	// One table holds every stream's warm centers, delta base, quality
+	// record and metric label.
+	s.streams = stream.New(stream.Config{MaxStreams: cfg.MaxStreams,
+		Recycle: s.bufs.PutLabelMap, Registry: cfg.Registry})
 	s.pool = pipeline.NewPool(pipeline.PoolConfig{
 		Workers:       cfg.Workers,
 		QueueDepth:    cfg.QueueDepth,
 		WarmIters:     cfg.WarmIters,
-		MaxStreams:    cfg.MaxStreams,
+		Streams:       s.streams,
 		Retries:       cfg.Retries,
 		RetryBackoff:  cfg.RetryBackoff,
 		WatchdogGrace: cfg.WatchdogGrace,
@@ -291,14 +297,9 @@ func New(cfg Config) (*Server, error) {
 		Registry:      cfg.Registry,
 		Logger:        cfg.Logger,
 	})
-	s.deltas = newDeltaCache(cfg.MaxStreams, cfg.Registry)
 	s.panics = cfg.Registry.Counter("sslic_server_panics_total",
 		"Handler panics recovered by the middleware.")
 	s.inflightTraces = make(map[string]struct{})
-	// With tenancy on, each tenant gets a fair slice of the per-stream
-	// metric label budget (with its own _other overflow), so one tenant
-	// minting stream IDs cannot exhaust the cardinality cap for everyone.
-	tenantSlice := 0
 	if len(cfg.Tenants) > 0 {
 		// The fair queue sits in front of the pool and holds exactly as
 		// many requests as the pool can: every admitted request either
@@ -307,12 +308,12 @@ func New(cfg Config) (*Server, error) {
 		// queue wait instead.
 		capacity := s.pool.Workers() + s.pool.QueueCapacity()
 		s.tenants = tenant.NewRegistry(cfg.Tenants, capacity, cfg.Registry, nil)
-		tenantSlice = maxCostStreams / s.tenants.Len()
-		if tenantSlice < 1 {
-			tenantSlice = 1
-		}
+		// Each tenant gets a fair slice of the per-stream metric label
+		// budget (with its own _other overflow), so one tenant minting
+		// stream IDs cannot exhaust it for everyone.
+		s.streams.SetTenants(s.tenants.Len())
 	}
-	s.costs = newCostAccountant(cfg.Registry, tenantSlice)
+	s.costs = newCostAccountant(cfg.Registry)
 	s.runtime = telemetry.NewRuntimeMetrics(cfg.Registry)
 	s.capturer = telemetry.NewCapturer(telemetry.CaptureConfig{
 		Capacity:    cfg.ProfileCapacity,
@@ -334,8 +335,7 @@ func New(cfg Config) (*Server, error) {
 	s.degrade = degrade.New(dcfg)
 	s.quality = quality.NewTracker(quality.Config{
 		Registry:         cfg.Registry,
-		MaxStreams:       cfg.MaxStreams,
-		TenantSlice:      tenantSlice,
+		Streams:          s.streams,
 		MaxChurn:         cfg.QualityMaxChurn,
 		MaxEmptyFrac:     cfg.QualityMaxEmptyFrac,
 		MaxResidualDecay: cfg.QualityMaxResidualDecay,
@@ -606,14 +606,17 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 		fail("bad_request", http.StatusBadRequest, err.Error())
 		return
 	}
-	// Stream IDs are namespaced by tenant from here on: warm-start
-	// centers in the pool and delta bases in the wire cache key off
-	// opts.Stream, and two tenants both naming "cam0" must never share
-	// either. The bare ID survives only as the tenant-relative metric
-	// label.
-	bareStream := opts.Stream
-	if tn != nil && opts.Stream != "" {
-		opts.Stream = tn.ID() + "/" + opts.Stream
+	// The stream table key namespaces the stream by tenant
+	// ("tenant/stream", "tenant/" without a stream), so two tenants both
+	// naming "cam0" never share state. From here on opts.Stream is that
+	// key, or "" for a request without a stream: it keeps no warm
+	// centers or delta base, only its key's label and quality record.
+	key := opts.Stream
+	if tn != nil {
+		key = tn.ID() + "/" + key
+	}
+	if opts.Stream != "" {
+		opts.Stream = key
 	}
 	// The request deadline starts before fair-queue admission: time
 	// parked behind other tenants is request latency the client's
@@ -724,17 +727,21 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 	// Encode time is charged afterwards and lands in the trace and the
 	// registry only — headers are immutable once the body starts.
 	s.costs.chargeEnergy(cost, im, params, res, tr)
-	snap := s.costs.finish(cost, tenantID(tn), bareStream, tr)
+	snap := s.costs.finish(cost, s.streams.Label(key), tr)
 	stampCostHeaders(w.Header(), snap)
 	// The stream's delta base is taken out once, before any body byte:
 	// it is both the churn comparand for the quality proxies and (for
 	// the delta wire format) the encode base. Non-delta responses put
-	// it back untouched so the cache state is format-independent.
-	// opts.Stream is tenant-scoped here, so the base can only ever be
-	// this tenant's own previous frame.
-	base := s.deltas.take(opts.Stream)
-	s.observeQuality(w.Header(), opts, tenantID(tn), im, res, base, tr, int(lvl))
-	s.writeResult(w, opts, im, res, tr, cost, base)
+	// it back untouched so the table state is format-independent. A
+	// base of another (W, H, K) is never found: its labels come from
+	// another seed grid, so neither churn nor a delta against it means
+	// anything. A request without a stream has no base.
+	var base *imgio.LabelMap
+	if opts.Stream != "" {
+		base = s.streams.TakeBase(opts.Stream, im.W, im.H, params.K)
+	}
+	s.observeQuality(w.Header(), key, opts, im, res, base, tr, int(lvl))
+	s.writeResult(w, opts, im, res, tr, cost, base, params.K)
 	// Success path: the response is fully written, no goroutine can
 	// still touch these buffers — park them for the next request.
 	s.bufs.PutImage(im)
@@ -762,14 +769,6 @@ func tenantKey(r *http.Request, q url.Values) string {
 		return k
 	}
 	return q.Get("tenant")
-}
-
-// tenantID is tn.ID() with a nil guard for single-tenant mode.
-func tenantID(tn *tenant.Tenant) string {
-	if tn == nil {
-		return ""
-	}
-	return tn.ID()
 }
 
 // breakerFor selects the request's circuit breaker: the tenant's own
@@ -835,10 +834,10 @@ func (s *Server) failAdmit(w http.ResponseWriter, fail func(string, int, string)
 }
 
 // writeResult renders the segmentation in the requested format. base
-// is the stream's taken-out delta cache entry (nil when absent): the
-// delta format encodes against and then replaces it; every other
-// format restores it unchanged.
-func (s *Server) writeResult(w http.ResponseWriter, opts options, im *imgio.Image, res *pipeline.JobResult, tr *telemetry.Trace, cost *telemetry.Cost, base *imgio.LabelMap) {
+// is the stream's taken-out delta base at the frame's (W, H, k), nil
+// when absent: the delta format encodes against and then replaces it;
+// every other format restores it unchanged.
+func (s *Server) writeResult(w http.ResponseWriter, opts options, im *imgio.Image, res *pipeline.JobResult, tr *telemetry.Trace, cost *telemetry.Cost, base *imgio.LabelMap, k int) {
 	labels := res.Result.Labels
 	h := w.Header()
 	h.Set("X-Sslic-Warm", strconv.FormatBool(res.Warm))
@@ -854,8 +853,8 @@ func (s *Server) writeResult(w http.ResponseWriter, opts options, im *imgio.Imag
 		h.Set("Content-Type", wf.ContentType())
 		h.Set("X-Wire-Format", opts.Format)
 		if wf == wire.Delta {
-			err = s.writeDelta(w, opts.Stream, labels, base)
-			base = nil // consumed (or recycled) by writeDelta
+			err = s.writeDelta(w, opts.Stream, labels, base, k)
+			base = nil // consumed by writeDelta
 		} else {
 			err = wire.Encode(w, wf, labels, nil)
 		}
@@ -877,11 +876,9 @@ func (s *Server) writeResult(w http.ResponseWriter, opts options, im *imgio.Imag
 		}
 	}
 	if base != nil {
-		// Non-delta format on a stream with a cached base: restore it so
-		// a later delta request still has its comparand.
-		if old := s.deltas.put(opts.Stream, base); old != nil {
-			s.bufs.PutLabelMap(old)
-		}
+		// Non-delta format on a stream with a base: restore it so a
+		// later delta request still has its comparand.
+		s.streams.PutBase(opts.Stream, base, im.W, im.H, k)
 	}
 	cost.AddEncode(time.Since(t0))
 	if tr != nil {
@@ -898,17 +895,12 @@ func (s *Server) writeResult(w http.ResponseWriter, opts options, im *imgio.Imag
 }
 
 // writeDelta encodes labels in the slbl-delta framing against the
-// stream's cached previous response (already taken out by the caller),
+// stream's previous response (already taken out by the caller),
 // declaring the base actually used in X-Wire-Base ("prev" or "empty")
 // so the response stays decodable even when a concurrent request on
 // the same stream holds the base. Afterwards the stream's base becomes
 // this response's labels.
-func (s *Server) writeDelta(w http.ResponseWriter, stream string, labels, base *imgio.LabelMap) error {
-	if base != nil && (base.W != labels.W || base.H != labels.H) {
-		// The stream changed frame geometry; the old base is useless.
-		s.bufs.PutLabelMap(base)
-		base = nil
-	}
+func (s *Server) writeDelta(w http.ResponseWriter, stream string, labels, base *imgio.LabelMap, k int) error {
 	if base != nil {
 		w.Header().Set("X-Wire-Base", "prev")
 	} else {
@@ -919,15 +911,13 @@ func (s *Server) writeDelta(w http.ResponseWriter, stream string, labels, base *
 		return err
 	}
 	// Reuse the taken-out buffer as the new base when possible; labels
-	// itself is recycled by the caller, so the cache keeps a copy.
+	// itself is recycled by the caller, so the table keeps a copy.
 	next := base
 	if next == nil {
 		next, _ = s.bufs.GetLabelMap(labels.W, labels.H)
 	}
 	copy(next.Labels, labels.Labels)
-	if old := s.deltas.put(stream, next); old != nil {
-		s.bufs.PutLabelMap(old)
-	}
+	s.streams.PutBase(stream, next, labels.W, labels.H, k)
 	return err
 }
 
