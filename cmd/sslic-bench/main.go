@@ -7,18 +7,6 @@
 //	sslic-bench -quick            # trimmed sweeps for a fast smoke run
 //	sslic-bench -csv -out results # also write CSV files per experiment
 //
-// Benchmark trajectory (machine-comparable perf reports):
-//
-//	sslic-bench -json benchdata/          # writes benchdata/BENCH_<stamp>.json
-//	sslic-bench -json out.json -quick     # CI-speed run to an explicit path
-//	sslic-benchdiff base.json out.json    # fails on >10% regressions
-//
-// With -json the process runs the perf harness (testing.Benchmark over
-// the PPA/CPA × subsample-ratio matrix) instead of the paper tables and
-// writes frames/sec, ns/op, allocs/op and distance-calcs/frame per
-// configuration. Passing a directory derives a BENCH_<UTC stamp>.json
-// name inside it, growing the committed trajectory one file per run.
-//
 // With -telemetry-addr the process serves /metrics, /healthz,
 // /debug/vars and /debug/pprof/ while experiments run, so long paper
 // sweeps can be watched and CPU-profiled in flight.
@@ -29,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -47,8 +34,6 @@ func main() {
 		csv     = flag.Bool("csv", false, "write CSV files per experiment")
 		md      = flag.Bool("md", false, "write Markdown files per experiment")
 		out     = flag.String("out", ".", "directory for CSV/Markdown output")
-		jsonOut = flag.String("json", "", "run the perf harness and write its JSON report here (a directory derives BENCH_<stamp>.json); empty runs the paper experiments instead")
-		speedy  = flag.String("speedups", "", "print the speedup table of an existing perf report as Markdown rows and exit")
 		telAddr = flag.String("telemetry-addr", "", "serve /metrics, /healthz, /debug/vars and /debug/pprof on this address while experiments run; empty disables")
 	)
 	flag.Parse()
@@ -56,22 +41,6 @@ func main() {
 	if *list {
 		for _, r := range bench.Experiments() {
 			fmt.Printf("%-20s %s\n", r.ID, r.Description)
-		}
-		return
-	}
-
-	if *speedy != "" {
-		if err := printSpeedups(*speedy); err != nil {
-			fmt.Fprintln(os.Stderr, "sslic-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *jsonOut != "" {
-		if err := runPerf(*jsonOut, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, "sslic-bench:", err)
-			os.Exit(1)
 		}
 		return
 	}
@@ -141,60 +110,4 @@ func main() {
 			}
 		}
 	}
-}
-
-// runPerf measures the perf matrix and writes the stamped JSON report —
-// one point on the benchmark trajectory.
-func runPerf(dest string, quick bool) error {
-	rep, err := bench.RunPerf(quick)
-	if err != nil {
-		return err
-	}
-	now := time.Now().UTC()
-	rep.Stamp = now.Format(time.RFC3339)
-	if st, err := os.Stat(dest); err == nil && st.IsDir() {
-		dest = filepath.Join(dest, "BENCH_"+now.Format("20060102T150405Z")+".json")
-	}
-	f, err := os.Create(dest)
-	if err != nil {
-		return err
-	}
-	if err := bench.WritePerf(f, rep); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	for _, r := range rep.Results {
-		fmt.Printf("%-10s %12d ns/op %10.2f frames/s %8d allocs/op %12d dist-calcs/frame",
-			r.Name, r.NsPerOp, r.FramesPerSec, r.AllocsPerOp, r.DistanceCalcsPerFrame)
-		if r.Cost != nil && r.Cost.EstPJ > 0 {
-			fmt.Printf(" %12.3g pJ/frame", r.Cost.EstPJ)
-		}
-		fmt.Println()
-	}
-	fmt.Printf("perf report: %s\n", dest)
-	return nil
-}
-
-// printSpeedups renders a report's derived speedup ratios as Markdown
-// table rows (sorted by name), for the CI speedup-table artifact.
-func printSpeedups(path string) error {
-	rep, err := bench.LoadPerf(path)
-	if err != nil {
-		return err
-	}
-	if len(rep.Speedups) == 0 {
-		return fmt.Errorf("%s carries no speedups (report predates them?)", path)
-	}
-	names := make([]string, 0, len(rep.Speedups))
-	for n := range rep.Speedups {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Printf("| %s | %.2fx |\n", n, rep.Speedups[n])
-	}
-	return nil
 }
