@@ -85,6 +85,13 @@ var goldenRows = []goldenRow{
 	{name: "fixed/preemptive", fixed: true, mod: func(p *Params) { p.Preemptive = true }, workers: []int{1, 3},
 		labels: "04caf26a526ac86994eadab6dcee8452f2df2d3a06dbd4f1eaae155eb51d3b38",
 		stats:  "calcs=1410347 skipped=35 saved=35865 updates=1260 passes=20 converged=false moves=0ba023d47944c069"},
+	// At m = 1e7 the spatial weight is ~2.2e16, so any squared offset
+	// past 422 (Q8 units²) saturates: nearly every spatial term in the
+	// run is spatSaturated, and labels fall to the colour terms and the
+	// first-candidate tie rule. Computed on the pre-lane kernel.
+	{name: "fixed/saturated", fixed: true, mod: func(p *Params) { p.Compactness = 1e7 }, workers: []int{1, 3},
+		labels: "5f273bd8bca14412ebca26252b2de1cc04c8ce4d1ba8e951f7d1e02a873843d6",
+		stats:  "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=223023299207ae03"},
 	{name: "float/warm", warm: true, workers: []int{1, 3},
 		labels: "2fb5f36d2678939cc30b386e4bd67fbb938b3cc3e0a215ceb55efbf206bc49b9",
 		stats:  "calcs=433875 skipped=0 saved=0 updates=378 passes=6 converged=false moves=3fbdafe167b226e3"},
