@@ -7,7 +7,8 @@ import "sslic/internal/imgio"
 // of a distant superpixel. The pass relabels every 4-connected component;
 // components smaller than minSize are absorbed into the adjacent
 // component discovered immediately before them in scan order (the
-// original SLIC heuristic). Labels are renumbered densely from 0.
+// original SLIC heuristic). Labels are renumbered densely from 0, in
+// scan order of each label's first pixel.
 //
 // It returns the number of connected components after merging, i.e. the
 // final superpixel count.
@@ -77,16 +78,10 @@ func EnforceConnectivity(labels *imgio.LabelMap, minSize int) int {
 		}
 	}
 
-	// Renumber densely (absorption may have left gaps only if every
-	// component was merged, but a remap keeps the invariant simple).
-	remap := make(map[int32]int32)
-	for i, v := range newLabels {
-		nv, ok := remap[v]
-		if !ok {
-			nv = int32(len(remap))
-			remap[v] = nv
-		}
-		labels.Labels[i] = nv
-	}
-	return len(remap)
+	// The labels are already dense and in scan order of each one's first
+	// pixel: a kept component takes the next label at its seed, the
+	// first pixel in scan order without one, and an absorbed component
+	// takes a label finalised before it.
+	copy(labels.Labels, newLabels)
+	return int(next)
 }

@@ -142,6 +142,37 @@ func TestEnforceConnectivityInvariantProperty(t *testing.T) {
 	}
 }
 
+// TestEnforceConnectivityScanOrderLabels pins the numbering the pass
+// writes without a remap: on random maps and minimum sizes, labels
+// first appear in scan order as 0, 1, 2, … and the return value is the
+// largest label plus 1.
+func TestEnforceConnectivityScanOrderLabels(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := newRand(seed)
+		w := 1 + int(rng()%24)
+		h := 1 + int(rng()%24)
+		nl := 1 + rng()%6
+		lm := imgio.NewLabelMap(w, h)
+		for i := range lm.Labels {
+			lm.Labels[i] = int32(rng() % nl)
+		}
+		n := EnforceConnectivity(lm, int(rng()%12))
+		next := int32(0) // the label the next new one must be
+		for _, v := range lm.Labels {
+			if v > next || v < 0 {
+				return false
+			}
+			if v == next {
+				next++
+			}
+		}
+		return n == int(next) && n == int(lm.MaxLabel())+1
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestEnforceConnectivityMinSizeSweep(t *testing.T) {
 	// Larger minSize can only reduce (or keep) the region count.
 	build := func() *imgio.LabelMap {

@@ -3,6 +3,7 @@ package sslic
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -405,4 +406,268 @@ func TestFixedTelemetryGauges(t *testing.T) {
 	if got := p.Metrics.TileImbalance.Value(); got < 1.0 {
 		t.Fatalf("TileImbalance = %v, want >= 1.0", got)
 	}
+}
+
+// refSpatSaturated is the reference kernel's saturated spatial term.
+const refSpatSaturated = int64(1) << 60
+
+// refFxKernel carries the fixed kernel's hot loop as it stood before
+// the 9-lane rewrite, on three int32 code planes, with a saturation
+// branch per candidate and a compare-and-branch argmin. It is the
+// differential oracle of fxKernel.band: the lane kernel must reproduce
+// its labels, sigma sums and work counters exactly.
+type refFxKernel struct {
+	fxKernel
+	lp, ap, bp []int32
+}
+
+// band is the reference hot loop, copied verbatim.
+func (kn *refFxKernel) band(acc []fxSigma, tyFrom, tyTo int) (calcs, skippedTiles, saved int64) {
+	lp, ap, bp, tiling, centers, labels, settled := kn.lp, kn.ap, kn.bp, kn.tiling, kn.centers, kn.labels, kn.settled
+	subset, k, scheme, preemptive := kn.subset, kn.k, kn.p.Scheme, kn.p.Preemptive
+	w, h := labels.W, labels.H
+
+	wL, wS, spCap := kn.dw.wL, kn.dw.wS, kn.dw.spCap
+	var clA, caA, cbA [9]int32
+	var cxA, cyA, syA [9]int64
+	for ty := tyFrom; ty < tyTo; ty++ {
+		y0 := ty * h / tiling.NY
+		y1 := (ty + 1) * h / tiling.NY
+		for tx := 0; tx < tiling.NX; tx++ {
+			cand := tiling.Candidates[ty*tiling.NX+tx]
+			x0 := tx * w / tiling.NX
+			x1 := (tx + 1) * w / tiling.NX
+			if skip, sv := skipTile(preemptive, cand, settled, (x1-x0)*(y1-y0), k); skip {
+				skippedTiles++
+				saved += sv
+				continue
+			}
+
+			// Hoist the candidate registers: they are constant over the
+			// whole tile, and rounding the Q8.8 center colors to 8-bit
+			// codes here is the hardware's register-file read. Slicing to
+			// nc elides the bounds checks in the pixel loop.
+			nc := len(cand)
+			cl, ca, cb := clA[:nc], caA[:nc], cbA[:nc]
+			cx, cy, sy := cxA[:nc], cyA[:nc], syA[:nc]
+			for j := 0; j < nc; j++ {
+				c := &centers[cand[j]]
+				cl[j] = (c.l + colorOne/2) >> colorFrac
+				ca[j] = (c.a + colorOne/2) >> colorFrac
+				cb[j] = (c.b + colorOne/2) >> colorFrac
+				cx[j] = c.x
+				cy[j] = c.y
+			}
+
+			for y := y0; y < y1; y++ {
+				row := y * w
+				yQ := int64(y) << coordFrac
+				startX, stepX, ok := rowStride(scheme, x0, y, h, subset, k)
+				if !ok || startX >= x1 {
+					continue
+				}
+				for j := 0; j < nc; j++ {
+					dy := yQ - cy[j]
+					if sp := dy * dy; sp <= spCap {
+						sy[j] = (sp * wS) >> spatShift
+					} else {
+						sy[j] = refSpatSaturated
+					}
+				}
+				for x := startX; x < x1; x += stepX {
+					if k > 1 && scheme == Hashed && subsetOf(scheme, x, y, w, h, k) != subset {
+						continue
+					}
+					i := row + x
+					pl, pa, pb := lp[i], ap[i], bp[i]
+					xQ := int64(x) << coordFrac
+					best := int32(-1)
+					bestD := int64(math.MaxInt64)
+					for j := 0; j < nc; j++ {
+						dl := pl - cl[j]
+						da := pa - ca[j]
+						db := pb - cb[j]
+						d := sy[j] + (int64(dl*dl)*wL)>>(weightFrac-distFrac) + int64(da*da+db*db)<<distFrac
+						dx := xQ - cx[j]
+						if sp := dx * dx; sp <= spCap {
+							d += (sp * wS) >> spatShift
+						} else {
+							d += refSpatSaturated
+						}
+						if d < bestD {
+							bestD = d
+							best = cand[j]
+						}
+					}
+					calcs += int64(nc)
+					labels.Labels[i] = best
+					sg := &acc[best]
+					sg.l += int64(pl)
+					sg.a += int64(pa)
+					sg.b += int64(pb)
+					sg.x += int64(x)
+					sg.y += int64(y)
+					sg.n++
+				}
+			}
+		}
+	}
+	return calcs, skippedTiles, saved
+}
+
+// bandCase is one draw of the band oracle: geometry, content seed,
+// compactness, subset scheme and pass, preemption and band count.
+type bandCase struct {
+	seed       int64
+	w, h, K    int
+	m          float64
+	scheme     Scheme
+	k, subset  int
+	preemptive bool
+	bands      int
+}
+
+// checkFixedBand runs one subset pass of fxKernel over random packed
+// codes, centers and settled flags, and the reference kernel over the
+// same state band by band. Labels, merged sigma accumulators and the
+// (calcs, skipped, saved) counters must be identical.
+func checkFixedBand(t *testing.T, c bandCase) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(c.seed))
+	n := c.w * c.h
+	tiling := NewTiling(c.w, c.h, c.K)
+	s := slic.GridInterval(c.w, c.h, c.K)
+	p := Params{K: c.K, Compactness: c.m, Scheme: c.scheme, Preemptive: c.preemptive,
+		TileWorkers: c.bands, Datapath: Fixed}
+	kn := &fxKernel{frame: frame{p: p, scr: new(Scratch), tiling: tiling,
+		labels: imgio.NewLabelMap(c.w, c.h), k: c.k, s: s, invS2: c.m * c.m / (s * s)}}
+	// Half the draws take codes and center colours from a palette of
+	// 1–3 words and put centers on whole pixels, so that exact distance
+	// ties, which the tie rule decides, are common.
+	var palette []uint32
+	if rng.Intn(2) == 0 {
+		palette = make([]uint32, 1+rng.Intn(3))
+		for i := range palette {
+			palette[i] = rng.Uint32() & 0xffffff
+		}
+	}
+	code := func() uint32 {
+		if palette != nil {
+			return palette[rng.Intn(len(palette))]
+		}
+		return rng.Uint32() & 0xffffff
+	}
+	kn.codes = make([]uint32, n)
+	for i := range kn.codes {
+		kn.codes[i] = code()
+	}
+	nc := tiling.NumTiles()
+	kn.centers = make([]fxCenter, nc)
+	kn.settled = make([]bool, nc)
+	settleP := []float64{0, 0.5, 0.9, 1}[rng.Intn(4)]
+	for i := range kn.centers {
+		ct := &kn.centers[i]
+		if palette != nil {
+			l, a, b := unpackLab(code())
+			ct.l, ct.a, ct.b = l<<colorFrac, a<<colorFrac, b<<colorFrac
+			ct.x, ct.y = int64(rng.Intn(c.w))<<coordFrac, int64(rng.Intn(c.h))<<coordFrac
+		} else {
+			ct.l, ct.a, ct.b = rng.Int31n(255*colorOne+1), rng.Int31n(255*colorOne+1), rng.Int31n(255*colorOne+1)
+			ct.x, ct.y = rng.Int63n(int64(c.w-1)*coordOne+1), rng.Int63n(int64(c.h-1)*coordOne+1)
+		}
+		kn.settled[i] = rng.Float64() < settleP
+	}
+	kn.acc = make([]fxSigma, nc)
+	kn.dw = newFxWeights(kn.invS2)
+	ownCenterFill(kn.labels, tiling, false)
+
+	ref := refFxKernel{fxKernel: *kn, lp: make([]int32, n), ap: make([]int32, n), bp: make([]int32, n)}
+	ref.labels = imgio.NewLabelMap(c.w, c.h)
+	copy(ref.labels.Labels, kn.labels.Labels)
+	for i, word := range kn.codes {
+		ref.lp[i], ref.ap[i], ref.bp[i] = unpackLab(word)
+	}
+
+	calcs, skipped, saved, err := kn.assign(0, c.subset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.subset = c.subset
+	refAcc := make([]fxSigma, nc)
+	var rCalcs, rSkipped, rSaved int64
+	ny := tiling.NY
+	nb := tileBands(c.bands, ny)
+	for i := 0; i < nb; i++ {
+		part := make([]fxSigma, nc)
+		bc, bs, bv := ref.band(part, i*ny/nb, (i+1)*ny/nb)
+		rCalcs, rSkipped, rSaved = rCalcs+bc, rSkipped+bs, rSaved+bv
+		for ci := range refAcc {
+			refAcc[ci].add(&part[ci])
+		}
+	}
+
+	if got, want := [3]int64{calcs, skipped, saved}, [3]int64{rCalcs, rSkipped, rSaved}; got != want {
+		t.Fatalf("%+v: (calcs, skipped, saved) = %v, reference %v", c, got, want)
+	}
+	for i := range ref.labels.Labels {
+		if kn.labels.Labels[i] != ref.labels.Labels[i] {
+			t.Fatalf("%+v: label %d at (%d, %d), reference %d", c, kn.labels.Labels[i],
+				i%c.w, i/c.w, ref.labels.Labels[i])
+		}
+	}
+	for ci := range refAcc {
+		if kn.acc[ci] != refAcc[ci] {
+			t.Fatalf("%+v: sigma %d = %+v, reference %+v", c, ci, kn.acc[ci], refAcc[ci])
+		}
+	}
+}
+
+// fuzzBandCase maps raw fuzz inputs onto a bandCase: W, H ≤ 72, any K,
+// compactness clamped to [0.01, 1e8] (both saturation regimes), every
+// scheme, k ∈ {1, 2, 4} with any of its subsets, and 1–3 bands.
+func fuzzBandCase(seed int64, w8, h8 uint8, k16 uint16, m float64, scheme, subsets, subset uint8, preemptive bool, bands uint8) bandCase {
+	c := bandCase{seed: seed, w: 1 + int(w8)%72, h: 1 + int(h8)%72, m: math.Abs(m),
+		scheme: Scheme(scheme % 4), k: []int{1, 2, 4}[subsets%3], preemptive: preemptive, bands: 1 + int(bands)%3}
+	c.K = 1 + int(k16)%(c.w*c.h)
+	c.subset = int(subset) % c.k
+	if !(c.m >= 0.01) { // also catches NaN
+		c.m = 0.01
+	}
+	c.m = min(c.m, 1e8)
+	return c
+}
+
+// FuzzFixedBand is the differential oracle of the lane kernel against
+// the reference loop. The seed corpus, which every go test run checks,
+// holds the golden fixed rows' configurations (scheme, compactness,
+// preemption, bands) on a frame of the fuzz range, each subset of their
+// pass, the corners of the range, and 300 seeded random draws with
+// compactness log-uniform over [0.01, 1e8].
+func FuzzFixedBand(f *testing.F) {
+	type golden struct {
+		m          float64
+		scheme     Scheme
+		preemptive bool
+		bands      uint8
+	}
+	for i, g := range []golden{
+		{10, Interleaved, false, 0}, {10, Interleaved, false, 2}, {10, Rows, false, 2},
+		{10, Blocks, false, 2}, {10, Hashed, false, 2}, {10, Interleaved, true, 2},
+		{1e7, Interleaved, false, 0}, {1e7, Interleaved, false, 2},
+	} {
+		for subset := uint8(0); subset < 2; subset++ {
+			f.Add(int64(i), uint8(71), uint8(53), uint16(63), g.m, uint8(g.scheme), uint8(1), subset, g.preemptive, g.bands)
+		}
+	}
+	f.Add(int64(99), uint8(0), uint8(0), uint16(0), 0.01, uint8(0), uint8(0), uint8(0), false, uint8(0))
+	f.Add(int64(7), uint8(71), uint8(71), uint16(5183), 1e8, uint8(3), uint8(2), uint8(3), true, uint8(1))
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 300; i++ {
+		f.Add(rng.Int63(), uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint16(rng.Intn(1<<16)),
+			math.Pow(10, -2+10*rng.Float64()), uint8(rng.Intn(4)), uint8(rng.Intn(3)), uint8(rng.Intn(4)),
+			rng.Intn(2) == 1, uint8(rng.Intn(3)))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, w8, h8 uint8, k16 uint16, m float64, scheme, subsets, subset uint8, preemptive bool, bands uint8) {
+		checkFixedBand(t, fuzzBandCase(seed, w8, h8, k16, m, scheme, subsets, subset, preemptive, bands))
+	})
 }

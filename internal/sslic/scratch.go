@@ -7,15 +7,17 @@ import (
 	"sslic/internal/slic"
 )
 
-// Scratch is the reusable working memory of a Segment run: the Lab
-// planes (~24 bytes/pixel, the largest per-frame buffer the CPU
-// pipeline otherwise reallocates every frame), the gradient map, the
-// preemption and accumulator slices, and the quality-scan counts. Give
-// each worker its own Scratch and set Params.Scratch to it across
-// frames; a Scratch must never be shared by concurrent runs. Buffers
-// grow to the largest frame seen and are fully overwritten each run, so
-// one Scratch serves streams of changing geometry. The zero value is
-// ready to use.
+// Scratch is the reusable working memory of a Segment run: the colour
+// planes, the largest per-frame buffer the CPU pipeline otherwise
+// reallocates every frame (three float64 Lab planes, 24 bytes/pixel, on
+// the float64 datapath; one packed uint32 Lab code word, 4 bytes/pixel,
+// on the fixed one), the gradient map, the preemption and accumulator
+// slices, the fixed kernel's per-band x-term tables, and the
+// quality-scan counts. Give each worker its own Scratch and set
+// Params.Scratch to it across frames; a Scratch must never be shared by
+// concurrent runs. Buffers grow to the largest frame seen and are fully
+// overwritten each run, so one Scratch serves streams of changing
+// geometry. The zero value is ready to use.
 type Scratch struct {
 	lab  slic.LabImage
 	grad []float64
@@ -24,11 +26,13 @@ type Scratch struct {
 	dist    []float64 // CPA persistent minimum-distance buffer
 	counts  []int32   // quality-scan per-cluster pixel counts
 
-	// Fixed-datapath state: the int32 Lab code planes, the int64
-	// code-space gradient, and the integer register file.
-	fxL, fxA, fxB []int32
-	fxGrad        []int64
-	fxCenters     []fxCenter
+	// Fixed-datapath state: the packed Lab code words, the int64
+	// code-space gradient, the integer register file and each band's
+	// x-term table.
+	fxCodes   []uint32
+	fxGrad    []int64
+	fxCenters []fxCenter
+	fxXTerms  [][]int64
 
 	pass   passScratch[float64]
 	fxPass passScratch[int64]
@@ -51,8 +55,10 @@ func (s *Scratch) Bytes() int64 {
 	}
 	n := 8 * int64(cap(s.lab.L)+cap(s.lab.A)+cap(s.lab.B)+cap(s.grad)+cap(s.dist))
 	n += int64(cap(s.settled)) + 4*int64(cap(s.counts))
-	n += 4 * int64(cap(s.fxL)+cap(s.fxA)+cap(s.fxB))
-	n += 8 * int64(cap(s.fxGrad))
+	n += 4*int64(cap(s.fxCodes)) + 8*int64(cap(s.fxGrad))
+	for _, t := range s.fxXTerms {
+		n += 8 * int64(cap(t))
+	}
 	n += int64(cap(s.fxCenters))*40 + int64(cap(s.fxPass.acc))*48
 	return n
 }

@@ -178,9 +178,10 @@ type Params struct {
 	// Scratch optionally supplies reusable working memory — Lab planes,
 	// gradient map, accumulators, quality-scan counts — so steady-state
 	// streams segment without per-frame buffer allocations (the Lab
-	// planes alone are 24 bytes/pixel). A Scratch must not be shared by
-	// concurrent runs: give each worker its own and reuse it across
-	// frames. nil allocates fresh buffers per run (the one-shot path).
+	// planes alone are 24 bytes/pixel on the float64 datapath, 4 on the
+	// fixed one). A Scratch must not be shared by concurrent runs: give
+	// each worker its own and reuse it across frames. nil allocates
+	// fresh buffers per run (the one-shot path).
 	Scratch *Scratch
 	// SoftwareCenterUpdate selects the paper's CPU software organization
 	// for the center update phase: after every subset pass, a separate
@@ -615,7 +616,7 @@ func (kn *ppaKernel) assign(pass, subset int) (calcs, skipped, saved int64, err 
 // [tyFrom, tyTo), performing the 9-candidate distance + minimum + sigma
 // accumulation of the Cluster Update Unit. Returns (distance calcs,
 // skipped tiles, saved calcs).
-func (kn *ppaKernel) band(acc []sigma, tyFrom, tyTo int) (calcs, skippedTiles, saved int64) {
+func (kn *ppaKernel) band(acc []sigma, _, tyFrom, tyTo int) (calcs, skippedTiles, saved int64) {
 	lab, tiling, centers, labels, settled := kn.lab, kn.tiling, kn.centers, kn.labels, kn.settled
 	subset, k, invS2, quant := kn.subset, kn.k, kn.invS2, kn.quant
 	scheme, preemptive, fused := kn.p.Scheme, kn.p.Preemptive, !kn.p.SoftwareCenterUpdate
@@ -720,12 +721,26 @@ func applySigma(centers []slic.Center, acc []sigma, settled []bool, preemptThres
 // ownCenterFill labels pixels with their own cell center: every pixel
 // for the PPA's static initial assignment (the paper initializes the
 // external-memory copy of the assignments before the first pass), or,
-// with unclaimedOnly, just the pixels no CPA window claimed.
+// with unclaimedOnly, just the pixels no CPA window claimed. Each row is
+// filled in tile runs: column gx covers x in [⌈gx·W/NX⌉, ⌈(gx+1)·W/NX⌉),
+// the last run ending at W, which are the bounds Tiling.TileOf's floor
+// and clamp give.
 func ownCenterFill(labels *imgio.LabelMap, tiling *Tiling, unclaimedOnly bool) {
+	w, nx := labels.W, tiling.NX
 	for y := 0; y < labels.H; y++ {
-		for x := 0; x < labels.W; x++ {
-			if !unclaimedOnly || labels.At(x, y) < 0 {
-				labels.Set(x, y, tiling.OwnCenter(x, y))
+		row := labels.Labels[y*w : (y+1)*w]
+		first := int32(tiling.TileOf(0, y)) // the row's tile in column 0
+		x := 0
+		for gx := 0; gx < nx; gx++ {
+			end := w
+			if gx < nx-1 {
+				end = ((gx+1)*w + nx - 1) / nx
+			}
+			own := first + int32(gx)
+			for ; x < end; x++ {
+				if !unclaimedOnly || row[x] < 0 {
+					row[x] = own
+				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package sslic
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"sslic/internal/imgio"
@@ -118,6 +119,40 @@ func TestTileOfCoversAllTiles(t *testing.T) {
 	for ti, s := range seen {
 		if !s {
 			t.Fatalf("tile %d has no pixels", ti)
+		}
+	}
+}
+
+// TestOwnCenterFillMatchesOwnCenter: the run fill must give every
+// pixel Tiling.OwnCenter, on random geometry including K = 1 and grids
+// that divide neither side, in both modes. The unclaimedOnly mode (the
+// CPA's) must leave claimed pixels alone.
+func TestOwnCenterFillMatchesOwnCenter(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 300; i++ {
+		w, h := 1+rng.Intn(90), 1+rng.Intn(90)
+		k := 1 + rng.Intn(w*h)
+		if i%10 == 0 {
+			k = 1
+		}
+		tl := NewTiling(w, h, k)
+		for _, unclaimedOnly := range []bool{false, true} {
+			lm := imgio.NewLabelMap(w, h)
+			for j := range lm.Labels {
+				lm.Labels[j] = int32(rng.Intn(3)) - 1 // -1 is unclaimed
+			}
+			before := append([]int32(nil), lm.Labels...)
+			ownCenterFill(lm, tl, unclaimedOnly)
+			for j, got := range lm.Labels {
+				want := tl.OwnCenter(j%w, j/w)
+				if unclaimedOnly && before[j] >= 0 {
+					want = before[j]
+				}
+				if got != want {
+					t.Fatalf("%dx%d K=%d (grid %dx%d) unclaimedOnly=%t: pixel (%d, %d) = %d, want %d",
+						w, h, k, tl.NX, tl.NY, unclaimedOnly, j%w, j/w, got, want)
+				}
+			}
 		}
 	}
 }

@@ -108,10 +108,11 @@ type passScratch[T float64 | int64] struct {
 }
 
 // bandKernel is a PPA kernel's hot loop as the band fan-out calls it:
-// the cluster update over tile rows [ty0, ty1), accumulating into acc.
-// It returns the band's distance calcs, skipped tiles and saved calcs.
+// the cluster update of band b, tile rows [ty0, ty1), accumulating into
+// acc. The band index lets a kernel keep per-band working memory. It
+// returns the band's distance calcs, skipped tiles and saved calcs.
 type bandKernel[T float64 | int64] interface {
-	band(acc []sigmaOf[T], ty0, ty1 int) (calcs, skipped, saved int64)
+	band(acc []sigmaOf[T], b, ty0, ty1 int) (calcs, skipped, saved int64)
 }
 
 // runBands is the band fan-out of one PPA subset pass, serial or across
@@ -128,7 +129,7 @@ func runBands[T float64 | int64](f *frame, kern bandKernel[T], acc []sigmaOf[T],
 	clear(bands)
 	var accs [][]sigmaOf[T]
 	if n == 1 {
-		runBand(kern, &bands[0], acc, 0, ny)
+		runBand(kern, bands, acc, 0, 0, ny)
 	} else {
 		accs = grow(&scr.accs, n)
 		var wg sync.WaitGroup
@@ -138,7 +139,7 @@ func runBands[T float64 | int64](f *frame, kern bandKernel[T], acc []sigmaOf[T],
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				runBand(kern, &bands[i], part, i*ny/n, (i+1)*ny/n)
+				runBand(kern, bands, part, i, i*ny/n, (i+1)*ny/n)
 			}()
 		}
 		wg.Wait()
@@ -160,11 +161,12 @@ func runBands[T float64 | int64](f *frame, kern bandKernel[T], acc []sigmaOf[T],
 	return calcs, skipped, saved, nil
 }
 
-// runBand runs one band of a pass into its stat slot.
-func runBand[T float64 | int64](kern bandKernel[T], b *bandStat, acc []sigmaOf[T], ty0, ty1 int) {
+// runBand runs band i of a pass into its stat slot.
+func runBand[T float64 | int64](kern bandKernel[T], bands []bandStat, acc []sigmaOf[T], i, ty0, ty1 int) {
+	b := &bands[i]
 	b.start = time.Now()
 	if b.err = faults.Fire(faults.PointTile); b.err == nil {
-		b.calcs, b.skipped, b.saved = kern.band(acc, ty0, ty1)
+		b.calcs, b.skipped, b.saved = kern.band(acc, i, ty0, ty1)
 	}
 	b.dur = time.Since(b.start)
 }
