@@ -16,6 +16,7 @@ import (
 
 	"sslic"
 	"sslic/internal/imgio"
+	"sslic/internal/wire"
 )
 
 func main() {
@@ -105,9 +106,14 @@ func main() {
 
 // evaluatePrecomputed scores a saved label map against the ground truth.
 func evaluatePrecomputed(img *imgio.Image, gt *sslic.GroundTruth, prePath, inPath, gtPath string) {
-	lm, err := imgio.ReadLabelMapFile(prePath)
+	f, err := os.Open(prePath)
 	if err != nil {
 		fatal(err)
+	}
+	lm, err := wire.Decode(f, img.W*img.H, nil)
+	f.Close()
+	if err != nil {
+		fatal(fmt.Errorf("%s: %w", prePath, err))
 	}
 	if lm.W != img.W || lm.H != img.H {
 		fatal(fmt.Errorf("label map %dx%d does not match image %dx%d", lm.W, lm.H, img.W, img.H))

@@ -16,6 +16,7 @@ import (
 
 	"sslic"
 	"sslic/internal/imgio"
+	"sslic/internal/wire"
 )
 
 func main() {
@@ -92,9 +93,14 @@ func main() {
 		}
 	}
 	if *save != "" {
-		lm := imgio.NewLabelMap(seg.W, seg.H)
-		copy(lm.Labels, seg.Labels)
-		if err := imgio.WriteLabelMapFile(*save, lm); err != nil {
+		f, err := os.Create(*save)
+		if err != nil {
+			fatal(err)
+		}
+		if err := wire.EncodeRaw(f, &imgio.LabelMap{W: seg.W, H: seg.H, Labels: seg.Labels}); err != nil {
+			fatal(err)
+		}
+		if err := f.Close(); err != nil {
 			fatal(err)
 		}
 	}

@@ -56,69 +56,6 @@ func FuzzDecodePPM(f *testing.F) {
 	})
 }
 
-// FuzzDecodeLabelMap drives the binary label-map parser with arbitrary
-// bytes: malformed magics, truncated headers, zero/negative/huge
-// dimensions and short payloads must all error, never panic, and any
-// accepted map must be internally consistent and round-trip.
-func FuzzDecodeLabelMap(f *testing.F) {
-	valid := func(w, h int) []byte {
-		lm := NewLabelMap(w, h)
-		for i := range lm.Labels {
-			lm.Labels[i] = int32(i % 5)
-		}
-		var buf bytes.Buffer
-		if err := EncodeLabelMap(&buf, lm); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	seeds := [][]byte{
-		valid(4, 3),
-		valid(1, 1),
-		valid(4, 3)[:7],  // truncated header
-		valid(4, 3)[:20], // truncated payload
-		[]byte("SLBX\x04\x00\x00\x00\x03\x00\x00\x00"), // bad magic
-		[]byte("SLBL\x00\x00\x00\x00\x00\x00\x00\x00"), // zero dims
-		[]byte("SLBL\xff\xff\xff\xff\x01\x00\x00\x00"), // dim wraps negative
-		[]byte("SLBL\xff\xff\xff\x7f\xff\xff\xff\x7f"), // absurd dims
-		[]byte(""),
-	}
-	for _, s := range seeds {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<16 {
-			return
-		}
-		lm, err := DecodeLabelMap(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if lm.W <= 0 || lm.H <= 0 {
-			t.Fatalf("decoder accepted dimensions %dx%d", lm.W, lm.H)
-		}
-		if len(lm.Labels) != lm.W*lm.H {
-			t.Fatalf("label plane size %d for %dx%d", len(lm.Labels), lm.W, lm.H)
-		}
-		var buf bytes.Buffer
-		if err := EncodeLabelMap(&buf, lm); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		back, err := DecodeLabelMap(&buf)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if back.W != lm.W || back.H != lm.H {
-			t.Fatal("round trip changed dimensions")
-		}
-		for i := range lm.Labels {
-			if back.Labels[i] != lm.Labels[i] {
-				t.Fatalf("round trip changed label %d", i)
-			}
-		}
-	})
-}
-
 // FuzzResize drives Resize and ResizeLabels with arbitrary target
 // dimensions: zero and negative targets must error, never panic, and
 // accepted targets must produce exactly-sized output.

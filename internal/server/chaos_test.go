@@ -17,6 +17,7 @@ import (
 	"sslic/internal/imgio"
 	"sslic/internal/sslic"
 	"sslic/internal/telemetry/testutil"
+	"sslic/internal/wire"
 )
 
 // The chaos suite drives the full HTTP service under a seeded fault
@@ -89,7 +90,7 @@ func TestChaosSeededSchedule(t *testing.T) {
 	}
 	checkGolden := func(fi int, lvl degrade.Level, body []byte) {
 		t.Helper()
-		got, err := imgio.DecodeLabelMap(bytes.NewReader(body))
+		got, err := wire.Decode(bytes.NewReader(body), frames[fi].W*frames[fi].H, nil)
 		if err != nil {
 			t.Fatalf("2xx response with undecodable labels: %v", err)
 		}

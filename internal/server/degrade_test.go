@@ -13,6 +13,7 @@ import (
 	"sslic/internal/imgio"
 	"sslic/internal/sslic"
 	"sslic/internal/telemetry/testutil"
+	"sslic/internal/wire"
 )
 
 // segmentOnce posts one frame and returns the response with its body
@@ -60,7 +61,7 @@ func TestDegradedOutputDeterministic(t *testing.T) {
 	if got := resp.Header.Get("X-Degradation-Level"); got != "2" {
 		t.Fatalf("X-Degradation-Level = %q, want 2", got)
 	}
-	labels, err := imgio.DecodeLabelMap(bytes.NewReader(body))
+	labels, err := wire.Decode(bytes.NewReader(body), im.W*im.H, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"sslic/internal/imgio"
 	"sslic/internal/pipeline"
 	"sslic/internal/sslic"
+	"sslic/internal/wire"
 )
 
 // testFrame renders a deterministic scene with enough structure for
@@ -92,7 +93,7 @@ func TestSegmentGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var golden bytes.Buffer
-	if err := imgio.EncodeLabelMap(&golden, want.Labels); err != nil {
+	if err := wire.EncodeRaw(&golden, want.Labels); err != nil {
 		t.Fatal(err)
 	}
 
@@ -197,7 +198,7 @@ func TestSegmentWarmStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	var golden bytes.Buffer
-	if err := imgio.EncodeLabelMap(&golden, want.Labels); err != nil {
+	if err := wire.EncodeRaw(&golden, want.Labels); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, golden.Bytes()) {

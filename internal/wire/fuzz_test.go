@@ -79,6 +79,31 @@ func FuzzDeltaDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("SLBD\x02\x00\x00\x00\x02\x00\x00\x00\x00\x04\x02"))
 	f.Add([]byte{8, 8, 1, 2, 3, 4, 5, 6, 7, 8})
+	// Raw SLBL streams: valid, truncated and hostile headers.
+	raw := func(w, h int) []byte {
+		lm := &imgio.LabelMap{W: w, H: h, Labels: make([]int32, w*h)}
+		for i := range lm.Labels {
+			lm.Labels[i] = int32(i % 5)
+		}
+		var buf bytes.Buffer
+		if err := EncodeRaw(&buf, lm); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, s := range [][]byte{
+		raw(4, 3),
+		raw(1, 1),
+		raw(4, 3)[:7],  // truncated header
+		raw(4, 3)[:20], // truncated payload
+		[]byte("SLBX\x04\x00\x00\x00\x03\x00\x00\x00"), // bad magic
+		[]byte("SLBL\x00\x00\x00\x00\x00\x00\x00\x00"), // zero dims
+		[]byte("SLBL\xff\xff\xff\xff\x01\x00\x00\x00"), // dim wraps negative
+		[]byte("SLBL\xff\xff\xff\x7f\xff\xff\xff\x7f"), // absurd dims
+		[]byte(""),
+	} {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Round-trip: derive frame and base from the same bytes so they
 		// mostly agree (realistic video deltas) but differ in spots.

@@ -6,8 +6,8 @@
 // height as little-endian uint32):
 //
 //	SLBL  raw      n×int32 little-endian labels — fixed 4·n payload,
-//	               trivially seekable, byte-identical to
-//	               imgio.EncodeLabelMap.
+//	               trivially seekable; also the label-map file format
+//	               (sslic -save-labels, sslic-eval -precomputed).
 //	SLBR  RLE      runs of (uvarint length ≥ 1, zigzag-varint label).
 //	               Superpixel label maps are long horizontal runs by
 //	               construction — the paper's raster-order assignment
@@ -168,8 +168,7 @@ func Encode(w io.Writer, f Format, lm, base *imgio.LabelMap) error {
 	}
 }
 
-// EncodeRaw writes lm in the fixed-size SLBL framing, byte-identical to
-// imgio.EncodeLabelMap.
+// EncodeRaw writes lm in the fixed-size SLBL framing.
 func EncodeRaw(w io.Writer, lm *imgio.LabelMap) error {
 	cw := chunkWriter{w: w}
 	cw.header(magicRaw, lm.W, lm.H)

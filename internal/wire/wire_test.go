@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -41,17 +42,39 @@ func testMaps(t *testing.T) []*imgio.LabelMap {
 	}
 }
 
-func TestRawMatchesImgioEncoding(t *testing.T) {
-	for _, lm := range testMaps(t) {
-		var ours, theirs bytes.Buffer
-		if err := EncodeRaw(&ours, lm); err != nil {
+// TestRawGolden pins the SLBL framing byte for byte: "SLBL", width and
+// height as little-endian uint32, then one little-endian int32 per
+// label, on a hand-written map and on one whose payload spans several
+// of the encoder's 4 KiB write chunks.
+func TestRawGolden(t *testing.T) {
+	labels := []int32{0, 1, -1, 258, 1<<31 - 1, -1 << 31}
+	small := mapFrom(3, 2, func(i int) int32 { return labels[i] })
+	smallWant := []byte("SLBL\x03\x00\x00\x00\x02\x00\x00\x00" +
+		"\x00\x00\x00\x00\x01\x00\x00\x00\xff\xff\xff\xff" +
+		"\x02\x01\x00\x00\xff\xff\xff\x7f\x00\x00\x00\x80")
+	big := mapFrom(70, 40, func(i int) int32 { return int32(i*7 - 3) })
+	bigWant := []byte("SLBL\x46\x00\x00\x00\x28\x00\x00\x00")
+	for i := range big.Labels {
+		v := uint32(i*7 - 3)
+		bigWant = append(bigWant, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+	}
+	for _, tc := range []struct {
+		lm   *imgio.LabelMap
+		want []byte
+	}{{small, smallWant}, {big, bigWant}} {
+		var buf bytes.Buffer
+		if err := EncodeRaw(&buf, tc.lm); err != nil {
 			t.Fatal(err)
 		}
-		if err := imgio.EncodeLabelMap(&theirs, lm); err != nil {
+		if !bytes.Equal(buf.Bytes(), tc.want) {
+			t.Fatalf("%dx%d: SLBL bytes differ from the golden", tc.lm.W, tc.lm.H)
+		}
+		got, err := Decode(bytes.NewReader(tc.want), tc.lm.W*tc.lm.H, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(ours.Bytes(), theirs.Bytes()) {
-			t.Fatalf("%dx%d: wire.EncodeRaw diverges from imgio.EncodeLabelMap", lm.W, lm.H)
+		if got.W != tc.lm.W || got.H != tc.lm.H || !slices.Equal(got.Labels, tc.lm.Labels) {
+			t.Fatalf("%dx%d: golden does not decode to its map", tc.lm.W, tc.lm.H)
 		}
 	}
 }
@@ -167,9 +190,13 @@ func TestDecodeRejectsHostileStreams(t *testing.T) {
 		name string
 		in   []byte
 	}{
+		{"empty", nil},
 		{"bad magic", mk("XXXX", 2, 2, nil)},
 		{"zero dims", mk("SLBR", 0, 5, nil)},
+		{"raw zero width", mk("SLBL", 0, 1, nil)},
 		{"huge dims", mk("SLBR", 1<<21, 1, nil)},
+		{"raw absurd dims", mk("SLBL", 1<<31-1, 1<<31-1, nil)},
+		{"raw dim wraps negative", mk("SLBL", 1<<32-1, 1, nil)},
 		{"rle overrun", mk("SLBR", 2, 2, []byte{200, 1, 0})}, // run of 200 into 4 pixels
 		{"rle zero run", mk("SLBR", 2, 2, []byte{0, 0})},
 		{"rle truncated", mk("SLBR", 2, 2, []byte{4})},
