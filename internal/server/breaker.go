@@ -72,8 +72,12 @@ func newBreaker(threshold int, window, cooldown time.Duration, reg *telemetry.Re
 // reaches any terminal outcome — otherwise a probe that ends without a
 // success or a panic (bad request, saturation, deadline, client
 // cancel, shed) would hold the probe slot forever and wedge the
-// endpoint in permanent fast-fail.
+// endpoint in permanent fast-fail. A nil breaker (breakers disabled)
+// admits everything, and its record methods do nothing.
 func (b *breaker) allow() (ok bool, probeDone func()) {
+	if b == nil {
+		return true, nil
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -118,6 +122,9 @@ func (b *breaker) startProbe() func() {
 // recordPanic notes one backend panic. A panicking probe re-opens the
 // circuit immediately; in the closed state the sliding window decides.
 func (b *breaker) recordPanic() {
+	if b == nil {
+		return
+	}
 	now := b.now()
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -135,6 +142,9 @@ func (b *breaker) recordPanic() {
 // recordSuccess notes one successfully segmented request. A successful
 // probe closes the circuit and forgives the panic history.
 func (b *breaker) recordSuccess() {
+	if b == nil {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state == breakerHalfOpen {

@@ -2,8 +2,6 @@ package server
 
 import (
 	"context"
-	"net/http"
-	"strconv"
 
 	"sslic/internal/hw"
 	"sslic/internal/imgio"
@@ -12,13 +10,11 @@ import (
 	"sslic/internal/telemetry"
 )
 
-// costAccountant folds finished request ledgers into the service-wide
-// cost series and estimates per-frame accelerator energy through the hw
-// analytic model. It also owns the cumulative counters the SLO engine
-// differentiates: total/failed responses (availability) and
-// frames/picojoules (energy budget).
+// costAccountant estimates per-frame accelerator energy through the hw
+// analytic model and owns the cumulative counters finish folds request
+// records into and the SLO engine differentiates: total/failed
+// responses (availability) and frames/picojoules (energy budget).
 type costAccountant struct {
-	reg *telemetry.Registry
 	hwm *hw.Metrics
 
 	reqTotal  *telemetry.Counter
@@ -29,7 +25,6 @@ type costAccountant struct {
 
 func newCostAccountant(reg *telemetry.Registry) *costAccountant {
 	return &costAccountant{
-		reg: reg,
 		hwm: hw.NewMetrics(reg),
 		reqTotal: reg.Counter("sslic_server_requests_total",
 			"Segment requests answered (any status)."),
@@ -39,16 +34,6 @@ func newCostAccountant(reg *telemetry.Registry) *costAccountant {
 			"Frames with a closed cost ledger."),
 		estPJ: reg.Counter("sslic_server_cost_est_pj_total",
 			"Estimated accelerator energy charged to requests, picojoules."),
-	}
-}
-
-// observeResponse feeds the availability counters (the SLO engine's
-// Requests source). Shed 429s count as failures: from the client's
-// side, the service was unavailable for that request.
-func (a *costAccountant) observeResponse(code int) {
-	a.reqTotal.Inc()
-	if code >= 500 || code == http.StatusTooManyRequests {
-		a.reqFailed.Inc()
 	}
 }
 
@@ -83,55 +68,4 @@ func (a *costAccountant) chargeEnergy(cost *telemetry.Cost, im *imgio.Image,
 	}
 	a.hwm.ObserveReportCtx(telemetry.WithTrace(context.Background(), tr), report)
 	cost.AddEnergyPJ(report.EnergyPerFrame * 1e12)
-}
-
-// finish closes a successful request's ledger: service-wide totals,
-// per-stream series under the stream's table label (bounded by the
-// table's label budget), and a "cost" instant on the trace so the
-// ledger is readable from /debug/trace?id= next to the timeline it
-// prices.
-func (a *costAccountant) finish(cost *telemetry.Cost, label string, tr *telemetry.Trace) telemetry.CostSnapshot {
-	snap := cost.Snapshot()
-	a.frames.Inc()
-	a.estPJ.Add(snap.EstPJ)
-
-	lbl := telemetry.Label{Name: "stream", Value: label}
-	a.reg.Counter("sslic_server_stream_cost_cpu_seconds_total",
-		"CPU time charged to requests, by stream.", lbl).Add(float64(snap.CPUNs) / 1e9)
-	a.reg.Counter("sslic_server_stream_cost_alloc_bytes_total",
-		"Buffer bytes charged to requests, by stream.", lbl).Add(float64(snap.AllocBytes))
-	a.reg.Counter("sslic_server_stream_cost_est_pj_total",
-		"Estimated accelerator energy charged to requests, by stream.", lbl).Add(snap.EstPJ)
-	a.reg.Counter("sslic_server_stream_cost_frames_total",
-		"Frames with a closed cost ledger, by stream.", lbl).Inc()
-
-	tr.Instant("cost", "server", map[string]any{
-		"cpu_ns":        snap.CPUNs,
-		"alloc_bytes":   snap.AllocBytes,
-		"queue_wait_ns": snap.QueueWaitNs,
-		"decode_ns":     snap.DecodeNs,
-		"segment_ns":    snap.SegmentNs,
-		"encode_ns":     snap.EncodeNs,
-		"est_pj":        snap.EstPJ,
-	})
-	return snap
-}
-
-// stampCostHeaders writes the ledger's computable fields as X-Cost-*
-// response headers. Zero fields are omitted — an early-rejected request
-// has no segmentation cost to report, but whatever it did cost (decode
-// time, queue wait) still reaches the client.
-func stampCostHeaders(h http.Header, snap telemetry.CostSnapshot) {
-	set := func(name string, v int64) {
-		if v > 0 {
-			h.Set(name, strconv.FormatInt(v, 10))
-		}
-	}
-	set("X-Cost-Cpu-Ns", snap.CPUNs)
-	set("X-Cost-Alloc-Bytes", snap.AllocBytes)
-	set("X-Cost-Queue-Ns", snap.QueueWaitNs)
-	set("X-Cost-Decode-Ns", snap.DecodeNs)
-	if snap.EstPJ > 0 {
-		h.Set("X-Cost-Est-Pj", strconv.FormatFloat(snap.EstPJ, 'f', 0, 64))
-	}
 }
