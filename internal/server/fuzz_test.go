@@ -2,12 +2,17 @@ package server
 
 import (
 	"bytes"
+	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"strings"
 	"testing"
 	"time"
 
 	"sslic/internal/imgio"
+	"sslic/internal/telemetry"
+	"sslic/internal/telemetry/testutil"
+	"sslic/internal/tenant"
 )
 
 // fuzzConfig is the defaults-applied config the fuzz targets parse
@@ -154,6 +159,101 @@ func FuzzParseOptions(f *testing.F) {
 		}
 		if o.Timeout < time.Millisecond || o.Timeout > fuzzConfig.MaxTimeout {
 			t.Fatalf("accepted timeout %v", o.Timeout)
+		}
+	})
+}
+
+// FuzzSegmentHandler drives the whole /v1/segment handler with random
+// queries, bodies and content types on a small-budget server, sending
+// each input twice so the second request meets the stream state (and,
+// with tenancy on, the rate limit) the first left behind. Every
+// response must name its degradation level, every refusal must carry
+// the refusal table's status for the one reason whose rejected_total
+// series moved, and no goroutine may outlive Close.
+func FuzzSegmentHandler(f *testing.F) {
+	var frame, big bytes.Buffer
+	if err := imgio.EncodePPM(&frame, testFrame(24, 16)); err != nil {
+		f.Fatal(err)
+	}
+	if err := imgio.EncodePPM(&big, testFrame(80, 60)); err != nil {
+		f.Fatal(err)
+	}
+	mp := "--b\r\nContent-Disposition: form-data; name=\"frame\"; filename=\"f.ppm\"\r\n\r\n" +
+		frame.String() + "\r\n--b--\r\n"
+	for _, c := range []struct {
+		query       string
+		body        []byte
+		contentType string
+		tenancy     bool
+	}{
+		{"k=8&iters=2", frame.Bytes(), "", false},
+		{"k=8&format=slbl-delta&stream=cam0&datapath=fixed", frame.Bytes(), "image/x-portable-pixmap", false},
+		{"k=8&format=overlay&encoding=png&tenant=acme", frame.Bytes(), "", true},
+		{"k=8&format=mean&stream=cam0", frame.Bytes(), "", true},
+		{"k=8&format=slbl-rle", []byte(mp), "multipart/form-data; boundary=b", false},
+		{"k=abc", frame.Bytes(), "", false},
+		{"k=100000", frame.Bytes(), "", true},
+		{"k=8&iters=1000&timeout_ms=1", frame.Bytes(), "", false},
+		{"", []byte("not an image"), "", false},
+		{"k=8", big.Bytes(), "", false},
+		{"%zz;;&k=8", frame.Bytes(), "multipart/form-data", false},
+	} {
+		f.Add(c.query, c.body, c.contentType, c.tenancy)
+	}
+	f.Fuzz(func(t *testing.T, query string, body []byte, contentType string, tenancy bool) {
+		if len(query) > 1<<10 || len(body) > 1<<15 {
+			return
+		}
+		testutil.VerifyNoLeaks(t)
+		cfg := Config{
+			Workers: 1, QueueDepth: 1, DegradeInterval: -1,
+			MaxPixels: 64 * 64, MaxBodyBytes: 1 << 14,
+			RequestTimeout: 100 * time.Millisecond, MaxTimeout: 100 * time.Millisecond,
+		}
+		if tenancy {
+			cfg.Tenants = []tenant.Config{{Key: "acme", Rate: 1, Burst: 1}}
+		}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		rejected := func(reason string) float64 {
+			return s.Registry().Counter("sslic_server_rejected_total", "Requests refused, by reason.",
+				telemetry.Label{Name: "reason", Value: reason}).Value()
+		}
+		for i := 0; i < 2; i++ {
+			before := map[string]float64{}
+			for reason := range refusals {
+				before[reason] = rejected(reason)
+			}
+			req := httptest.NewRequest(http.MethodPost, "/v1/segment", bytes.NewReader(body))
+			req.URL.RawQuery = query
+			req.Header.Set("Content-Type", contentType)
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, req)
+
+			if rec.Header().Get("X-Degradation-Level") == "" {
+				t.Fatalf("request %d: status %d without X-Degradation-Level", i, rec.Code)
+			}
+			moved := ""
+			for reason := range refusals {
+				switch d := rejected(reason) - before[reason]; {
+				case d == 0:
+				case d == 1 && moved == "":
+					moved = reason
+				default:
+					t.Fatalf("request %d: rejected_total moved by %g for %q (and %q)", i, d, reason, moved)
+				}
+			}
+			switch {
+			case rec.Code == http.StatusOK && moved != "":
+				t.Fatalf("request %d: 200 counted as refused (%s)", i, moved)
+			case rec.Code != http.StatusOK && moved == "":
+				t.Fatalf("request %d: status %d counted under no refusal reason (%s)", i, rec.Code, rec.Body)
+			case rec.Code != http.StatusOK && refusals[moved].code != rec.Code:
+				t.Fatalf("request %d: status %d for reason %q, table says %d", i, rec.Code, moved, refusals[moved].code)
+			}
 		}
 	})
 }
