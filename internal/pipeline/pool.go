@@ -27,10 +27,11 @@ import (
 // scratch reuse exist once.
 //
 // Admission control is explicit: every shard has a bounded queue, and
-// Submit never blocks on a full one — it fails fast with ErrSaturated
-// so the caller can shed load (a 429 at the HTTP layer) instead of
-// queueing unboundedly. Memory is therefore bounded by
-// Workers × (QueueDepth+1) in-flight frames regardless of offered load.
+// Submit never blocks on a full one (a job without a stream tries every
+// shard first) — it fails fast with ErrSaturated so the caller can shed
+// load (a 429 at the HTTP layer) instead of queueing unboundedly.
+// Memory is therefore bounded by Workers × (QueueDepth+1) in-flight
+// frames regardless of offered load.
 //
 // Warm starts survive across submissions: jobs carrying a StreamID are
 // sharded by a hash of that ID, so consecutive frames of one client
@@ -46,7 +47,7 @@ import (
 type Pool struct {
 	cfg    PoolConfig
 	shards []chan *poolReq
-	rr     atomic.Uint64 // round-robin for jobs without a stream ID
+	rr     atomic.Uint64 // first shard tried for a job without a stream ID
 	wg     sync.WaitGroup
 
 	mu     sync.RWMutex
@@ -155,7 +156,8 @@ type Job struct {
 	// available for the stream and Params selects PPA.
 	Params sslic.Params
 	// StreamID identifies a client stream for warm-start stickiness.
-	// Empty runs cold and spreads round-robin across shards. The ID is
+	// Empty runs cold on the first shard with room, trying shards from
+	// a round-robin start. The ID is
 	// an opaque key: callers multiplexing several principals over one
 	// pool (the server's multi-tenant mode) must namespace it
 	// ("tenant/stream"), because two jobs with equal StreamIDs share
@@ -184,8 +186,9 @@ type JobResult struct {
 	Latency time.Duration
 }
 
-// ErrSaturated is returned by Submit when the target shard's admission
-// queue is full. Callers should shed the request (HTTP 429).
+// ErrSaturated is returned by Submit when the job's stream's shard
+// queue is full or, for a job without a stream, every shard queue is.
+// Callers should shed the request (HTTP 429).
 var ErrSaturated = errors.New("pipeline: admission queue full")
 
 // ErrPoolClosed is returned by Submit after Close started draining.
@@ -291,13 +294,36 @@ func (p *Pool) QueueCapacity() int {
 // is what an upstream admission gate should size itself to.
 func (p *Pool) Workers() int { return p.cfg.Workers }
 
-// shardFor maps a stream ID onto a shard. Jobs without a stream spread
-// round-robin; streams stick by FNV-1a hash.
+// shardFor maps a stream ID onto its shard by FNV-1a hash.
 func (p *Pool) shardFor(streamID string) chan *poolReq {
-	if streamID == "" {
-		return p.shards[p.rr.Add(1)%uint64(len(p.shards))]
-	}
 	return p.shards[shardIndex(streamID, len(p.shards))]
+}
+
+// place queues req without blocking and reports whether a shard took
+// it. A stream's job has exactly one shard. A job without a stream
+// starts at the round-robin shard and takes the first with a free
+// slot, so it is refused only when every queue is full: an upstream
+// gate sized to Workers + QueueCapacity (the server's fair queue) then
+// never sees a 429 it did not cause by itself.
+func (p *Pool) place(req *poolReq) bool {
+	if id := req.job.StreamID; id != "" {
+		select {
+		case p.shardFor(id) <- req:
+			return true
+		default:
+			return false
+		}
+	}
+	n := uint64(len(p.shards))
+	start := p.rr.Add(1)
+	for i := uint64(0); i < n; i++ {
+		select {
+		case p.shards[(start+i)%n] <- req:
+			return true
+		default:
+		}
+	}
+	return false
 }
 
 func shardIndex(streamID string, shards int) int {
@@ -369,20 +395,18 @@ func (p *Pool) enqueue(ctx context.Context, job Job) (*poolReq, error) {
 		p.cfg.Streams.Release(req.entry)
 		return nil, ErrPoolClosed
 	}
-	select {
-	case p.shardFor(job.StreamID) <- req:
-		p.mu.RUnlock()
-		p.admitted.Inc()
-		d := float64(p.depth.Add(1))
-		p.queueDepth.Set(d)
-		p.queueHW.SetMax(d)
-		return req, nil
-	default:
+	if !p.place(req) {
 		p.mu.RUnlock()
 		p.cfg.Streams.Release(req.entry)
 		p.rejected.Inc()
 		return nil, ErrSaturated
 	}
+	p.mu.RUnlock()
+	p.admitted.Inc()
+	d := float64(p.depth.Add(1))
+	p.queueDepth.Set(d)
+	p.queueHW.SetMax(d)
+	return req, nil
 }
 
 // worker owns one shard: its queue, and the warm centers of the

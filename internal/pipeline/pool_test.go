@@ -220,6 +220,68 @@ func TestPoolAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestPoolStreamlessTakesFreeShard: a job without a stream is refused
+// only when every shard queue is full. One stream fills shard 0 (one
+// job running, one queued) while shard 1 has room; round-robin alone
+// would send every other stream-less job into shard 0's full queue.
+func TestPoolStreamlessTakesFreeShard(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	blk := &blockingSegment{release: make(chan struct{})}
+	pool := NewPool(PoolConfig{Workers: 2, QueueDepth: 1, Segment: blk.fn})
+	defer pool.Close()
+	// Runs before Close, so a failed check still unparks the workers.
+	release := sync.OnceFunc(func() { close(blk.release) })
+	defer release()
+
+	im := poolTestImage(16, 16)
+	params := sslic.DefaultParams(4, 0.5)
+	stream := pool.laneStreams()[0]
+
+	var reqs []*poolReq
+	enqueue := func(id string) error {
+		req, err := pool.enqueue(context.Background(), Job{Image: im, Params: params, StreamID: id})
+		if err == nil {
+			reqs = append(reqs, req)
+		}
+		return err
+	}
+	waitRunning := func(n int64) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for blk.entered.Load() < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d jobs running, want %d", blk.entered.Load(), n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	// Each job lands in a free slot once the jobs before it have been
+	// picked up by their workers.
+	for i, step := range []struct {
+		id      string
+		running int64
+	}{{stream, 1}, {stream, 1}, {"", 2}, {"", 2}} {
+		if err := enqueue(step.id); err != nil {
+			t.Fatalf("job %d (stream %q) refused with a free slot: %v", i, step.id, err)
+		}
+		waitRunning(step.running)
+	}
+	// Both workers run and both queues hold a job.
+	for _, id := range []string{"", stream} {
+		if err := enqueue(id); !errors.Is(err, ErrSaturated) {
+			t.Fatalf("stream %q on a full pool: %v, want ErrSaturated", id, err)
+		}
+	}
+
+	release()
+	for i, req := range reqs {
+		if rep := <-req.reply; rep.err != nil {
+			t.Fatalf("admitted job %d failed: %v", i, rep.err)
+		}
+	}
+}
+
 // TestPoolSubmitCanceled: a context canceled while the job is queued
 // must release the caller with the context error, and never run it.
 func TestPoolSubmitCanceled(t *testing.T) {
