@@ -233,7 +233,7 @@ func main() {
 			}
 			fmt.Printf("%5d %5s %9s %8.4f %8.4f %12s %8s %8.4f\n",
 				r.Index, mode, r.SegLatency.Round(time.Millisecond), use, br, tc,
-				churn, quality.BoundaryDensity(r.Labels))
+				churn, metrics.ContourDensity(r.Labels))
 		} else {
 			fmt.Printf("%5d %5s %9s %8.4f %8.4f %12s\n",
 				r.Index, mode, r.SegLatency.Round(time.Millisecond), use, br, tc)

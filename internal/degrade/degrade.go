@@ -1,7 +1,8 @@
 // Package degrade is the service's adaptive graceful-degradation layer:
-// a small load controller that watches queue depth, tail latency and
-// deadline misses, and steps the service through explicit quality
-// levels instead of letting overload express itself as a wall of 429s.
+// a small load controller that watches queue fill, deadline misses,
+// saturation rejections, the SLO engine's fast burn and a quality
+// floor, and steps the service through explicit quality levels instead
+// of letting overload express itself as a wall of 429s.
 //
 // The levels trade segmentation quality for per-frame compute along the
 // exact knobs the paper quantifies (Table 4: iteration count and
@@ -114,11 +115,8 @@ func maxInt(a, b int) int {
 // Signals is one observation window of service load, fed to Tick.
 type Signals struct {
 	// QueueFill is the admission-queue fill fraction in [0, 1]
-	// (depth / capacity).
+	// (depth / capacity), read when the window closes.
 	QueueFill float64
-	// P95 is the window's 95th-percentile frame latency; zero when the
-	// window had no frames.
-	P95 time.Duration
 	// DeadlineMisses counts requests that exceeded their deadline in
 	// the window.
 	DeadlineMisses int
@@ -139,18 +137,15 @@ type Signals struct {
 	QualityObserved  bool
 }
 
+// A window is overloaded when the queue is at least queueHigh full and
+// calm when it is at most queueLow full.
+const queueHigh, queueLow = 0.75, 0.25
+
 // Config tunes a Controller. The zero value selects the defaults
 // documented per field.
 type Config struct {
 	// Max bounds escalation; 0 selects Shed (the full ladder).
 	Max Level
-	// QueueHighFrac and QueueLowFrac are the queue-fill thresholds for
-	// overload and calm; 0 selects 0.75 and 0.25.
-	QueueHighFrac, QueueLowFrac float64
-	// P95High marks the window overloaded when its p95 exceeds it;
-	// P95Low is the calm threshold. 0 ignores latency in that
-	// direction.
-	P95High, P95Low time.Duration
 	// StepUpHold is the consecutive overloaded ticks required to step
 	// up a level; StepDownHold the consecutive calm ticks to step
 	// down. 0 selects 2 and 5 — stepping down is deliberately slower
@@ -159,7 +154,7 @@ type Config struct {
 	StepUpHold, StepDownHold int
 	// BurnHigh marks the window overloaded when Signals.BurnRate
 	// reaches it; calm additionally requires burn below BurnHigh/2
-	// (the same high/low hysteresis band as the queue thresholds).
+	// (the same high/low hysteresis band as queueHigh and queueLow).
 	// 0 ignores the SLO signal.
 	BurnHigh float64
 	// FloorHold is the consecutive quality-collapsed ticks that pin the
@@ -182,12 +177,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Max <= 0 || c.Max >= numLevels {
 		c.Max = Shed
-	}
-	if c.QueueHighFrac <= 0 {
-		c.QueueHighFrac = 0.75
-	}
-	if c.QueueLowFrac <= 0 {
-		c.QueueLowFrac = 0.25
 	}
 	if c.StepUpHold <= 0 {
 		c.StepUpHold = 2
@@ -353,11 +342,11 @@ func (c *Controller) setLevel(l Level) {
 }
 
 // Tick feeds one observation window to the state machine and returns
-// the level in effect after it. Overload (queue past the high-water
-// fraction, p95 past the high threshold, or any deadline miss /
-// rejection) must persist for StepUpHold consecutive ticks to step up;
-// calm must persist for StepDownHold ticks to step down. Mixed windows
-// reset both streaks, holding the current level.
+// the level in effect after it. Overload (queue at least queueHigh
+// full, burn at BurnHigh, or any deadline miss or rejection) must
+// persist for StepUpHold consecutive ticks to step up; calm must
+// persist for StepDownHold ticks to step down. Mixed windows reset
+// both streaks, holding the current level.
 func (c *Controller) Tick(s Signals) Level {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -365,12 +354,10 @@ func (c *Controller) Tick(s Signals) Level {
 	if c.pinned {
 		return c.level
 	}
-	overloaded := s.QueueFill >= c.cfg.QueueHighFrac ||
-		(c.cfg.P95High > 0 && s.P95 >= c.cfg.P95High) ||
+	overloaded := s.QueueFill >= queueHigh ||
 		(c.cfg.BurnHigh > 0 && s.BurnRate >= c.cfg.BurnHigh) ||
 		s.DeadlineMisses > 0 || s.Rejected > 0
-	calm := s.QueueFill <= c.cfg.QueueLowFrac &&
-		(c.cfg.P95Low <= 0 || s.P95 <= c.cfg.P95Low) &&
+	calm := s.QueueFill <= queueLow &&
 		(c.cfg.BurnHigh <= 0 || s.BurnRate < c.cfg.BurnHigh/2) &&
 		s.DeadlineMisses == 0 && s.Rejected == 0
 

@@ -122,4 +122,10 @@ func TestContourDensity(t *testing.T) {
 	if d := ContourDensity(lm); math.Abs(d-8.0/40) > 1e-12 {
 		t.Fatalf("density = %g, want 0.2", d)
 	}
+	// Two one-pixel-wide superpixels side by side: every pixel touches
+	// a horizontal neighbor with a different label.
+	lm = &imgio.LabelMap{W: 2, H: 2, Labels: []int32{0, 1, 0, 1}}
+	if d := ContourDensity(lm); d != 1 {
+		t.Fatalf("striped density = %g, want 1", d)
+	}
 }

@@ -21,17 +21,16 @@
 //
 // A Tracker folds per-frame Samples into registry series (global
 // histograms plus per-stream gauges under the stream table's labels)
-// and into each stream's record in that table, serves the
-// /debug/streams introspection JSON, and distills a two-sided control
-// signal for the degrade controller: TickSignal reports whether
-// quality has collapsed below configured floors, so a blown latency
-// budget cannot walk the ladder past the point where segmentations
-// stop being worth serving.
+// and into each stream's record in that table, and serves the
+// /debug/streams introspection JSON. It also counts the frames that
+// trip configured floors; the server's control tick turns each
+// window's share of them into the degrade controller's two-sided
+// quality-floor signal, so a blown latency budget cannot walk the
+// ladder past the point where segmentations stop being worth serving.
 package quality
 
 import (
 	"strings"
-	"sync"
 	"time"
 
 	"sslic/internal/imgio"
@@ -58,31 +57,6 @@ func LabelChurn(cur, prev *imgio.LabelMap) (changed int, ok bool) {
 		}
 	}
 	return changed, true
-}
-
-// BoundaryDensity recomputes the boundary-pixel fraction of a label
-// map — the same 4-neighbor scan the segmentation core folds into
-// Stats.BoundaryPixels — for offline tools that only hold labels, and
-// as the tests' reference implementation for the in-core scan.
-func BoundaryDensity(lm *imgio.LabelMap) float64 {
-	if lm == nil || lm.W <= 0 || lm.H <= 0 {
-		return 0
-	}
-	w, h := lm.W, lm.H
-	lb := lm.Labels
-	boundary := 0
-	for y := 0; y < h; y++ {
-		row := y * w
-		for x := 0; x < w; x++ {
-			i := row + x
-			v := lb[i]
-			if (x > 0 && lb[i-1] != v) || (x < w-1 && lb[i+1] != v) ||
-				(y > 0 && lb[i-w] != v) || (y < h-1 && lb[i+w] != v) {
-				boundary++
-			}
-		}
-	}
-	return float64(boundary) / float64(w*h)
 }
 
 // Config tunes a Tracker.
@@ -127,11 +101,6 @@ type Tracker struct {
 	frames    *telemetry.Counter
 	emptyFr   *telemetry.Counter
 	collapsed *telemetry.Counter
-
-	// Tick window counters for the degrade floor signal.
-	mu         sync.Mutex
-	tickFrames int
-	tickBad    int
 }
 
 // NewTracker builds a Tracker and registers its series.
@@ -186,12 +155,6 @@ func (t *Tracker) Observe(s Sample) {
 	if bad {
 		t.collapsed.Inc()
 	}
-	t.mu.Lock()
-	t.tickFrames++
-	if bad {
-		t.tickBad++
-	}
-	t.mu.Unlock()
 
 	t.cfg.Streams.Record(s.Stream, func(q *stream.Quality, label string) {
 		now := time.Now()
@@ -243,32 +206,22 @@ func (t *Tracker) Observe(s Sample) {
 	})
 }
 
-// TickSignal is the degrade controller's quality-floor input, called
-// once per controller tick. observed reports whether any frame landed
-// since the previous tick; collapsed reports whether a majority of
-// those frames tripped a floor threshold. Ticks with no traffic return
-// (false, false) so an idle service neither pins nor releases the
-// floor.
-func (t *Tracker) TickSignal() (collapsed, observed bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	frames, bad := t.tickFrames, t.tickBad
-	t.tickFrames, t.tickBad = 0, 0
-	if frames == 0 {
-		return false, false
+// Totals are the tracker's cumulative frame counts and churn
+// histogram.
+type Totals struct {
+	// Frames counts observed frames; EmptyFrames those with at least
+	// one empty cluster; Collapsed those that tripped a floor threshold.
+	Frames, EmptyFrames, Collapsed float64
+	// Churn is the inter-frame label-churn histogram.
+	Churn telemetry.HistogramSnapshot
+}
+
+// Totals reads the cumulative series a control tick differences.
+func (t *Tracker) Totals() Totals {
+	return Totals{
+		Frames:      t.frames.Value(),
+		EmptyFrames: t.emptyFr.Value(),
+		Collapsed:   t.collapsed.Value(),
+		Churn:       t.churnHist.Snapshot(),
 	}
-	return bad*2 > frames, true
-}
-
-// ChurnSnapshot exposes the churn histogram for SLO windowing
-// (quality.churn p95 objectives).
-func (t *Tracker) ChurnSnapshot() telemetry.HistogramSnapshot {
-	return t.churnHist.Snapshot()
-}
-
-// FrameCounts is the SLO engine's cumulative empty-cluster
-// availability source: total observed frames and frames with at least
-// one empty cluster.
-func (t *Tracker) FrameCounts() (frames, emptyFrames float64) {
-	return t.frames.Value(), t.emptyFr.Value()
 }

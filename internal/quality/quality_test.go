@@ -33,22 +33,6 @@ func TestLabelChurn(t *testing.T) {
 	}
 }
 
-func TestBoundaryDensity(t *testing.T) {
-	// A 2x2 map split into two vertical superpixels: every pixel touches
-	// a horizontal neighbor with a different label.
-	lm := labelMap(2, 2, 0, 1, 0, 1)
-	if got := BoundaryDensity(lm); got != 1 {
-		t.Fatalf("BoundaryDensity = %g, want 1", got)
-	}
-	// Uniform labels: no boundary at all.
-	if got := BoundaryDensity(labelMap(3, 3)); got != 0 {
-		t.Fatalf("uniform BoundaryDensity = %g, want 0", got)
-	}
-	if got := BoundaryDensity(nil); got != 0 {
-		t.Fatalf("nil BoundaryDensity = %g, want 0", got)
-	}
-}
-
 func sampleFor(stream string, churn float64) Sample {
 	return Sample{
 		Stream: stream, TraceID: "t-" + stream,
@@ -118,26 +102,21 @@ func TestTrackerSnapshot(t *testing.T) {
 	}
 }
 
-func TestTrackerTickSignal(t *testing.T) {
+func TestTrackerTotals(t *testing.T) {
 	tr := NewTracker(Config{MaxEmptyFrac: 0.1})
-	if collapsed, observed := tr.TickSignal(); collapsed || observed {
-		t.Fatal("idle tick must report (false, false)")
+	if tot := tr.Totals(); tot.Frames != 0 || tot.Collapsed != 0 || tot.Churn.Count != 0 {
+		t.Fatalf("idle totals = %+v, want zero", tot)
 	}
 	// sampleFor has 1 empty of 4 clusters = 0.25 > 0.1: bad.
 	tr.Observe(sampleFor("s", 0.1))
-	tr.Observe(sampleFor("s", 0.1))
+	tr.Observe(sampleFor("s", -1))
 	good := sampleFor("s", 0.1)
 	good.EmptyClusters = 0
 	tr.Observe(good)
-	collapsed, observed := tr.TickSignal()
-	if !observed || !collapsed {
-		t.Fatalf("2 bad of 3: collapsed=%v observed=%v, want true true", collapsed, observed)
-	}
-	// The window resets per tick.
-	tr.Observe(good)
-	collapsed, observed = tr.TickSignal()
-	if !observed || collapsed {
-		t.Fatalf("0 bad of 1: collapsed=%v observed=%v, want false true", collapsed, observed)
+	tot := tr.Totals()
+	if tot.Frames != 3 || tot.EmptyFrames != 2 || tot.Collapsed != 2 || tot.Churn.Count != 2 {
+		t.Fatalf("totals = {frames %g, empty %g, collapsed %g, churn %d}, want {3, 2, 2, 2}",
+			tot.Frames, tot.EmptyFrames, tot.Collapsed, tot.Churn.Count)
 	}
 }
 
@@ -170,11 +149,11 @@ func TestTrackerFloorChecks(t *testing.T) {
 			s.EmptyClusters = 0
 			tc.mut(&s)
 			tr.Observe(s)
-			collapsed, observed := tr.TickSignal()
-			if !observed {
+			tot := tr.Totals()
+			if tot.Frames != 1 {
 				t.Fatal("frame not observed")
 			}
-			if collapsed != tc.bad {
+			if collapsed := tot.Collapsed == 1; collapsed != tc.bad {
 				t.Fatalf("collapsed = %v, want %v", collapsed, tc.bad)
 			}
 		})

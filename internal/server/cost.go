@@ -12,7 +12,7 @@ import (
 
 // costAccountant estimates per-frame accelerator energy through the hw
 // analytic model and owns the cumulative counters finish folds request
-// records into and the SLO engine differentiates: total/failed
+// records into and the control tick differences: total/failed
 // responses (availability) and frames/picojoules (energy budget).
 type costAccountant struct {
 	hwm *hw.Metrics
@@ -35,16 +35,6 @@ func newCostAccountant(reg *telemetry.Registry) *costAccountant {
 		estPJ: reg.Counter("sslic_server_cost_est_pj_total",
 			"Estimated accelerator energy charged to requests, picojoules."),
 	}
-}
-
-// requestCounts is the SLO engine's cumulative availability source.
-func (a *costAccountant) requestCounts() (total, bad float64) {
-	return a.reqTotal.Value(), a.reqFailed.Value()
-}
-
-// energyCounts is the SLO engine's cumulative energy source.
-func (a *costAccountant) energyCounts() (frames, pj float64) {
-	return a.frames.Value(), a.estPJ.Value()
 }
 
 // chargeEnergy runs the hw analytic model for the request's actual

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math"
@@ -267,5 +268,38 @@ func TestSLOBurnEndToEnd(t *testing.T) {
 	ctl := degrade.New(degrade.Config{StepUpHold: 1, BurnHigh: 2})
 	if lvl := ctl.Tick(sig); lvl != degrade.HalfIters {
 		t.Fatalf("degrade level on burn signal = %v, want half-iters", lvl)
+	}
+}
+
+// TestCloseWaitsForBurnCapture: a burn-triggered profile capture that
+// is still sampling the CPU when Close is called stores its bundle
+// before Close returns, so its goroutine does not outlive the server.
+func TestCloseWaitsForBurnCapture(t *testing.T) {
+	s, err := New(Config{
+		Workers: 1, QueueDepth: 2,
+		DegradeInterval: -1,
+		SLOObjectives: []slo.Objective{
+			{Name: "p99-latency", Kind: slo.KindLatency, Threshold: time.Nanosecond, Budget: 0.01},
+		},
+		SLOFastWindow: 1, SLOSlowWindow: 2,
+		SLOBurnThreshold:   2,
+		ProfileCPUDuration: 300 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SampleSignals() // seed the engine
+	frame := ppmBody(t, testFrame(48, 36))
+	for i := 0; i < 4; i++ {
+		if rec := serveSegment(s.Handler(), context.Background(), "k=16&iters=2", "", "", frame); rec.Code != http.StatusOK {
+			t.Fatalf("request %d status %d", i, rec.Code)
+		}
+	}
+	if sig := s.SampleSignals(); sig.BurnRate < 2 {
+		t.Fatalf("burn = %g, want >= threshold 2", sig.BurnRate)
+	}
+	s.Close()
+	if n := len(s.Profiles().Bundles()); n != 1 {
+		t.Fatalf("%d profile bundles after Close, want the burn capture's 1", n)
 	}
 }

@@ -203,7 +203,6 @@ func TestControllerStepsUpUnderRealSignals(t *testing.T) {
 	}
 	s, ts := newTestServer(t, Config{
 		Workers: 1, QueueDepth: 1, Segment: blocked, DegradeInterval: -1,
-		Degrade: degrade.Config{StepUpHold: 2},
 	})
 	defer once.Do(func() { close(release) })
 

@@ -186,11 +186,7 @@ func (s *Server) retryAfter(base int, cause error) int {
 	if errors.As(cause, &rl) {
 		return min(int(rl.RetryAfter/time.Second)+1, 30)
 	}
-	secs := base + int(s.degrade.Level())
-	if cap := s.pool.QueueCapacity(); cap > 0 {
-		fill := float64(s.pool.Queued()) / float64(cap)
-		secs += int(fill*3 + 0.5)
-	}
+	secs := base + int(s.degrade.Level()) + int(s.queueFill()*3+0.5)
 	secs += int(s.retrySeq.Add(1) % 3)
 	return min(max(secs, 1), 30)
 }
@@ -210,8 +206,7 @@ func (s *Server) finish(rq *request, code int, panicked bool) {
 		s.costs.reqFailed.Inc()
 	}
 	if rq.reason != "" {
-		s.cfg.Registry.Counter("sslic_server_rejected_total", "Requests refused, by reason.",
-			telemetry.Label{Name: "reason", Value: rq.reason}).Inc()
+		s.rejected[rq.reason].Inc()
 		if s.cfg.Logger != nil {
 			s.cfg.Logger.Debug("request rejected", "reason", rq.reason, "code", code)
 		}

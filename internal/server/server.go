@@ -99,9 +99,6 @@ type Config struct {
 	// capped at MaxTimeout (<= 0 selects 30s).
 	RequestTimeout time.Duration
 	MaxTimeout     time.Duration
-	// Degrade tunes the graceful-degradation controller. Its Registry
-	// and Logger fields are overridden with the server's own.
-	Degrade degrade.Config
 	// DegradeInterval is the load-controller sampling interval; 0
 	// selects 250ms, < 0 disables the sampling loop (the controller
 	// still exists and can be driven via Degrade().Tick or pinned —
@@ -141,9 +138,9 @@ type Config struct {
 	Recorder *telemetry.FlightRecorder
 	// SLOObjectives, when non-empty, enables the embedded SLO engine:
 	// the objectives are evaluated every DegradeInterval tick over the
-	// same observation windows the degrade controller sees, exported on
-	// the registry and at the SLOHandler, and (via Degrade.BurnHigh)
-	// fed back into the degrade ladder.
+	// same observation window the degrade controller sees, exported on
+	// the registry and at the SLOHandler, and fed back into the degrade
+	// ladder, which counts a fast burn at SLOBurnThreshold as overload.
 	SLOObjectives []slo.Objective
 	// SLOFastWindow and SLOSlowWindow are the burn-rate windows in
 	// ticks; zero selects the engine's defaults (20 and 240 — 5s and
@@ -243,7 +240,6 @@ type Server struct {
 	draining atomic.Bool
 
 	degrade       *degrade.Controller
-	sampler       *signalSampler
 	tenants       *tenant.Registry    // nil when tenancy disabled
 	brks          map[string]*breaker // by tenant ID, "" in single-tenant mode; nil when disabled
 	retrySeq      atomic.Uint64       // deterministic Retry-After jitter sequence
@@ -262,7 +258,14 @@ type Server struct {
 	inflightMu     sync.Mutex
 	inflightTraces map[string]struct{} // trace IDs currently being served
 
-	panics *telemetry.Counter
+	panics   *telemetry.Counter
+	rejected map[string]*telemetry.Counter // by refusal reason
+	latency  *telemetry.Spans              // the segment endpoint's
+
+	// The control tick's previous reading; seeded once one was taken.
+	tickMu sync.Mutex
+	last   totals
+	seeded bool
 }
 
 // New builds the service and starts its worker pool.
@@ -295,6 +298,11 @@ func New(cfg Config) (*Server, error) {
 	})
 	s.panics = cfg.Registry.Counter("sslic_server_panics_total",
 		"Handler panics recovered by the middleware.")
+	s.rejected = make(map[string]*telemetry.Counter, len(refusals))
+	for reason := range refusals {
+		s.rejected[reason] = cfg.Registry.Counter("sslic_server_rejected_total",
+			"Requests refused, by reason.", telemetry.Label{Name: "reason", Value: reason})
+	}
 	s.inflightTraces = make(map[string]struct{})
 	if len(cfg.Tenants) > 0 {
 		// The fair queue sits in front of the pool and holds exactly as
@@ -320,37 +328,10 @@ func New(cfg Config) (*Server, error) {
 		Registry:    cfg.Registry,
 	})
 
-	dcfg := cfg.Degrade
-	dcfg.Registry = cfg.Registry
-	dcfg.Logger = cfg.Logger
-	if dcfg.BurnHigh == 0 && len(cfg.SLOObjectives) > 0 {
-		// An SLO engine feeds its max fast burn into the controller, so
-		// a burning budget degrades quality before it exhausts.
-		dcfg.BurnHigh = cfg.SLOBurnThreshold
-	}
-	s.degrade = degrade.New(dcfg)
-	s.quality = quality.NewTracker(quality.Config{
-		Registry:         cfg.Registry,
-		Streams:          s.streams,
-		MaxChurn:         cfg.QualityMaxChurn,
-		MaxEmptyFrac:     cfg.QualityMaxEmptyFrac,
-		MaxResidualDecay: cfg.QualityMaxResidualDecay,
-		FloorFunc: func() (int, bool) {
-			lvl, pinned := s.degrade.Floor()
-			return int(lvl), pinned
-		},
-	})
-	s.sampler = newSignalSampler(s.pool, cfg.Registry)
+	dcfg := degrade.Config{Registry: cfg.Registry, Logger: cfg.Logger}
 	if len(cfg.SLOObjectives) > 0 {
 		eng, err := slo.New(slo.Config{
-			Objectives: cfg.SLOObjectives,
-			Sources: slo.Sources{
-				Latency:  s.sampler.hist.Snapshot,
-				Requests: s.costs.requestCounts,
-				Energy:   s.costs.energyCounts,
-				Churn:    s.quality.ChurnSnapshot,
-				Quality:  s.quality.FrameCounts,
-			},
+			Objectives:    cfg.SLOObjectives,
 			FastWindow:    cfg.SLOFastWindow,
 			SlowWindow:    cfg.SLOSlowWindow,
 			BurnThreshold: cfg.SLOBurnThreshold,
@@ -365,7 +346,22 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.slo = eng
+		// The engine feeds its max fast burn into the controller, so a
+		// burning budget degrades quality before it exhausts.
+		dcfg.BurnHigh = cfg.SLOBurnThreshold
 	}
+	s.degrade = degrade.New(dcfg)
+	s.quality = quality.NewTracker(quality.Config{
+		Registry:         cfg.Registry,
+		Streams:          s.streams,
+		MaxChurn:         cfg.QualityMaxChurn,
+		MaxEmptyFrac:     cfg.QualityMaxEmptyFrac,
+		MaxResidualDecay: cfg.QualityMaxResidualDecay,
+		FloorFunc: func() (int, bool) {
+			lvl, pinned := s.degrade.Floor()
+			return int(lvl), pinned
+		},
+	})
 	if cfg.BreakerThreshold > 0 {
 		// One breaker per tenant: tenant A's poisoned frames open A's
 		// circuit only — B's traffic never fast-fails for them. The
@@ -381,43 +377,25 @@ func New(cfg Config) (*Server, error) {
 			}
 		}
 	}
+	s.mux = http.NewServeMux()
+	s.mux.Handle("POST /v1/segment", s.instrument("segment", s.handleSegment))
+	s.mux.Handle("GET /healthz", s.instrument("healthz", s.handleHealthz))
+	s.mux.Handle("GET /metrics", s.instrument("metrics", s.handleMetrics))
 	if cfg.DegradeInterval > 0 {
 		ctx, cancel := context.WithCancel(context.Background())
 		s.degradeCancel = cancel
 		s.degradeDone = make(chan struct{})
 		go func() {
 			defer close(s.degradeDone)
-			s.degrade.Run(ctx, cfg.DegradeInterval, s.sampleSignals)
+			s.degrade.Run(ctx, cfg.DegradeInterval, s.SampleSignals)
 		}()
 	}
-
-	s.mux = http.NewServeMux()
-	s.mux.Handle("POST /v1/segment", s.instrument("segment", s.handleSegment))
-	s.mux.Handle("GET /healthz", s.instrument("healthz", s.handleHealthz))
-	s.mux.Handle("GET /metrics", s.instrument("metrics", s.handleMetrics))
 	return s, nil
 }
 
 // Degrade returns the load controller — the operator/override surface
 // (Pin, Unpin) and the chaos suite's deterministic drive (Tick).
 func (s *Server) Degrade() *degrade.Controller { return s.degrade }
-
-// sampleSignals closes one load-observation window: the request-level
-// signals from the sampler, a runtime-metrics sample, and an SLO engine
-// tick whose maximum fast burn rides along as the controller's
-// BurnRate input. One loop, one cadence, every window closed together.
-func (s *Server) sampleSignals() degrade.Signals {
-	sig := s.sampler.sample()
-	s.runtime.Sample()
-	sig.BurnRate = s.slo.Tick()
-	sig.QualityCollapsed, sig.QualityObserved = s.quality.TickSignal()
-	return sig
-}
-
-// SampleSignals closes one load-observation window and returns it —
-// what the background sampling loop feeds the controller, exposed for
-// tests that drive the controller manually.
-func (s *Server) SampleSignals() degrade.Signals { return s.sampleSignals() }
 
 // SLOEngine returns the embedded SLO engine, nil when no objectives
 // are configured. Mount slo.Handler on a telemetry server to serve it.
@@ -427,8 +405,8 @@ func (s *Server) SLOEngine() *slo.Engine { return s.slo }
 // telemetry.ProfilesHandler on a telemetry server to serve it.
 func (s *Server) Profiles() *telemetry.Capturer { return s.capturer }
 
-// Quality returns the tracker behind /debug/streams and the quality
-// SLO sources, for tests and embedding callers.
+// Quality returns the tracker behind /debug/streams, for tests and
+// embedding callers.
 func (s *Server) Quality() *quality.Tracker { return s.quality }
 
 // StreamsHandler serves the per-stream quality introspection document.
@@ -465,14 +443,15 @@ func (s *Server) Drain() {
 }
 
 // Close drains and then waits for every queued and in-flight job to
-// finish, stopping the load-controller loop. Safe to call more than
-// once.
+// finish, stopping the load-controller loop and waiting for a
+// burn-triggered profile capture. Safe to call more than once.
 func (s *Server) Close() {
 	s.Drain()
 	if s.degradeCancel != nil {
 		s.degradeCancel()
 		<-s.degradeDone
 	}
+	s.capturer.Wait()
 	s.pool.Close()
 }
 
@@ -795,11 +774,14 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 	lbl := telemetry.Label{Name: "endpoint", Value: endpoint}
 	spans := telemetry.NewSpans(s.cfg.Registry, "sslic_server_request",
 		"Per-request service time.", nil, s.cfg.Logger, lbl)
+	// Only /v1/segment keeps a request record, and its latency feeds
+	// the control tick.
+	var srv *Server
+	if endpoint == "segment" {
+		s.latency, srv = spans, s
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sr := &statusRecorder{ResponseWriter: w}
-		if endpoint == "segment" {
-			sr.srv = s
-		}
+		sr := &statusRecorder{ResponseWriter: w, srv: srv}
 		sp := spans.Start("method", r.Method, "path", r.URL.Path)
 		defer func() {
 			p := recover()

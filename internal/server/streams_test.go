@@ -140,7 +140,7 @@ func TestStreamsConcurrent(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
 			getStreams(t, s)
-			s.Quality().TickSignal()
+			s.SampleSignals()
 		}
 	}()
 	wg.Wait()
@@ -208,9 +208,9 @@ func TestQualityFloorEndToEnd(t *testing.T) {
 		t.Fatalf("collapsed_frames_total = %g, want >= 2", st.CollapsedFrames)
 	}
 
-	s.SLOEngine().Tick() // seed baselines
+	s.SampleSignals() // close the storm's window
 	postFrame(t, ts, "k=24&ratio=0.5&iters=4&format=labels", body)
-	s.SLOEngine().Tick()
+	s.SampleSignals()
 	slost := s.SLOEngine().Status()
 	kinds := map[slo.Kind]bool{}
 	for _, o := range slost.Objectives {

@@ -1,5 +1,6 @@
 // Package slo evaluates declarative service-level objectives over the
-// telemetry registry's windowed histogram and counter deltas, turning
+// observation windows a control loop closes (the change in each
+// cumulative histogram and counter since the previous tick), turning
 // them into error budgets and multi-window burn rates.
 //
 // The paper argues in budgets — cycles, bytes and picojoules per frame
@@ -91,28 +92,28 @@ func (o Objective) validate() error {
 	return nil
 }
 
-// Sources are the cumulative measurements the engine differentiates
-// into windows each tick. All are optional; an objective whose source
-// is missing simply observes empty windows.
-type Sources struct {
-	// Latency returns the cumulative request-latency histogram
-	// (seconds) — the engine windows it with HistogramSnapshot.Sub.
-	Latency func() telemetry.HistogramSnapshot
-	// Requests returns cumulative (total, bad) response counts.
-	Requests func() (total, bad float64)
-	// Energy returns cumulative (frames, picojoules) charged.
-	Energy func() (frames, pj float64)
-	// Churn returns the cumulative inter-frame label-churn histogram
-	// (ratio in [0, 1]) — windowed like Latency.
-	Churn func() telemetry.HistogramSnapshot
-	// Quality returns cumulative (frames, emptyClusterFrames) counts.
-	Quality func() (frames, emptyFrames float64)
+// Window is one control tick's observations: how far each cumulative
+// series an objective kind reads moved since the previous tick. A
+// counter pair that went negative (a reset) reads as an empty window.
+type Window struct {
+	// Latency is the request-latency histogram's window, in seconds.
+	Latency telemetry.HistogramSnapshot
+	// Requests counts responses; Failed those that failed.
+	Requests, Failed float64
+	// Frames counts frames with a closed cost ledger; PJ their
+	// estimated energy in picojoules.
+	Frames, PJ float64
+	// Churn is the inter-frame label-churn histogram's window (ratio
+	// in [0, 1]).
+	Churn telemetry.HistogramSnapshot
+	// QualityFrames counts quality observations; EmptyFrames those with
+	// at least one empty cluster.
+	QualityFrames, EmptyFrames float64
 }
 
 // Config tunes an Engine.
 type Config struct {
 	Objectives []Objective
-	Sources    Sources
 	// FastWindow and SlowWindow are burn-rate window lengths in ticks
 	// (the caller owns the tick cadence). <= 0 selects 20 and 240 —
 	// 5s and 60s at the server's 250ms degrade tick.
@@ -129,22 +130,17 @@ type Config struct {
 	Logger   *slog.Logger
 }
 
-// window is one tick's (total, bad) observation.
-type window struct{ total, bad float64 }
+// outcome is one tick's (total, bad) observation.
+type outcome struct{ total, bad float64 }
 
 // objState is an objective's accumulated evaluation state.
 type objState struct {
 	obj Objective
 
-	prevHist  telemetry.HistogramSnapshot
-	prevTotal float64
-	prevBad   float64
-	seeded    bool
-
 	cumTotal float64
 	cumBad   float64
 
-	ring []window // last SlowWindow ticks, ring[head] oldest
+	ring []outcome // last SlowWindow ticks, ring[head] oldest
 	head int
 	fill int
 
@@ -158,7 +154,7 @@ type objState struct {
 }
 
 // Engine evaluates objectives. Tick it from the loop that closes
-// observation windows (the server's signal sampler).
+// observation windows (the server's control tick).
 type Engine struct {
 	cfg Config
 	log *slog.Logger
@@ -190,7 +186,7 @@ func New(cfg Config) (*Engine, error) {
 		if err := o.validate(); err != nil {
 			return nil, err
 		}
-		st := &objState{obj: o, ring: make([]window, cfg.SlowWindow)}
+		st := &objState{obj: o, ring: make([]outcome, cfg.SlowWindow)}
 		if reg := cfg.Registry; reg != nil {
 			lbl := telemetry.Label{Name: "objective", Value: o.Name}
 			st.budgetGauge = reg.Gauge("sslic_slo_error_budget_remaining",
@@ -224,11 +220,10 @@ func (e *Engine) Objectives() []Objective {
 	return out
 }
 
-// Tick closes one observation window: reads the sources, differentiates
-// against the previous tick, updates budgets and burn rates, and fires
-// burn alerts on rising edges. Returns the maximum fast burn across
-// objectives — the degrade controller's input signal.
-func (e *Engine) Tick() float64 {
+// Tick folds one observation window into every objective: budgets and
+// burn rates, and burn alerts on rising edges. Returns the maximum fast
+// burn across objectives — the degrade controller's input signal.
+func (e *Engine) Tick(w Window) float64 {
 	if e == nil {
 		return 0
 	}
@@ -240,20 +235,13 @@ func (e *Engine) Tick() float64 {
 	e.mu.Lock()
 	var maxFast float64
 	for _, st := range e.objs {
-		total, bad := e.observe(st)
-		if !st.seeded {
-			// First tick only establishes the baseline; counting the
-			// process-lifetime cumulative as one window would charge
-			// pre-engine history against the budget.
-			st.seeded = true
-			continue
-		}
+		total, bad := st.obj.observe(w)
 		st.cumTotal += total
 		st.cumBad += bad
 		if st.badCtr != nil && bad > 0 {
 			st.badCtr.Add(bad)
 		}
-		st.ring[st.head] = window{total: total, bad: bad}
+		st.ring[st.head] = outcome{total: total, bad: bad}
 		st.head = (st.head + 1) % len(st.ring)
 		if st.fill < len(st.ring) {
 			st.fill++
@@ -295,63 +283,36 @@ func (e *Engine) Tick() float64 {
 	return maxFast
 }
 
-// observe reads one objective's window (total, bad) from the sources.
-func (e *Engine) observe(st *objState) (total, bad float64) {
-	switch st.obj.Kind {
+// observe reads the objective's (total, bad) from one window.
+func (o Objective) observe(w Window) (total, bad float64) {
+	switch o.Kind {
 	case KindLatency:
-		if e.cfg.Sources.Latency == nil {
-			return 0, 0
-		}
-		cur := e.cfg.Sources.Latency()
-		win := cur.Sub(st.prevHist)
-		st.prevHist = cur
-		return float64(win.Count), badAbove(win, st.obj.Threshold.Seconds())
+		return float64(w.Latency.Count), badAbove(w.Latency, o.Threshold.Seconds())
 	case KindAvailability:
-		if e.cfg.Sources.Requests == nil {
-			return 0, 0
-		}
-		t, b := e.cfg.Sources.Requests()
-		dt, db := t-st.prevTotal, b-st.prevBad
-		st.prevTotal, st.prevBad = t, b
-		if dt < 0 || db < 0 { // counter reset
-			return 0, 0
-		}
-		return dt, db
+		return counted(w.Requests, w.Failed)
 	case KindEnergy:
-		if e.cfg.Sources.Energy == nil {
+		if w.Frames <= 0 || w.PJ < 0 {
 			return 0, 0
 		}
-		f, pj := e.cfg.Sources.Energy()
-		df, dpj := f-st.prevTotal, pj-st.prevBad
-		st.prevTotal, st.prevBad = f, pj
-		if df <= 0 || dpj < 0 {
-			return 0, 0
+		if w.PJ/w.Frames > o.TargetPJ {
+			return w.Frames, w.Frames // every frame in an over-budget window is bad
 		}
-		if dpj/df > st.obj.TargetPJ {
-			return df, df // every frame in an over-budget window is bad
-		}
-		return df, 0
+		return w.Frames, 0
 	case KindQualityChurn:
-		if e.cfg.Sources.Churn == nil {
-			return 0, 0
-		}
-		cur := e.cfg.Sources.Churn()
-		win := cur.Sub(st.prevHist)
-		st.prevHist = cur
-		return float64(win.Count), badAbove(win, st.obj.Max)
+		return float64(w.Churn.Count), badAbove(w.Churn, o.Max)
 	case KindQualityEmpty:
-		if e.cfg.Sources.Quality == nil {
-			return 0, 0
-		}
-		f, ef := e.cfg.Sources.Quality()
-		df, def := f-st.prevTotal, ef-st.prevBad
-		st.prevTotal, st.prevBad = f, ef
-		if df < 0 || def < 0 { // counter reset
-			return 0, 0
-		}
-		return df, def
+		return counted(w.QualityFrames, w.EmptyFrames)
 	}
 	return 0, 0
+}
+
+// counted is a counter pair's (total, bad); a negative window (a
+// counter reset) reads as empty.
+func counted(total, bad float64) (float64, float64) {
+	if total < 0 || bad < 0 {
+		return 0, 0
+	}
+	return total, bad
 }
 
 // badAbove counts the window's observations above the threshold

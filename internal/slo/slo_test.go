@@ -8,15 +8,16 @@ import (
 	"sslic/internal/telemetry"
 )
 
-// fakeLatency is a mutable cumulative histogram source.
-type fakeLatency struct {
-	hist *telemetry.Histogram
-}
-
-func newFakeLatency(t *testing.T) *fakeLatency {
-	t.Helper()
-	reg := telemetry.NewRegistry()
-	return &fakeLatency{hist: reg.Histogram("lat", "", []float64{0.01, 0.05, 0.1, 0.5})}
+// latencyWindow is a window of fast (5ms) and slow (200ms) requests.
+func latencyWindow(fast, slow int) Window {
+	h := telemetry.NewRegistry().Histogram("lat", "", []float64{0.01, 0.05, 0.1, 0.5})
+	for i := 0; i < fast; i++ {
+		h.Observe(0.005)
+	}
+	for i := 0; i < slow; i++ {
+		h.Observe(0.2)
+	}
+	return Window{Latency: h.Snapshot()}
 }
 
 func engineFor(t *testing.T, cfg Config) *Engine {
@@ -29,19 +30,13 @@ func engineFor(t *testing.T, cfg Config) *Engine {
 }
 
 func TestLatencyBudgetBurn(t *testing.T) {
-	lat := newFakeLatency(t)
 	e := engineFor(t, Config{
 		Objectives: []Objective{{Kind: KindLatency, Threshold: 50 * time.Millisecond, Budget: 0.01}},
-		Sources:    Sources{Latency: func() telemetry.HistogramSnapshot { return lat.hist.Snapshot() }},
 		FastWindow: 2, SlowWindow: 4,
 	})
-	e.Tick() // seed baseline
 
 	// Window 1: 100 fast requests — no burn.
-	for i := 0; i < 100; i++ {
-		lat.hist.Observe(0.005)
-	}
-	e.Tick()
+	e.Tick(latencyWindow(100, 0))
 	st := e.Status().Objectives[0]
 	if st.FastBurn != 0 {
 		t.Fatalf("fast burn after good window = %g, want 0", st.FastBurn)
@@ -52,11 +47,7 @@ func TestLatencyBudgetBurn(t *testing.T) {
 
 	// Window 2: 10 of 20 requests slow — 50% bad vs 1% budget = burn 50
 	// over that window; fast window (2 ticks) dilutes with the 100 good.
-	for i := 0; i < 10; i++ {
-		lat.hist.Observe(0.005)
-		lat.hist.Observe(0.2)
-	}
-	e.Tick()
+	e.Tick(latencyWindow(10, 10))
 	st = e.Status().Objectives[0]
 	wantFast := (10.0 / 120.0) / 0.01
 	if math.Abs(st.FastBurn-wantFast) > 1e-9 {
@@ -72,23 +63,17 @@ func TestLatencyBudgetBurn(t *testing.T) {
 }
 
 func TestBurnAlertEdgeTriggered(t *testing.T) {
-	lat := newFakeLatency(t)
 	var fired []string
 	e := engineFor(t, Config{
 		Objectives: []Objective{{Name: "p99", Kind: KindLatency, Threshold: 50 * time.Millisecond, Budget: 0.01}},
-		Sources:    Sources{Latency: func() telemetry.HistogramSnapshot { return lat.hist.Snapshot() }},
 		FastWindow: 1, SlowWindow: 2,
 		BurnThreshold: 10,
 		OnBurn:        func(name string, fast, slow float64) { fired = append(fired, name) },
 	})
-	e.Tick() // seed
 
 	// Two consecutive all-bad windows: alert must fire exactly once.
 	for w := 0; w < 2; w++ {
-		for i := 0; i < 10; i++ {
-			lat.hist.Observe(0.2)
-		}
-		e.Tick()
+		e.Tick(latencyWindow(0, 10))
 	}
 	if len(fired) != 1 || fired[0] != "p99" {
 		t.Fatalf("OnBurn fired %v, want exactly once for p99", fired)
@@ -100,56 +85,42 @@ func TestBurnAlertEdgeTriggered(t *testing.T) {
 	// Recovery below half threshold clears the latch; a new storm
 	// re-fires.
 	for w := 0; w < 3; w++ {
-		for i := 0; i < 100; i++ {
-			lat.hist.Observe(0.005)
-		}
-		e.Tick()
+		e.Tick(latencyWindow(100, 0))
 	}
 	if e.Status().Objectives[0].Alerting {
 		t.Fatalf("objective should have cleared after good windows")
 	}
-	for i := 0; i < 10; i++ {
-		lat.hist.Observe(0.2)
-	}
-	e.Tick()
+	e.Tick(latencyWindow(0, 10))
 	if len(fired) != 2 {
 		t.Fatalf("OnBurn fired %d times after second storm, want 2", len(fired))
 	}
 }
 
 func TestAvailabilityObjective(t *testing.T) {
-	var total, bad float64
 	e := engineFor(t, Config{
 		Objectives: []Objective{{Kind: KindAvailability, Budget: 0.1}},
-		Sources:    Sources{Requests: func() (float64, float64) { return total, bad }},
 		FastWindow: 1, SlowWindow: 1,
 	})
-	e.Tick() // seed
-	total, bad = 100, 20
-	if burn := e.Tick(); math.Abs(burn-2.0) > 1e-9 {
+	if burn := e.Tick(Window{Requests: 100, Failed: 20}); math.Abs(burn-2.0) > 1e-9 {
 		t.Fatalf("availability burn = %g, want 2.0 (20%% bad vs 10%% budget)", burn)
 	}
 	// Counter reset must not poison the window.
-	total, bad = 5, 0
-	if burn := e.Tick(); burn != 0 {
+	if burn := e.Tick(Window{Requests: -95, Failed: -20}); burn != 0 {
 		t.Fatalf("burn after counter reset = %g, want 0", burn)
 	}
 }
 
 func TestEnergyObjective(t *testing.T) {
-	var frames, pj float64
 	e := engineFor(t, Config{
 		Objectives: []Objective{{Kind: KindEnergy, TargetPJ: 1000, Budget: 0.5}},
-		Sources:    Sources{Energy: func() (float64, float64) { return frames, pj }},
 		FastWindow: 1, SlowWindow: 1,
 	})
-	e.Tick()              // seed
-	frames, pj = 10, 5000 // 500 pJ/frame, under target
-	if burn := e.Tick(); burn != 0 {
+	// 500 pJ/frame, under target
+	if burn := e.Tick(Window{Frames: 10, PJ: 5000}); burn != 0 {
 		t.Fatalf("burn under energy target = %g, want 0", burn)
 	}
-	frames, pj = 20, 25000 // window: 10 frames at 2000 pJ/frame, over
-	if burn := e.Tick(); math.Abs(burn-2.0) > 1e-9 {
+	// 10 frames at 2000 pJ/frame, over
+	if burn := e.Tick(Window{Frames: 10, PJ: 20000}); math.Abs(burn-2.0) > 1e-9 {
 		t.Fatalf("burn over energy target = %g, want 2.0 (100%% bad / 50%% budget)", burn)
 	}
 	st := e.Status().Objectives[0]
@@ -215,18 +186,12 @@ func TestParseObjectives(t *testing.T) {
 
 func TestRegistrySeries(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	lat := newFakeLatency(t)
 	e := engineFor(t, Config{
 		Objectives: []Objective{{Name: "p99", Kind: KindLatency, Threshold: 50 * time.Millisecond, Budget: 0.01}},
-		Sources:    Sources{Latency: func() telemetry.HistogramSnapshot { return lat.hist.Snapshot() }},
 		FastWindow: 1, SlowWindow: 1,
 		Registry: reg,
 	})
-	e.Tick()
-	for i := 0; i < 10; i++ {
-		lat.hist.Observe(0.2)
-	}
-	e.Tick()
+	e.Tick(latencyWindow(0, 10))
 	lbl := telemetry.Label{Name: "objective", Value: "p99"}
 	if v := reg.Gauge("sslic_slo_error_budget_remaining", "", lbl).Value(); v >= 1 {
 		t.Fatalf("budget gauge = %g, want < 1", v)

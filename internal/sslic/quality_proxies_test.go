@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"sslic/internal/quality"
+	"sslic/internal/metrics"
 	"sslic/internal/slic"
 )
 
@@ -116,7 +116,7 @@ func TestQualityProxiesScratchIdentity(t *testing.T) {
 }
 
 // TestBoundaryPixelsMatchesStandaloneScan: the in-core counter (folded
-// into the connectivity sweep) and the quality package's standalone
+// into the connectivity sweep) and the metrics package's standalone
 // 4-neighbor scan are two implementations of the same definition.
 func TestBoundaryPixelsMatchesStandaloneScan(t *testing.T) {
 	im := testImage(96, 64)
@@ -125,7 +125,7 @@ func TestBoundaryPixelsMatchesStandaloneScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := im.W * im.H
-	density := quality.BoundaryDensity(r.Labels)
+	density := metrics.ContourDensity(r.Labels)
 	got := int(math.Round(density * float64(n)))
 	if got != r.Stats.BoundaryPixels {
 		t.Fatalf("standalone scan counts %d boundary pixels, core counted %d",

@@ -27,6 +27,7 @@ type Capturer struct {
 
 	active atomic.Bool // a capture is in progress
 	lastNs atomic.Int64
+	async  sync.WaitGroup // the capture TryCapture started
 
 	mu      sync.Mutex
 	ring    []*ProfileBundle // newest last, bounded by Capacity
@@ -127,11 +128,21 @@ func (c *Capturer) TryCapture(reason string) bool {
 	if !c.active.CompareAndSwap(false, true) {
 		return false
 	}
+	c.async.Add(1)
 	go func() {
+		defer c.async.Done()
 		defer c.active.Store(false)
 		c.capture(reason)
 	}()
 	return true
+}
+
+// Wait blocks until the capture TryCapture started, if any, has
+// stored its bundle.
+func (c *Capturer) Wait() {
+	if c != nil {
+		c.async.Wait()
+	}
 }
 
 // Capture runs one capture synchronously, ignoring the cooldown — the
