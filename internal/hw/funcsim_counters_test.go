@@ -1,0 +1,65 @@
+package hw
+
+import (
+	"testing"
+
+	"sslic/internal/telemetry"
+)
+
+// TestFuncSimCounters pins every counter of one functionally simulated
+// frame. The counters depend on the frame's geometry alone — its size,
+// K, buffers, pass count, subsampling ratio and cluster unit — not on
+// the scene, so each row states one frame's exact charges: cycles,
+// distance calcs, divider ops, DRAM bytes, scratchpad reads and writes,
+// the FSM's tile loads and center updates, and the hits and misses
+// ObserveFuncSim charges to the telemetry.
+func TestFuncSimCounters(t *testing.T) {
+	type counters struct {
+		cycles, calcs, divider, dram, reads, writes int64
+		loadTile, centerUpdate                      int64
+		hits, misses                                float64
+	}
+	cases := []struct {
+		name    string
+		w, h, k int
+		buffer  int
+		passes  int
+		ratio   float64
+		cluster ClusterConfig
+		want    counters
+	}{
+		{"996_r100", 96, 64, 24, 1024, 8, 1, Config996, counters{119088, 327680, 1152, 307968, 184320, 86016, 192, 8, 270336, 36}},
+		{"996_r050", 96, 64, 24, 1024, 8, 0.5, Config996, counters{94512, 163840, 1152, 185088, 110592, 61440, 192, 8, 172032, 36}},
+		{"996_r025", 96, 64, 24, 1024, 8, 0.25, Config996, counters{82224, 81920, 1152, 123648, 73728, 49152, 192, 8, 122880, 36}},
+		{"111_r100", 96, 64, 24, 1024, 8, 1, Config111, counters{516144, 327680, 1152, 307968, 184320, 86016, 192, 8, 270336, 36}},
+		{"996_small", 64, 48, 12, 256, 2, 1, Config996, counters{19440, 35840, 144, 61320, 36864, 24576, 24, 2, 61440, 72}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := funcTestConfig(tc.w, tc.h, tc.k)
+			cfg.BufferBytesPerChannel = tc.buffer
+			cfg.Passes = tc.passes
+			cfg.SubsampleRatio = tc.ratio
+			cfg.Cluster = tc.cluster
+			fs, err := NewFuncSim(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fs.Run(funcTestImage(t, tc.w, tc.h)); err != nil {
+				t.Fatal(err)
+			}
+			got := counters{
+				cycles: fs.Cycles, calcs: fs.DistanceCalcs, divider: fs.DividerOps,
+				dram: fs.DRAMBytes, reads: fs.ScratchReads, writes: fs.ScratchWrites,
+				loadTile:     fs.FSM().Visits(StateLoadTile),
+				centerUpdate: fs.FSM().Visits(StateCenterUpdate),
+			}
+			m := NewMetrics(telemetry.NewRegistry())
+			m.ObserveFuncSim(fs)
+			got.hits, got.misses = m.ScratchHits.Value(), m.ScratchMisses.Value()
+			if got != tc.want {
+				t.Errorf("counters\n got %+v\nwant %+v", got, tc.want)
+			}
+		})
+	}
+}
