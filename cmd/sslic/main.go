@@ -27,7 +27,7 @@ func main() {
 		iters   = flag.Int("iters", 10, "full-image-equivalent iterations")
 		ratio   = flag.Float64("ratio", 0.5, "S-SLIC subsampling ratio (1 = no subsampling)")
 		method  = flag.String("method", "ppa", "algorithm: ppa, cpa or slic")
-		bits    = flag.Int("bits", 0, "fixed-point datapath width (0 = float64, paper uses 8)")
+		bits    = flag.Int("bits", 0, "code width of the fixed datapath, 4-10 (0 = float64; paper uses 8); S-SLIC PPA only")
 		slico   = flag.Bool("slico", false, "adaptive compactness (SLICO; method slic only)")
 		overlay = flag.String("overlay", "", "write boundary overlay image here")
 		mean    = flag.String("mean", "", "write mean-color abstraction here")

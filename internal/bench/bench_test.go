@@ -201,7 +201,7 @@ func TestQualityExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quality experiments are slow")
 	}
-	for _, id := range []string{"fig2a", "fig2b", "table1", "bitwidth"} {
+	for _, id := range []string{"fig2a", "fig2b", "table1", "bitwidth", "ext-funcsim"} {
 		tbl, err := run(t, id)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)

@@ -173,7 +173,8 @@ func extFuncSim(o Options) (*Table, error) {
 		Title:   fmt.Sprintf("Functional vs analytic model (%dx%d, K=%d)", w, h, k),
 		Columns: []string{"quantity", "functional (bit-accurate)", "analytic model"},
 		Notes: []string{
-			"the functional pipeline runs real pixels through the LUT conversion and integer cluster datapath",
+			"the functional pipeline runs the frame through the fixed kernel at 8-bit colour and distance codes, the LUT conversion and integer cluster datapath the server runs at width 0",
+			"its cycle, traffic and access counts are the per-frame, per-pass, per-tile and per-visited-pixel charges of the FSM's schedule",
 		},
 	}
 	t.AddRow("compute cycles", fmt.Sprintf("%d", fs.Cycles), f0(analyticCycles))

@@ -1,222 +1,34 @@
-// Package fixed implements the parameterizable fixed-point arithmetic used
-// to model the accelerator datapath. The paper's design space exploration
-// (§6.1) sweeps the datapath width from 64-bit floating point down to
-// 4-bit fixed point and selects 8 bits; this package provides Q-format
-// quantization, saturating arithmetic, and rounding so the software model
-// is bit-accurate with the hardware at any width.
+// Package fixed models the integer square root of the accelerator's
+// distance calculator (§4.3), which returns a distance, not its square:
+// the coded datapath of internal/sslic turns every squared Equation 5
+// distance into a distance code through it.
 package fixed
 
-import (
-	"fmt"
-	"math"
-)
-
-// Rounding selects how Quantize and Mul map discarded fraction bits.
-type Rounding int
-
-const (
-	// Truncate drops the fraction (round toward negative infinity for the
-	// raw integer), the cheapest hardware option.
-	Truncate Rounding = iota
-	// Nearest rounds to the nearest representable value, ties away from
-	// zero — one extra adder in hardware.
-	Nearest
-)
-
-// Format describes a fixed-point representation: Width total bits
-// (including the sign bit when Signed), of which Frac are fraction bits.
-type Format struct {
-	Width  int
-	Frac   int
-	Signed bool
-	Round  Rounding
-}
-
-// U8 is the unsigned 8-bit integer format of the accelerator's color
-// channels (Q8.0).
-var U8 = Format{Width: 8, Frac: 0, Signed: false}
-
-// S8 is the signed 8-bit format used for center deltas.
-var S8 = Format{Width: 8, Frac: 0, Signed: true}
-
-// New returns a validated format. Width must be in [2, 62] and Frac in
-// [0, Width) (one bit is reserved for the sign when Signed).
-func New(width, frac int, signed bool, round Rounding) (Format, error) {
-	f := Format{Width: width, Frac: frac, Signed: signed, Round: round}
-	if err := f.validate(); err != nil {
-		return Format{}, err
+// Isqrt returns the floor integer square root of v (0 for negative
+// inputs) and the cycle count of a bit-serial implementation (one
+// result bit per two cycles over half the operand width).
+func Isqrt(v int64) (root int64, cycles int) {
+	const width = 32 // the distance datapath operands fit in 32 bits
+	cycles = width/2*2 + 1
+	if v <= 0 {
+		return 0, cycles
 	}
-	return f, nil
-}
-
-// MustNew is New but panics on invalid parameters; for package-level
-// constants and tests.
-func MustNew(width, frac int, signed bool, round Rounding) Format {
-	f, err := New(width, frac, signed, round)
-	if err != nil {
-		panic(err)
+	// Digit-by-digit (binary restoring) method — the same structure a
+	// serial hardware unit uses, and exact for all int64 inputs.
+	var res int64
+	bit := int64(1) << 62
+	for bit > v {
+		bit >>= 2
 	}
-	return f
-}
-
-func (f Format) validate() error {
-	if f.Width < 2 || f.Width > 62 {
-		return fmt.Errorf("fixed: width %d out of range [2, 62]", f.Width)
-	}
-	magBits := f.Width
-	if f.Signed {
-		magBits--
-	}
-	if f.Frac < 0 || f.Frac > magBits {
-		return fmt.Errorf("fixed: frac %d out of range [0, %d]", f.Frac, magBits)
-	}
-	return nil
-}
-
-// MaxRaw returns the largest representable raw value.
-func (f Format) MaxRaw() int64 {
-	if f.Signed {
-		return (int64(1) << (f.Width - 1)) - 1
-	}
-	return (int64(1) << f.Width) - 1
-}
-
-// MinRaw returns the smallest representable raw value.
-func (f Format) MinRaw() int64 {
-	if f.Signed {
-		return -(int64(1) << (f.Width - 1))
-	}
-	return 0
-}
-
-// MaxFloat returns the largest representable real value.
-func (f Format) MaxFloat() float64 { return f.ToFloat(f.MaxRaw()) }
-
-// MinFloat returns the smallest representable real value.
-func (f Format) MinFloat() float64 { return f.ToFloat(f.MinRaw()) }
-
-// Resolution returns the value of one LSB.
-func (f Format) Resolution() float64 { return 1 / float64(int64(1)<<f.Frac) }
-
-// Saturate clamps a raw value into the representable range.
-func (f Format) Saturate(raw int64) int64 {
-	if raw > f.MaxRaw() {
-		return f.MaxRaw()
-	}
-	if raw < f.MinRaw() {
-		return f.MinRaw()
-	}
-	return raw
-}
-
-// Quantize converts a real value to the nearest (per f.Round) raw
-// fixed-point value, saturating at the ends of the range. NaN quantizes
-// to zero.
-func (f Format) Quantize(x float64) int64 {
-	if math.IsNaN(x) {
-		return 0
-	}
-	scaled := x * float64(int64(1)<<f.Frac)
-	var raw int64
-	switch f.Round {
-	case Nearest:
-		if scaled >= 0 {
-			scaled += 0.5
+	x := v
+	for bit != 0 {
+		if x >= res+bit {
+			x -= res + bit
+			res = res>>1 + bit
 		} else {
-			scaled -= 0.5
+			res >>= 1
 		}
-		raw = int64(scaled)
-	default: // Truncate
-		raw = int64(math.Floor(scaled))
+		bit >>= 2
 	}
-	return f.Saturate(raw)
-}
-
-// ToFloat converts a raw fixed-point value back to a real value.
-func (f Format) ToFloat(raw int64) float64 {
-	return float64(raw) / float64(int64(1)<<f.Frac)
-}
-
-// RoundTrip quantizes x and converts it back, i.e. applies the
-// representation error of the format to a real value. This is the
-// primitive the bit-width exploration uses to inject datapath
-// quantization into the algorithm.
-func (f Format) RoundTrip(x float64) float64 { return f.ToFloat(f.Quantize(x)) }
-
-// Add returns a+b with saturation. Both operands must already be raw
-// values of this format.
-func (f Format) Add(a, b int64) int64 { return f.Saturate(a + b) }
-
-// Sub returns a-b with saturation.
-func (f Format) Sub(a, b int64) int64 { return f.Saturate(a - b) }
-
-// Mul returns a*b, rescaled by the fraction width with the format's
-// rounding mode, then saturated.
-func (f Format) Mul(a, b int64) int64 {
-	prod := a * b
-	if f.Frac > 0 {
-		switch f.Round {
-		case Nearest:
-			// Round half away from zero: bias by half an LSB in the
-			// operand's own direction, then shift the magnitude. Shifting
-			// the biased two's-complement value directly instead would
-			// floor negative results one LSB too low (-1.25 → -2).
-			half := int64(1) << (f.Frac - 1)
-			if prod >= 0 {
-				prod = (prod + half) >> f.Frac
-			} else {
-				prod = -((-prod + half) >> f.Frac)
-			}
-		default:
-			prod >>= f.Frac // arithmetic shift truncates toward -inf
-		}
-	}
-	return f.Saturate(prod)
-}
-
-// SqDiff returns the saturated squared difference (a-b)², the inner
-// operation of the accelerator's color distance calculator.
-func (f Format) SqDiff(a, b int64) int64 {
-	d := a - b
-	return f.Mul(d, d)
-}
-
-// Abs returns |a| with saturation (MinRaw saturates to MaxRaw for signed
-// formats, as in saturating hardware).
-func (f Format) Abs(a int64) int64 {
-	if a < 0 {
-		return f.Saturate(-a)
-	}
-	return f.Saturate(a)
-}
-
-// String renders the format in Q-notation, e.g. "Q4.4" or "UQ8.0".
-func (f Format) String() string {
-	prefix := "UQ"
-	intBits := f.Width - f.Frac
-	if f.Signed {
-		prefix = "Q"
-		intBits--
-	}
-	return fmt.Sprintf("%s%d.%d", prefix, intBits, f.Frac)
-}
-
-// QuantizeSlice applies RoundTrip to every element of xs, returning a new
-// slice. It is the bulk entry point used when quantizing whole image
-// planes for the bit-width exploration.
-func (f Format) QuantizeSlice(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = f.RoundTrip(x)
-	}
-	return out
-}
-
-// ErrorBound returns the worst-case absolute representation error for
-// in-range values: one LSB for truncation, half an LSB for nearest.
-func (f Format) ErrorBound() float64 {
-	if f.Round == Nearest {
-		return f.Resolution() / 2
-	}
-	return f.Resolution()
+	return res, cycles
 }

@@ -1,237 +1,55 @@
 package fixed
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
 
-func TestNewValidation(t *testing.T) {
-	cases := []struct {
-		w, fr  int
-		signed bool
-		ok     bool
-	}{
-		{8, 0, false, true},
-		{8, 4, true, true},
-		{8, 7, true, true},
-		{8, 8, true, false}, // sign bit leaves only 7 magnitude bits
-		{8, 8, false, true},
-		{1, 0, false, false},
-		{63, 0, false, false},
-		{2, 0, true, true},
-		{16, -1, false, false},
+func TestIsqrtExact(t *testing.T) {
+	cases := map[int64]int64{
+		0: 0, 1: 1, 2: 1, 3: 1, 4: 2, 8: 2, 9: 3, 15: 3, 16: 4,
+		1 << 40: 1 << 20, (1 << 30) - 1: 32767,
 	}
-	for _, c := range cases {
-		_, err := New(c.w, c.fr, c.signed, Truncate)
-		if (err == nil) != c.ok {
-			t.Errorf("New(%d,%d,%v): err=%v, want ok=%v", c.w, c.fr, c.signed, err, c.ok)
+	for v, want := range cases {
+		if got, _ := Isqrt(v); got != want {
+			t.Errorf("Isqrt(%d) = %d, want %d", v, got, want)
 		}
 	}
+	if got, _ := Isqrt(-9); got != 0 {
+		t.Error("negative input must yield 0")
+	}
 }
 
-func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustNew with bad params did not panic")
+func TestIsqrtFloorProperty(t *testing.T) {
+	prop := func(raw uint32) bool {
+		v := int64(raw)
+		r, _ := Isqrt(v)
+		return r*r <= v && (r+1)*(r+1) > v
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestIsqrtMonotone(t *testing.T) {
+	prop := func(a, b uint32) bool {
+		x, y := int64(a), int64(b)
+		if x > y {
+			x, y = y, x
 		}
-	}()
-	MustNew(0, 0, false, Truncate)
-}
-
-func TestRanges(t *testing.T) {
-	u8 := MustNew(8, 0, false, Truncate)
-	if u8.MinRaw() != 0 || u8.MaxRaw() != 255 {
-		t.Fatalf("u8 range [%d,%d]", u8.MinRaw(), u8.MaxRaw())
-	}
-	s8 := MustNew(8, 0, true, Truncate)
-	if s8.MinRaw() != -128 || s8.MaxRaw() != 127 {
-		t.Fatalf("s8 range [%d,%d]", s8.MinRaw(), s8.MaxRaw())
-	}
-	q44 := MustNew(8, 4, true, Truncate)
-	if q44.Resolution() != 1.0/16 {
-		t.Fatalf("Q4.4 resolution %g", q44.Resolution())
-	}
-	if q44.MaxFloat() != 127.0/16 || q44.MinFloat() != -8 {
-		t.Fatalf("Q4.4 float range [%g,%g]", q44.MinFloat(), q44.MaxFloat())
-	}
-}
-
-func TestQuantizeSaturates(t *testing.T) {
-	u8 := MustNew(8, 0, false, Nearest)
-	if u8.Quantize(300) != 255 {
-		t.Fatal("positive overflow must saturate to max")
-	}
-	if u8.Quantize(-5) != 0 {
-		t.Fatal("negative must saturate to 0 for unsigned")
-	}
-	s8 := MustNew(8, 0, true, Nearest)
-	if s8.Quantize(-1000) != -128 {
-		t.Fatal("negative overflow must saturate to min")
-	}
-	if s8.Quantize(math.NaN()) != 0 {
-		t.Fatal("NaN must quantize to 0")
-	}
-}
-
-func TestQuantizeRoundingModes(t *testing.T) {
-	trunc := MustNew(8, 0, true, Truncate)
-	near := MustNew(8, 0, true, Nearest)
-	if trunc.Quantize(3.9) != 3 {
-		t.Fatalf("truncate(3.9) = %d", trunc.Quantize(3.9))
-	}
-	if near.Quantize(3.9) != 4 {
-		t.Fatalf("nearest(3.9) = %d", near.Quantize(3.9))
-	}
-	if trunc.Quantize(-3.1) != -4 { // floor
-		t.Fatalf("truncate(-3.1) = %d", trunc.Quantize(-3.1))
-	}
-	if near.Quantize(-3.5) != -4 { // ties away from zero
-		t.Fatalf("nearest(-3.5) = %d", near.Quantize(-3.5))
-	}
-}
-
-func TestRoundTripErrorBound(t *testing.T) {
-	for _, f := range []Format{
-		MustNew(8, 4, true, Nearest),
-		MustNew(8, 4, true, Truncate),
-		MustNew(12, 6, true, Nearest),
-		MustNew(6, 2, false, Truncate),
-	} {
-		prop := func(v float64) bool {
-			// Stay strictly inside the range so saturation can't kick in.
-			x := math.Mod(math.Abs(v), f.MaxFloat()*0.9)
-			if f.Signed && math.Signbit(v) {
-				x = -x
-			}
-			if !f.Signed && x < 0 {
-				x = -x
-			}
-			return math.Abs(f.RoundTrip(x)-x) <= f.ErrorBound()+1e-12
-		}
-		if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-			t.Errorf("%v: %v", f, err)
-		}
-	}
-}
-
-func TestQuantizeMonotoneProperty(t *testing.T) {
-	f := MustNew(8, 3, true, Nearest)
-	prop := func(a, b float64) bool {
-		a = math.Mod(a, 20)
-		b = math.Mod(b, 20)
-		if a > b {
-			a, b = b, a
-		}
-		return f.Quantize(a) <= f.Quantize(b)
+		rx, _ := Isqrt(x)
+		ry, _ := Isqrt(y)
+		return rx <= ry
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestAddSubSaturation(t *testing.T) {
-	u8 := MustNew(8, 0, false, Truncate)
-	if u8.Add(200, 100) != 255 {
-		t.Fatal("unsigned add must saturate")
-	}
-	if u8.Sub(10, 20) != 0 {
-		t.Fatal("unsigned sub must floor at 0")
-	}
-	s8 := MustNew(8, 0, true, Truncate)
-	if s8.Add(100, 100) != 127 {
-		t.Fatal("signed add must saturate at 127")
-	}
-	if s8.Sub(-100, 100) != -128 {
-		t.Fatal("signed sub must saturate at -128")
-	}
-}
-
-func TestMulRescaling(t *testing.T) {
-	q44 := MustNew(8, 4, true, Nearest)
-	// 1.5 * 2.0 = 3.0 → raw 24*32 >> 4 = 48.
-	a := q44.Quantize(1.5)
-	b := q44.Quantize(2.0)
-	if got := q44.ToFloat(q44.Mul(a, b)); got != 3.0 {
-		t.Fatalf("1.5*2.0 = %g", got)
-	}
-	// Saturation: 7.9 * 7.9 overflows Q4.4.
-	big := q44.Quantize(7.9)
-	if q44.Mul(big, big) != q44.MaxRaw() {
-		t.Fatal("mul overflow must saturate")
-	}
-}
-
-func TestSqDiffNonNegative(t *testing.T) {
-	f := MustNew(10, 2, true, Truncate)
-	prop := func(a16, b16 int16) bool {
-		a := f.Saturate(int64(a16) % (f.MaxRaw() + 1))
-		b := f.Saturate(int64(b16) % (f.MaxRaw() + 1))
-		return f.SqDiff(a, b) >= 0
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSqDiffSymmetric(t *testing.T) {
-	f := MustNew(12, 4, true, Truncate)
-	prop := func(a16, b16 int16) bool {
-		a := f.Saturate(int64(a16))
-		b := f.Saturate(int64(b16))
-		return f.SqDiff(a, b) == f.SqDiff(b, a)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAbs(t *testing.T) {
-	s8 := MustNew(8, 0, true, Truncate)
-	if s8.Abs(-5) != 5 || s8.Abs(5) != 5 || s8.Abs(0) != 0 {
-		t.Fatal("basic abs")
-	}
-	if s8.Abs(-128) != 127 {
-		t.Fatal("Abs(MinRaw) must saturate to MaxRaw")
-	}
-}
-
-func TestString(t *testing.T) {
-	if s := MustNew(8, 4, true, Truncate).String(); s != "Q3.4" {
-		t.Fatalf("String = %q", s)
-	}
-	if s := MustNew(8, 0, false, Truncate).String(); s != "UQ8.0" {
-		t.Fatalf("String = %q", s)
-	}
-}
-
-func TestQuantizeSlice(t *testing.T) {
-	f := MustNew(8, 0, false, Nearest)
-	out := f.QuantizeSlice([]float64{1.4, 2.6, 300, -4})
-	want := []float64{1, 3, 255, 0}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("out = %v, want %v", out, want)
-		}
-	}
-}
-
-func TestNarrowWidthsLoseInformation(t *testing.T) {
-	// Sanity anchor for the bit-width exploration: narrower formats must
-	// have coarser resolution, never finer.
-	prev := math.Inf(1)
-	for w := 16; w >= 4; w-- {
-		f := MustNew(w, w/2, false, Nearest)
-		if f.Resolution() > prev {
-			// resolution = 2^-frac, frac shrinks with width here
-			_ = f
-		}
-		prev = f.Resolution()
-	}
-	coarse := MustNew(4, 2, false, Nearest)
-	fine := MustNew(16, 8, false, Nearest)
-	x := 1.37
-	if math.Abs(coarse.RoundTrip(x)-x) < math.Abs(fine.RoundTrip(x)-x) {
-		t.Fatal("4-bit format cannot be more accurate than 16-bit")
+func TestIsqrtCyclesConstant(t *testing.T) {
+	_, c1 := Isqrt(1)
+	_, c2 := Isqrt(1 << 40)
+	if c1 != c2 || c1 <= 0 {
+		t.Fatalf("serial sqrt cycles must be data-independent: %d vs %d", c1, c2)
 	}
 }

@@ -2,65 +2,45 @@ package hw
 
 import (
 	"fmt"
-	"math"
 
 	"sslic/internal/energy"
-	"sslic/internal/fixed"
 	"sslic/internal/imgio"
-	"sslic/internal/lut"
 	"sslic/internal/sslic"
 )
 
 // FuncSim is the functional (bit-accurate) simulation of the
 // accelerator: where Simulate is the analytic timing/energy model, a
-// FuncSim actually pushes 8-bit pixels through the modeled pipeline —
-// the LUT color conversion unit, the scratchpads, the Cluster Update
-// Unit's integer distance/minimum/sigma datapath and the Center Update
-// Unit's integer divider — exactly as the paper's synthesizable C model
-// does under Catapult (§5). It produces the label map the silicon would
-// produce, alongside cycle and access counts that cross-check the
-// analytic model.
+// FuncSim runs the frame's pixels through the hardware datapath — the
+// LUT color conversion unit and the Cluster Update Unit's 8-bit codes,
+// saturating 8-bit distance codes and integer sigma sums: the fixed
+// kernel of internal/sslic, which serves at width 0, run at CodeBits 8 —
+// and produces the label map the silicon would produce. Its cycle, access and traffic
+// counters depend on the frame's geometry alone, so it derives them in
+// closed form from the same per-frame, per-pass, per-tile and
+// per-visited-pixel charges as the host FSM's schedule, which it walks
+// tile by tile.
 type FuncSim struct {
 	cfg Config
+	p   sslic.Params
+	fsm *FSM
 
-	conv *lut.Converter
-	fsm  *FSM
-
-	// Scratchpads: three channel memories plus the index memory (§4.3),
-	// modeled as synchronous RAMs with separate read/write ports (§5).
-	ch    [3]*Scratchpad
-	index *Scratchpad
-
-	// Center registers (Lab8 color codes + 16-bit coordinates) and sigma
-	// accumulators for every superpixel, streamed tile by tile.
-	centers []centerReg
-	sigmas  []sigmaReg
-
-	// Counters.
+	// Counters, accumulated by every Run since the simulator was built
+	// or last observed (see Metrics.ObserveFuncSim).
 	Cycles        int64
 	ScratchReads  int64
 	ScratchWrites int64
 	DRAMBytes     int64
 	DistanceCalcs int64
 	DividerOps    int64
-}
-
-// centerReg mirrors the hardware's 5-field center descriptor.
-type centerReg struct {
-	l, a, b uint8
-	x, y    int32
-}
-
-// sigmaReg mirrors the six accumulator fields the sigma registers hold:
-// L, a, b, x, y sums and the member count.
-type sigmaReg struct {
-	l, a, b int64
-	x, y    int64
-	n       int64
+	// visited counts the pixels the cluster update visited; bursts the
+	// scratchpad fills and drains, each one round trip to external memory.
+	visited, bursts int64
 }
 
 // NewFuncSim builds a functional simulator for the configuration. Only
-// single-core designs are functionally simulated.
+// single-core designs are functionally simulated, and the kernel runs
+// whole iterations, so Passes must be a multiple of the subset count
+// k = round(1/SubsampleRatio).
 func NewFuncSim(cfg Config) (*FuncSim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -68,334 +48,95 @@ func NewFuncSim(cfg Config) (*FuncSim, error) {
 	if cfg.Cores != 1 {
 		return nil, fmt.Errorf("hw: functional simulation supports 1 core, got %d", cfg.Cores)
 	}
-	tile := cfg.BufferBytesPerChannel
-	fs := &FuncSim{
-		cfg:  cfg,
-		conv: lut.MustNewConverter(lut.DefaultSegments),
-		fsm:  NewFSM(),
+	p := sslic.DefaultParams(cfg.K, cfg.SubsampleRatio)
+	if k := p.Subsets(); cfg.Passes%k != 0 {
+		return nil, fmt.Errorf("hw: functional simulation runs whole iterations: %d passes is not a multiple of the %d subsets of ratio %g",
+			cfg.Passes, k, cfg.SubsampleRatio)
 	}
-	names := [3]string{"ch1", "ch2", "ch3"}
-	for i := range fs.ch {
-		pad, err := NewScratchpad(names[i], tile)
-		if err != nil {
-			return nil, err
-		}
-		fs.ch[i] = pad
-	}
-	idx, err := NewScratchpad("index", tile)
-	if err != nil {
+	// The accelerator seeds on the static grid and leaves connectivity
+	// to the host (§4.1).
+	p.FullIters = cfg.Passes / p.Subsets()
+	p.PerturbCenters = false
+	p.EnforceConnectivity = false
+	p.Datapath = sslic.Fixed
+	p.CodeBits = 8
+	if err := p.Validate(cfg.Width, cfg.Height); err != nil {
 		return nil, err
 	}
-	fs.index = idx
-	return fs, nil
+	return &FuncSim{cfg: cfg, p: p, fsm: NewFSM()}, nil
 }
 
-// distanceScale converts squared integer distances to the 8-bit distance
-// code the Color Distance Calculator outputs: code = √d² · 255/448,
-// matching the software datapath model in internal/slic.
-const distanceFullScale = 448
-
 // Run processes one frame through the pipeline and returns the label
-// map. The image must match the configured resolution.
+// map. The image must match the configured resolution. Every Run starts
+// the FSM from idle and adds exactly one frame's counts.
 func (fs *FuncSim) Run(im *imgio.Image) (*imgio.LabelMap, error) {
 	if im.W != fs.cfg.Width || im.H != fs.cfg.Height {
 		return nil, fmt.Errorf("hw: image %dx%d does not match configured %dx%d",
 			im.W, im.H, fs.cfg.Width, fs.cfg.Height)
 	}
-	w, h := im.W, im.H
-	n := w * h
-
-	// External memory image state: Lab8 planes + label plane, standing in
-	// for DRAM contents.
-	labL := make([]uint8, n)
-	labA := make([]uint8, n)
-	labB := make([]uint8, n)
-	labels := imgio.NewLabelMap(w, h)
-
-	// Phase 1: color conversion, tile by tile through the scratchpads.
-	fs.fsm.mustTransition(StateLoadFrame)
-	fs.fsm.mustTransition(StateColorConvert)
-	if err := fs.colorConvert(im, labL, labA, labB); err != nil {
+	r, err := sslic.Segment(im, fs.p)
+	if err != nil {
 		return nil, err
 	}
-
-	// Static tiling and initial centers/assignments (precomputed offline
-	// and stored in external memory per §4.3).
-	tiling := sslic.NewTiling(w, h, fs.cfg.K)
-	fs.initCenters(tiling, labL, labA, labB, w, h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			labels.Labels[y*w+x] = tiling.OwnCenter(x, y)
-		}
+	if fs.fsm.State() == StateDone {
+		fs.fsm.mustTransition(StateIdle)
 	}
-
-	// Equation 5's spatial weight in fixed point: m²·2^8/S².
-	s := math.Sqrt(float64(n) / float64(len(fs.centers)))
-	const m = 10.0
-	spatialMult := int64(math.Round(m * m * 256 / (s * s)))
-
-	k := subsetsOf(fs.cfg.SubsampleRatio)
-	bufferTiles := int64((n + fs.cfg.BufferBytesPerChannel - 1) / fs.cfg.BufferBytesPerChannel)
+	fs.fsm.mustTransition(StateLoadFrame)
+	fs.fsm.mustTransition(StateColorConvert)
+	tiles := r.Tiling.NumTiles()
 	for pass := 0; pass < fs.cfg.Passes; pass++ {
-		subset := pass % k
-		fs.resetSigmas()
-		fs.clusterUpdatePass(tiling, labL, labA, labB, labels, spatialMult, subset, k)
-		// Scratchpad refills: FSM setup and center/sigma shuffling per
-		// buffer-sized tile, matching the analytic model's accounting.
-		fs.Cycles += bufferTiles * int64(fs.cfg.TileOverheadCycles)
-		fs.DRAMBytes += bufferTiles * bytesPerTileOverhead
+		for range tiles {
+			fs.fsm.mustTransition(StateLoadTile)
+			fs.fsm.mustTransition(StateClusterUpdate)
+			fs.fsm.mustTransition(StateStoreTile)
+		}
 		fs.fsm.mustTransition(StateCenterUpdate)
-		fs.centerUpdate()
 	}
 	fs.fsm.mustTransition(StateDone)
-	return labels, nil
+	fs.charge(int64(tiles), int64(len(r.Centers)), r.Stats.DistanceCalcs)
+	return r.Labels, nil
+}
+
+// charge adds one frame's counts for a grid of tiles cells and centers
+// superpixels:
+//   - colour conversion: each pixel's three channels are filled into the
+//     scratchpads, read, converted at one pixel per cycle, written back
+//     and drained, in buffer-sized tiles (three fills and three drains
+//     each);
+//   - per pass, each grid tile drains the Cluster Update Unit's
+//     pipeline, each buffer tile costs the FSM's shuffling cycles and
+//     its center/sigma traffic, and each center takes six divisions on
+//     the serial divider, whose new value goes back to external memory
+//     (3 color + 2×2-byte coordinates);
+//   - per visited pixel, one initiation interval, three channel reads
+//     and an index write, and bytesPerVisitedPixel of streaming. The
+//     passes visit every pixel once per k = round(1/ratio) of them.
+func (fs *FuncSim) charge(tiles, centers, calcs int64) {
+	c := fs.cfg
+	n := int64(c.Width * c.Height)
+	passes := int64(c.Passes)
+	visited := passes / int64(fs.p.Subsets()) * n
+	bufTiles := (n + int64(c.BufferBytesPerChannel) - 1) / int64(c.BufferBytesPerChannel)
+	centerCycles := int64(c.CenterOverheadCycles + 6*c.DividerCyclesPerField)
+	fs.Cycles += n + visited*int64(c.Cluster.InitiationInterval()) +
+		passes*(tiles*int64(c.Cluster.LatencyCycles())+bufTiles*int64(c.TileOverheadCycles)+centers*centerCycles)
+	fs.DRAMBytes += 6*n + visited*bytesPerVisitedPixel + passes*(bufTiles*bytesPerTileOverhead+centers*7)
+	fs.ScratchReads += 6*n + 3*visited
+	fs.ScratchWrites += 6*n + visited
+	fs.DistanceCalcs += calcs
+	fs.DividerOps += passes * 6 * centers
+	fs.visited += visited
+	fs.bursts += 6 * bufTiles
+}
+
+// resetCounters zeroes the counters, for the next frame's deltas.
+func (fs *FuncSim) resetCounters() {
+	fs.Cycles, fs.ScratchReads, fs.ScratchWrites, fs.DRAMBytes = 0, 0, 0, 0
+	fs.DistanceCalcs, fs.DividerOps, fs.visited, fs.bursts = 0, 0, 0, 0
 }
 
 // FSM exposes the host controller for inspection.
 func (fs *FuncSim) FSM() *FSM { return fs.fsm }
-
-func subsetsOf(ratio float64) int {
-	if ratio >= 1 {
-		return 1
-	}
-	return int(math.Round(1 / ratio))
-}
-
-// colorConvert streams RGB tiles into the channel memories, converts
-// each pixel through the LUT unit at one pixel per cycle, and writes the
-// Lab8 planes back to external memory. Every access goes through the
-// structural scratchpad ports.
-func (fs *FuncSim) colorConvert(im *imgio.Image, labL, labA, labB []uint8) error {
-	n := im.Pixels()
-	tile := fs.cfg.BufferBytesPerChannel
-	for base := 0; base < n; base += tile {
-		end := base + tile
-		if end > n {
-			end = n
-		}
-		// Tile fill: RGB from DRAM into the three channel memories.
-		if err := fs.ch[0].Fill(0, im.C0[base:end]); err != nil {
-			return err
-		}
-		if err := fs.ch[1].Fill(0, im.C1[base:end]); err != nil {
-			return err
-		}
-		if err := fs.ch[2].Fill(0, im.C2[base:end]); err != nil {
-			return err
-		}
-		fs.DRAMBytes += int64(end-base) * 3
-
-		// Convert in place: read RGB from the scratchpads, write Lab back.
-		for i := base; i < end; i++ {
-			off := i - base
-			r8, err := fs.ch[0].Read(off)
-			if err != nil {
-				return err
-			}
-			g8, err := fs.ch[1].Read(off)
-			if err != nil {
-				return err
-			}
-			b8v, err := fs.ch[2].Read(off)
-			if err != nil {
-				return err
-			}
-			l8, a8, b8 := fs.conv.Convert(r8, g8, b8v)
-			if err := fs.ch[0].Write(off, l8); err != nil {
-				return err
-			}
-			if err := fs.ch[1].Write(off, a8); err != nil {
-				return err
-			}
-			if err := fs.ch[2].Write(off, b8); err != nil {
-				return err
-			}
-			fs.Cycles++ // pipelined at 1 pixel/cycle
-		}
-
-		// Drain the tile to the external Lab planes.
-		if err := fs.ch[0].Drain(0, labL[base:end]); err != nil {
-			return err
-		}
-		if err := fs.ch[1].Drain(0, labA[base:end]); err != nil {
-			return err
-		}
-		if err := fs.ch[2].Drain(0, labB[base:end]); err != nil {
-			return err
-		}
-		fs.DRAMBytes += int64(end-base) * 3
-	}
-	fs.ScratchReads += fs.ch[0].Reads() + fs.ch[1].Reads() + fs.ch[2].Reads()
-	fs.ScratchWrites += fs.ch[0].Writes() + fs.ch[1].Writes() + fs.ch[2].Writes()
-	return nil
-}
-
-// initCenters loads the initial center registers from the grid cells'
-// center pixels (the offline-precomputed values of §4.3).
-func (fs *FuncSim) initCenters(tiling *sslic.Tiling, labL, labA, labB []uint8, w, h int) {
-	nx, ny := tiling.NX, tiling.NY
-	fs.centers = make([]centerReg, nx*ny)
-	fs.sigmas = make([]sigmaReg, nx*ny)
-	for gy := 0; gy < ny; gy++ {
-		for gx := 0; gx < nx; gx++ {
-			x := (gx*w + w/2) / nx
-			y := (gy*h + h/2) / ny
-			if x >= w {
-				x = w - 1
-			}
-			if y >= h {
-				y = h - 1
-			}
-			i := y*w + x
-			fs.centers[gy*nx+gx] = centerReg{
-				l: labL[i], a: labA[i], b: labB[i],
-				x: int32(x), y: int32(y),
-			}
-		}
-	}
-}
-
-func (fs *FuncSim) resetSigmas() {
-	for i := range fs.sigmas {
-		fs.sigmas[i] = sigmaReg{}
-	}
-}
-
-// clusterUpdatePass walks the image in S×S grid tiles (one per
-// superpixel cell, so each tile shares one 9-candidate list), streaming
-// each through the scratchpads and the Cluster Update Unit.
-func (fs *FuncSim) clusterUpdatePass(tiling *sslic.Tiling, labL, labA, labB []uint8,
-	labels *imgio.LabelMap, spatialMult int64, subset, k int) {
-
-	w, h := labels.W, labels.H
-	ii := int64(fs.cfg.Cluster.InitiationInterval())
-	for ty := 0; ty < tiling.NY; ty++ {
-		y0 := ty * h / tiling.NY
-		y1 := (ty + 1) * h / tiling.NY
-		for tx := 0; tx < tiling.NX; tx++ {
-			cand := tiling.Candidates[ty*tiling.NX+tx]
-			x0 := tx * w / tiling.NX
-			x1 := (tx + 1) * w / tiling.NX
-
-			// Tile sequencing through the host FSM.
-			fs.fsm.mustTransition(StateLoadTile)
-			fs.fsm.mustTransition(StateClusterUpdate)
-			// Pipeline drain when the candidate center registers switch
-			// to the next grid cell's list.
-			fs.Cycles += int64(fs.cfg.Cluster.LatencyCycles())
-
-			for y := y0; y < y1; y++ {
-				for x := x0; x < x1; x++ {
-					if k > 1 && (x+y)%k != subset {
-						continue
-					}
-					i := y*w + x
-					// Pixel registers load from the channel memories.
-					pl, pa, pb := labL[i], labA[i], labB[i]
-					fs.ScratchReads += 3
-					fs.DRAMBytes += 3 // tile streaming, amortized per visited pixel
-
-					// Nine color distance calculators + 9:1 minimum.
-					best := int32(-1)
-					bestCode := int64(1 << 30)
-					for _, ci := range cand {
-						c := &fs.centers[ci]
-						code := distanceCode(pl, pa, pb, x, y, c, spatialMult)
-						fs.DistanceCalcs++
-						if code < bestCode {
-							bestCode = code
-							best = ci
-						}
-					}
-
-					// Sigma accumulation: six adds into the selected
-					// register; index writeback to the index memory.
-					sg := &fs.sigmas[best]
-					sg.l += int64(pl)
-					sg.a += int64(pa)
-					sg.b += int64(pb)
-					sg.x += int64(x)
-					sg.y += int64(y)
-					sg.n++
-					labels.Labels[i] = best
-					fs.ScratchWrites++
-					fs.DRAMBytes += 2 // index read+write stream
-
-					fs.Cycles += ii
-				}
-			}
-			fs.fsm.mustTransition(StateStoreTile)
-		}
-	}
-}
-
-// distanceCode evaluates Equation 5 on the integer datapath and returns
-// the 8-bit saturated distance code the minimum unit compares.
-func distanceCode(pl, pa, pb uint8, x, y int, c *centerReg, spatialMult int64) int64 {
-	dl := int64(pl) - int64(c.l)
-	da := int64(pa) - int64(c.a)
-	db := int64(pb) - int64(c.b)
-	dx := int64(x) - int64(c.x)
-	dy := int64(y) - int64(c.y)
-	d2 := dl*dl + da*da + db*db + (dx*dx+dy*dy)*spatialMult>>8
-	// Root, scale to the 8-bit code range, saturate.
-	root, _ := fixed.Isqrt(d2)
-	code := root * 255 / distanceFullScale
-	if code > 255 {
-		code = 255
-	}
-	return code
-}
-
-// centerUpdate averages every sigma register on the iterative serial
-// divider and writes the new center registers.
-func (fs *FuncSim) centerUpdate() {
-	for ci := range fs.sigmas {
-		sg := &fs.sigmas[ci]
-		fs.Cycles += int64(fs.cfg.CenterOverheadCycles)
-		if sg.n == 0 {
-			// The divider still cycles through the six fields even for an
-			// empty accumulator (the FSM does not branch per register).
-			fs.Cycles += int64(6 * fs.cfg.DividerCyclesPerField)
-			fs.DividerOps += 6
-			continue
-		}
-		c := &fs.centers[ci]
-		var cycles int
-		c.l, cycles = div8(sg.l, sg.n, fs.cfg.DividerCyclesPerField)
-		fs.Cycles += int64(cycles)
-		c.a, cycles = div8(sg.a, sg.n, fs.cfg.DividerCyclesPerField)
-		fs.Cycles += int64(cycles)
-		c.b, cycles = div8(sg.b, sg.n, fs.cfg.DividerCyclesPerField)
-		fs.Cycles += int64(cycles)
-		rx := fixed.SerialDivide(sg.x, sg.n, 24)
-		c.x = int32(rx.Quotient)
-		ry := fixed.SerialDivide(sg.y, sg.n, 24)
-		c.y = int32(ry.Quotient)
-		// The configured per-field budget covers the 24-bit serial
-		// divider; charge it uniformly so the timing model stays
-		// comparable across divider widths.
-		fs.Cycles += int64(2 * fs.cfg.DividerCyclesPerField)
-		fs.Cycles += int64(fs.cfg.DividerCyclesPerField) // count field passthrough slot
-		fs.DividerOps += 6
-	}
-	// New centers to external memory for the next pass (§4.3).
-	fs.DRAMBytes += int64(len(fs.centers)) * 7 // 3 color + 2×2-byte coords
-}
-
-// div8 divides on the serial divider and clamps to a byte, charging the
-// configured per-field cycle budget.
-func div8(num, den int64, budget int) (uint8, int) {
-	r := fixed.SerialDivide(num, den, 24)
-	q := r.Quotient
-	if q < 0 {
-		q = 0
-	}
-	if q > 255 {
-		q = 255
-	}
-	return uint8(q), budget
-}
 
 // TimeSeconds converts the accumulated cycle count to seconds at the
 // configured clock.
@@ -412,9 +153,8 @@ func (fs *FuncSim) TimeSeconds() float64 {
 // within a small factor validates both.
 func (fs *FuncSim) EnergyJoules(t energy.Tech) float64 {
 	opE := float64(fs.DistanceCalcs) * 7 * t.EnergyPerOp // 7 ops per Eq-5 evaluation
-	// Sigma accumulation: 6 adds per assigned pixel (one per 9 distance
-	// calcs at full candidate fan-in).
-	opE += float64(fs.DistanceCalcs) / 9 * 6 * t.EnergyPerOp
+	// Sigma accumulation: 6 adds per visited pixel.
+	opE += float64(fs.visited) * 6 * t.EnergyPerOp
 	// Serial divider: each division is ~DividerCyclesPerField single-bit
 	// step operations.
 	opE += float64(fs.DividerOps) * float64(fs.cfg.DividerCyclesPerField) * t.EnergyPerOp

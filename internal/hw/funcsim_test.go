@@ -6,8 +6,8 @@ import (
 
 	"sslic/internal/dataset"
 	"sslic/internal/imgio"
-	"sslic/internal/slic"
 	"sslic/internal/sslic"
+	"sslic/internal/telemetry"
 )
 
 // funcTestConfig shrinks the default design to a small frame so the
@@ -40,6 +40,13 @@ func TestFuncSimValidation(t *testing.T) {
 	cfg = funcTestConfig(0, 64, 24)
 	if _, err := NewFuncSim(cfg); err == nil {
 		t.Error("invalid config accepted")
+	}
+	// The kernel runs whole iterations: 9 passes do not split into the
+	// two subsets of ratio 0.5.
+	cfg = funcTestConfig(96, 64, 24)
+	cfg.SubsampleRatio = 0.5
+	if _, err := NewFuncSim(cfg); err == nil {
+		t.Error("9 passes at ratio 0.5 accepted")
 	}
 }
 
@@ -105,43 +112,86 @@ func TestFuncSimDeterministic(t *testing.T) {
 }
 
 // TestFuncSimAgreesWithSoftware checks the central fidelity property:
-// the bit-accurate hardware pipeline and the software S-SLIC with the
-// 8-bit datapath must produce closely matching segmentations. They
-// quantize through different but equivalent paths (LUT unit vs float
-// round-trip), so agreement is measured on boundary structure.
+// the functional pipeline produces exactly the labels of the software
+// S-SLIC on the fixed datapath at 8-bit codes, seeded on the static grid
+// with no connectivity pass, at every subsampling ratio.
 func TestFuncSimAgreesWithSoftware(t *testing.T) {
 	w, h, k := 96, 64, 24
 	im := funcTestImage(t, w, h)
-
-	fs, err := NewFuncSim(funcTestConfig(w, h, k))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hwLabels, err := fs.Run(im)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	p := sslic.DefaultParams(k, 1)
-	p.FullIters = fs.cfg.Passes
-	p.Quantization = slic.NewDatapath(8)
-	p.PerturbCenters = false // hardware uses static grid centers
-	p.EnforceConnectivity = false
-	sw, err := sslic.Segment(im, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	hwMask := hwLabels.BoundaryMask()
-	swMask := sw.Labels.BoundaryMask()
-	agree := 0
-	for i := range hwMask {
-		if hwMask[i] == swMask[i] {
-			agree++
+	for _, ratio := range []float64{1, 0.5, 0.25} {
+		cfg := funcTestConfig(w, h, k)
+		cfg.Passes = 8
+		cfg.SubsampleRatio = ratio
+		fs, err := NewFuncSim(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hwLabels, err := fs.Run(im)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := sslic.DefaultParams(k, ratio)
+		p.FullIters = int(float64(cfg.Passes) * ratio)
+		p.PerturbCenters = false
+		p.EnforceConnectivity = false
+		p.Datapath = sslic.Fixed
+		p.CodeBits = 8
+		sw, err := sslic.Segment(im, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range hwLabels.Labels {
+			if hwLabels.Labels[i] != sw.Labels.Labels[i] {
+				t.Fatalf("ratio %g: pixel %d labelled %d, software %d", ratio, i, hwLabels.Labels[i], sw.Labels.Labels[i])
+			}
+		}
+		if fs.DistanceCalcs != sw.Stats.DistanceCalcs {
+			t.Fatalf("ratio %g: %d distance calcs, software %d", ratio, fs.DistanceCalcs, sw.Stats.DistanceCalcs)
 		}
 	}
-	if frac := float64(agree) / float64(len(hwMask)); frac < 0.85 {
-		t.Fatalf("hardware/software boundary agreement %.2f, want >= 0.85", frac)
+}
+
+// TestFuncSimReuse: a second Run on the same simulator starts the FSM
+// from idle, labels the frame identically, and adds exactly one more
+// frame's counts.
+func TestFuncSimReuse(t *testing.T) {
+	fs, err := NewFuncSim(funcTestConfig(96, 64, 24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	im := funcTestImage(t, 96, 64)
+	// counts reads every counter, and the hits and misses ObserveFuncSim
+	// would charge, observing a copy so the simulator keeps its counts.
+	counts := func() [10]int64 {
+		cp := *fs
+		m := NewMetrics(telemetry.NewRegistry())
+		m.ObserveFuncSim(&cp)
+		return [10]int64{fs.Cycles, fs.ScratchReads, fs.ScratchWrites, fs.DRAMBytes, fs.DistanceCalcs, fs.DividerOps,
+			fs.FSM().Visits(StateLoadTile), fs.FSM().Visits(StateCenterUpdate),
+			int64(m.ScratchHits.Value()), int64(m.ScratchMisses.Value())}
+	}
+	first, err := fs.Run(im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := counts()
+	second, err := fs.Run(im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	two := counts()
+	for i := range first.Labels {
+		if first.Labels[i] != second.Labels[i] {
+			t.Fatalf("pixel %d: second run labelled %d, first %d", i, second.Labels[i], first.Labels[i])
+		}
+	}
+	for i := range one {
+		if two[i] != 2*one[i] || one[i] == 0 {
+			t.Errorf("counter %d: %d after two runs, %d after one", i, two[i], one[i])
+		}
+	}
+	if fs.FSM().State() != StateDone {
+		t.Fatalf("final FSM state %v, want done", fs.FSM().State())
 	}
 }
 
@@ -186,6 +236,7 @@ func TestFuncSimSubsamplingCutsWork(t *testing.T) {
 	im := funcTestImage(t, w, h)
 	run := func(ratio float64) *FuncSim {
 		cfg := funcTestConfig(w, h, k)
+		cfg.Passes = 8 // whole iterations at both ratios
 		cfg.SubsampleRatio = ratio
 		fs, err := NewFuncSim(cfg)
 		if err != nil {
@@ -204,24 +255,6 @@ func TestFuncSimSubsamplingCutsWork(t *testing.T) {
 	}
 	if half.DRAMBytes >= full.DRAMBytes {
 		t.Error("subsampling did not reduce traffic")
-	}
-}
-
-func TestDistanceCodeProperties(t *testing.T) {
-	c := &centerReg{l: 100, a: 128, b: 128, x: 10, y: 10}
-	// Distance to self is zero.
-	if code := distanceCode(100, 128, 128, 10, 10, c, 256); code != 0 {
-		t.Fatalf("self distance code %d", code)
-	}
-	// Code saturates at 255.
-	if code := distanceCode(255, 0, 255, 1000, 1000, c, 2560); code != 255 {
-		t.Fatalf("saturation code %d", code)
-	}
-	// Monotone in color difference.
-	near := distanceCode(110, 128, 128, 10, 10, c, 256)
-	far := distanceCode(200, 128, 128, 10, 10, c, 256)
-	if far <= near {
-		t.Fatalf("codes not monotone: near %d, far %d", near, far)
 	}
 }
 

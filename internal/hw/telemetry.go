@@ -127,16 +127,11 @@ func (m *Metrics) ObserveFuncSimCtx(ctx context.Context, fs *FuncSim) {
 	m.Frames.Inc()
 	m.DRAMBytes.Add(float64(fs.DRAMBytes))
 	m.ScratchHits.Add(float64(fs.ScratchReads + fs.ScratchWrites))
-	var bursts int64
-	pads := []*Scratchpad{fs.ch[0], fs.ch[1], fs.ch[2], fs.index}
-	for _, sp := range pads {
-		bursts += sp.Fills() + sp.Drains()
-	}
-	m.ScratchMisses.Add(float64(bursts))
-	m.DRAMTransfers.Add(float64(bursts))
+	m.ScratchMisses.Add(float64(fs.bursts))
+	m.DRAMTransfers.Add(float64(fs.bursts))
 	if tr := telemetry.TraceFrom(ctx); tr != nil {
 		tr.Instant("dram_charge", "hw", map[string]any{
-			"bytes": fs.DRAMBytes, "transfers": bursts,
+			"bytes": fs.DRAMBytes, "transfers": fs.bursts,
 		})
 		tr.Instant("scratchpad_charge", "hw", map[string]any{
 			"reads": fs.ScratchReads, "writes": fs.ScratchWrites,
@@ -146,13 +141,5 @@ func (m *Metrics) ObserveFuncSimCtx(ctx context.Context, fs *FuncSim) {
 	if t := fs.TimeSeconds(); t > 0 {
 		m.ModelFPS.Set(1 / t)
 	}
-	fs.Cycles = 0
-	fs.ScratchReads = 0
-	fs.ScratchWrites = 0
-	fs.DRAMBytes = 0
-	fs.DistanceCalcs = 0
-	fs.DividerOps = 0
-	for _, sp := range pads {
-		sp.ResetCounters()
-	}
+	fs.resetCounters()
 }

@@ -208,6 +208,38 @@ func (c *Converter) Convert(r, g, b uint8) (l8, a8, b8 uint8) {
 	return l8, a8, b8
 }
 
+// Codes maps one 8-bit sRGB pixel to Lab codes of the given width, 4 to
+// 10 bits — the §6.1 bit-width exploration's colour codes. It runs
+// Convert's integer path and rounds the same Q0.16 intermediate to the
+// width: L·(2^bits−1)/100, and (a+128)·2^(bits−8) for a and b, each
+// clamped to the width. At 8 bits these are Convert's codes, on every
+// input (TestCodesAt8BitsMatchConvert). Convert keeps its own copy of the
+// path so the served conversion pays for no width.
+func (c *Converter) Codes(r, g, b uint8, bits int) (lc, ac, bc uint16) {
+	rl := int64(c.gamma[r])
+	gl := int64(c.gamma[g])
+	bl := int64(c.gamma[b])
+	var xyz [3]int64
+	for row := 0; row < 3; row++ {
+		xyz[row] = (int64(c.mat[row][0])*rl + int64(c.mat[row][1])*gl + int64(c.mat[row][2])*bl) >> matBits
+	}
+	var f [3]int32
+	for i := 0; i < 3; i++ {
+		t := (xyz[i] * int64(c.invW[i])) >> matBits
+		f[i] = c.labFFixed(int32(t))
+	}
+	lQ := (116*int64(f[1]) - 16*one)
+	aQ := 500 * (int64(f[0]) - int64(f[1]))
+	bQ := 200 * (int64(f[1]) - int64(f[2]))
+
+	hi := int64(1)<<bits - 1
+	half := int64(1) << (23 - bits) // rounds the a/b scaling's shift by 24−bits
+	lc = uint16(min(hi, max(0, (lQ*hi/100+one/2)>>fracBits)))
+	ac = uint16(min(hi, max(0, (aQ+128*one+half)>>(24-bits))))
+	bc = uint16(min(hi, max(0, (bQ+128*one+half)>>(24-bits))))
+	return lc, ac, bc
+}
+
 // ConvertImage converts an RGB image into the 8-bit Lab planar encoding,
 // returning a new image whose channels are L, a, b.
 func (c *Converter) ConvertImage(im *imgio.Image) *imgio.Image {

@@ -324,3 +324,36 @@ func maxInt(a, b int) int {
 	}
 	return b
 }
+
+// TestCodesAt8BitsMatchConvert: the width-w rounding of Codes is
+// Convert's own at w = 8, on every one of the 2^24 inputs.
+func TestCodesAt8BitsMatchConvert(t *testing.T) {
+	c := MustNewConverter(DefaultSegments)
+	for rgb := 0; rgb < 1<<24; rgb++ {
+		r, g, b := uint8(rgb>>16), uint8(rgb>>8), uint8(rgb)
+		l8, a8, b8 := c.Convert(r, g, b)
+		if lc, ac, bc := c.Codes(r, g, b, 8); lc != uint16(l8) || ac != uint16(a8) || bc != uint16(b8) {
+			t.Fatalf("rgb %06x: Codes (%d, %d, %d), Convert (%d, %d, %d)", rgb, lc, ac, bc, l8, a8, b8)
+		}
+	}
+}
+
+// TestCodesScaleWithWidth: each extra bit of width doubles the a/b code
+// of a colour, to within rounding, and the extremes fill the width.
+func TestCodesScaleWithWidth(t *testing.T) {
+	c := MustNewConverter(DefaultSegments)
+	for bits := 4; bits <= 10; bits++ {
+		top := uint16(1)<<bits - 1
+		if l, _, _ := c.Codes(255, 255, 255, bits); l != top {
+			t.Errorf("bits=%d: white L code %d, want %d", bits, l, top)
+		}
+		if l, a, b := c.Codes(0, 0, 0, bits); l != 0 || a != 1<<(bits-1) || b != 1<<(bits-1) {
+			t.Errorf("bits=%d: black codes (%d, %d, %d), want (0, %d, %d)", bits, l, a, b, 1<<(bits-1), 1<<(bits-1))
+		}
+		_, a8, _ := c.Convert(255, 0, 0)
+		_, a, _ := c.Codes(255, 0, 0, bits)
+		if want := float64(a8) * float64(int(1)<<bits) / 256; math.Abs(float64(a)-want) > 1 {
+			t.Errorf("bits=%d: red a code %d, want %.1f ± 1", bits, a, want)
+		}
+	}
+}

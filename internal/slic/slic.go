@@ -7,8 +7,7 @@
 //
 // The package also exports the primitives shared with the subsampled
 // variant in internal/sslic: Lab image planes, center bookkeeping,
-// the distance function of Equation 5, the connectivity pass, and the
-// optional fixed-point datapath model used by the bit-width exploration.
+// the distance function of Equation 5 and the connectivity pass.
 package slic
 
 import (
@@ -42,9 +41,6 @@ type Params struct {
 	// MinRegionDivisor sets the minimum connected-region size to
 	// S*S/MinRegionDivisor during connectivity enforcement (default 4).
 	MinRegionDivisor int
-	// Datapath optionally models a reduced-precision hardware datapath;
-	// see the Datapath type. Zero value = full float64.
-	Datapath Datapath
 	// AdaptiveCompactness enables the SLICO variant of the original
 	// authors' release: instead of one global m, every superpixel
 	// normalizes its color distance by the largest color distance
@@ -179,7 +175,6 @@ func Segment(im *imgio.Image, p Params) (*Result, error) {
 
 	t0 := time.Now()
 	lab := ToLab(im)
-	p.Datapath.QuantizeLab(lab)
 	st.ColorConvTime = time.Since(t0)
 
 	t0 = time.Now()
@@ -191,7 +186,6 @@ func Segment(im *imgio.Image, p Params) (*Result, error) {
 	invS2 := p.Compactness * p.Compactness / (s * s)
 
 	dist := make([]float64, lab.Pixels())
-	quant := p.Datapath.DistQuantizer()
 	// SLICO state: per-center maximum squared color distance from the
 	// previous iteration, seeded with m².
 	var maxDc2 []float64
@@ -206,7 +200,7 @@ func Segment(im *imgio.Image, p Params) (*Result, error) {
 			dist[i] = math.Inf(1)
 		}
 		t0 = time.Now()
-		st.DistanceCalcs += assignWindowed(lab, centers, labels, dist, s, invS2, quant, maxDc2)
+		st.DistanceCalcs += assignWindowed(lab, centers, labels, dist, s, invS2, maxDc2)
 		st.AssignTime += time.Since(t0)
 
 		t0 = time.Now()
@@ -236,7 +230,7 @@ func Segment(im *imgio.Image, p Params) (*Result, error) {
 // every pixel inside the 2S×2S window centered on it is tested against
 // Equation 5 and claims the center if the distance beats the pixel's
 // current minimum. Returns the number of distance evaluations.
-func assignWindowed(lab *LabImage, centers []Center, labels *imgio.LabelMap, dist []float64, s, invS2 float64, quant func(float64) float64, maxDc2 []float64) int64 {
+func assignWindowed(lab *LabImage, centers []Center, labels *imgio.LabelMap, dist []float64, s, invS2 float64, maxDc2 []float64) int64 {
 	var calcs int64
 	w, h := lab.W, lab.H
 	invS2spatial := 1 / (s * s)
@@ -264,9 +258,6 @@ func assignWindowed(lab *LabImage, centers []Center, labels *imgio.LabelMap, dis
 					d = dc2/maxDc2[ci] + ds2*invS2spatial
 				} else {
 					d = Distance5(lab.L[i], lab.A[i], lab.B[i], float64(x), float64(y), c, invS2)
-				}
-				if quant != nil {
-					d = quant(d)
 				}
 				calcs++
 				if d < dist[i] {

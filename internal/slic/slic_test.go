@@ -297,54 +297,3 @@ func TestUpdateCentersKeepsEmptyCenters(t *testing.T) {
 		t.Fatal("empty center must keep its state")
 	}
 }
-
-func TestSegmentWithDatapathStillSegments(t *testing.T) {
-	im := testImage(48, 48, 3)
-	p := DefaultParams(16)
-	p.Datapath = NewDatapath(8)
-	res, err := Segment(im, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range res.Labels.Labels {
-		if v < 0 {
-			t.Fatalf("pixel %d unassigned under 8-bit datapath", i)
-		}
-	}
-	n := res.Labels.NumRegions()
-	if n < 8 || n > 32 {
-		t.Fatalf("region count %d unreasonable under 8-bit datapath", n)
-	}
-}
-
-func TestDatapathNarrowWidthChangesMoreThanWide(t *testing.T) {
-	im := testImage(48, 48, 4)
-	ref, err := Segment(im, DefaultParams(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := func(bits int) int {
-		p := DefaultParams(16)
-		p.Datapath = NewDatapath(bits)
-		res, err := Segment(im, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Count boundary-mask disagreements as a label-permutation-proof
-		// proxy for segmentation difference.
-		bm0 := ref.Labels.BoundaryMask()
-		bm1 := res.Labels.BoundaryMask()
-		var d int
-		for i := range bm0 {
-			if bm0[i] != bm1[i] {
-				d++
-			}
-		}
-		return d
-	}
-	d4 := diff(4)
-	d12 := diff(12)
-	if d4 < d12 {
-		t.Fatalf("4-bit datapath (%d boundary diffs) closer to reference than 12-bit (%d)", d4, d12)
-	}
-}

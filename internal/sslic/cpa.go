@@ -32,7 +32,7 @@ func (kn *cpaKernel) seed(tiling *Tiling, labels *imgio.LabelMap) {
 
 func (kn *cpaKernel) assign(_, subset int) (calcs, skipped, saved int64, err error) {
 	lab, labels, centers, dist := kn.lab, kn.labels, kn.centers, kn.dist
-	s, k, invS2, quant := kn.s, kn.k, kn.invS2, kn.quant
+	s, k, invS2 := kn.s, kn.k, kn.invS2
 	w, h := lab.W, lab.H
 
 	// Distance decay: because centers move between passes, retained
@@ -59,9 +59,6 @@ func (kn *cpaKernel) assign(_, subset int) (calcs, skipped, saved int64, err err
 			for x := x0; x <= x1; x++ {
 				i := row + x
 				d := slic.Distance5(lab.L[i], lab.A[i], lab.B[i], float64(x), float64(y), c, invS2)
-				if quant != nil {
-					d = quant(d)
-				}
 				calcs++
 				if d < dist[i] {
 					dist[i] = d

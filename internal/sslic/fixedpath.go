@@ -8,8 +8,8 @@ package sslic
 //     producing the 8-bit Lab encoding the accelerator scratchpads hold
 //     (L scaled to [0,255], a/b offset by +128). No math.Pow or
 //     math.Cbrt per pixel. Each pixel's three codes are packed into one
-//     uint32 word, L | a<<8 | b<<16: the three 8-bit channel scratchpads
-//     of §4.3 read in one load, 4 bytes per pixel.
+//     uint32 word of three 10-bit fields, L | a<<10 | b<<20: the three
+//     channel scratchpads of §4.3 read in one load, 4 bytes per pixel.
 //   - Distances are evaluated on the 8-bit codes with integer multiplies
 //     and shifts. The L channel is re-weighted by (100/255)² in Q0.16 so
 //     the code-space distance matches the float path's Lab-unit metric
@@ -27,6 +27,11 @@ package sslic
 //     fixed path byte-identical for every TileWorkers value (the float
 //     path only guarantees identical labels; its center coordinates may
 //     differ in the last FP bits across worker counts).
+//   - Params.CodeBits selects the code width (see codeWidth). Width 0,
+//     the default, is the served arithmetic above. A width of 4 to 10
+//     bits is the reduced-precision datapath §6.1 sweeps: colour codes of
+//     that width, and distances that become saturating codes of that
+//     width before the argmin compares them.
 //
 // The float64 path in sslic.go is the reference oracle; the parity and
 // golden tests pin this implementation against it.
@@ -35,6 +40,7 @@ import (
 	"math"
 	"sync"
 
+	"sslic/internal/fixed"
 	"sslic/internal/imgio"
 	"sslic/internal/lut"
 	"sslic/internal/slic"
@@ -77,11 +83,49 @@ const (
 	// fxLanes is the number of distance calculators: a tile's own center
 	// and its 8 neighbours.
 	fxLanes = 9
+	// Code widths a run may set in Params.CodeBits besides 0: the widths
+	// a packed word's 10-bit fields hold, down to where §6.1's quality
+	// has collapsed.
+	minCodeBits = 4
+	maxCodeBits = 10
+	// distFullScale is the squared distance, in Q4 Lab units², at which a
+	// distance code saturates: 448 Lab units, the CIELAB diagonal (~374)
+	// plus headroom for the spatial term.
+	distFullScale = 448 * 448 << distFrac
 )
 
-// fixedLWeight is (100/255)² in Q0.16: the factor that converts the L
-// code difference (L scaled by 255/100) back into Lab units squared.
-var fixedLWeight = int64(math.Round(math.Pow(100.0/255, 2) * (1 << weightFrac)))
+// codeWidth is what Params.CodeBits fixes in the datapath. Width 0 is the
+// served arithmetic: 8-bit LUT colour codes and exact distances. A width
+// w of 4 to 10 bits is §6.1's coded datapath: w-bit colour codes,
+// L·(2^w−1)/100 and (a+128)·2^(w−8), and distances that become w-bit
+// codes before the argmin compares them (distCode). At w = 8 the colour
+// codes are width 0's.
+type codeWidth struct {
+	bits    int     // Params.CodeBits
+	max     int64   // the largest code, 2^w − 1 (255 at width 0)
+	abScale float64 // a and b codes per Lab unit, 2^(w−8)
+	abShift int     // brings squared a/b code differences to Q4 Lab units²
+}
+
+func newCodeWidth(bits int) codeWidth {
+	colour := bits
+	if bits == 0 {
+		colour = 8
+	}
+	return codeWidth{bits: bits, max: 1<<colour - 1,
+		abScale: math.Ldexp(1, colour-8), abShift: distFrac - 2*(colour-8)}
+}
+
+// distCode is the w-bit code of a Q4 distance d on a coded width:
+// ⌊√(d/16)·(2^w−1)/448⌋, the distance in Lab units on a 448-unit full
+// scale, saturating at 2^w−1.
+func (cw *codeWidth) distCode(d int64) int64 {
+	if d >= distFullScale {
+		return cw.max
+	}
+	root, _ := fixed.Isqrt(d * cw.max * cw.max / distFullScale)
+	return root
+}
 
 var (
 	fixedConvOnce sync.Once
@@ -104,12 +148,12 @@ type fxCenter struct {
 }
 
 // fxSigma is the integer accumulator register file of the Cluster Update
-// Unit: sums of 8-bit codes and integer pixel coordinates plus the count.
+// Unit: sums of codes and integer pixel coordinates plus the count.
 type fxSigma = sigmaOf[int64]
 
 // fxWeights carries the precomputed distance weights of one run.
 type fxWeights struct {
-	wL    int64 // Q0.16 L-code re-weighting
+	wL    int64 // Q0.16 L-code re-weighting, (100/(2^w−1))²
 	wS    int64 // Q0.16 spatial weight m²/S²
 	spCap int64 // largest (dx²+dy²) whose product with wS fits int64
 }
@@ -123,9 +167,15 @@ func (w fxWeights) spatial(d int64) int64 {
 	return spatSaturated
 }
 
-func newFxWeights(invS2 float64) fxWeights {
+// newFxWeights returns the weights of a run: the L weight that turns the
+// width's code differences back into Lab units², and the spatial weight
+// m²/S².
+func newFxWeights(invS2 float64, cw codeWidth) fxWeights {
 	const wSMax = int64(1) << 56
-	w := fxWeights{wL: fixedLWeight, wS: wSMax}
+	w := fxWeights{
+		wL: int64(math.Round(math.Pow(100/float64(cw.max), 2) * (1 << weightFrac))),
+		wS: wSMax,
+	}
 	if f := invS2 * (1 << weightFrac); f < float64(wSMax) {
 		w.wS = int64(math.Round(f))
 	}
@@ -141,24 +191,31 @@ func newFxWeights(invS2 float64) fxWeights {
 }
 
 // convertLabCodes runs the LUT color conversion into one packed Lab
-// code word per pixel (see packLab).
-func convertLabCodes(conv *lut.Converter, im *imgio.Image, scr *Scratch) []uint32 {
+// code word per pixel (see packLab), at code width bits.
+func convertLabCodes(conv *lut.Converter, im *imgio.Image, bits int, scr *Scratch) []uint32 {
 	n := im.Pixels()
 	codes := grow(&scr.fxCodes, n)
+	if bits == 0 {
+		for i := range codes {
+			l, a, b := conv.Convert(im.C0[i], im.C1[i], im.C2[i])
+			codes[i] = packLab(uint16(l), uint16(a), uint16(b))
+		}
+		return codes
+	}
 	for i := range codes {
-		l, a, b := conv.Convert(im.C0[i], im.C1[i], im.C2[i])
-		codes[i] = packLab(l, a, b)
+		codes[i] = packLab(conv.Codes(im.C0[i], im.C1[i], im.C2[i], bits))
 	}
 	return codes
 }
 
-// packLab packs a pixel's three 8-bit Lab codes into one word.
-func packLab(l, a, b uint8) uint32 { return uint32(l) | uint32(a)<<8 | uint32(b)<<16 }
+// packLab packs a pixel's three Lab codes, of up to 10 bits each, into
+// one word.
+func packLab(l, a, b uint16) uint32 { return uint32(l) | uint32(a)<<10 | uint32(b)<<20 }
 
 // unpackLab returns the three codes of a packed word at the width the
 // distance arithmetic uses.
 func unpackLab(c uint32) (l, a, b int32) {
-	return int32(c & 0xff), int32(c >> 8 & 0xff), int32(c >> 16)
+	return int32(c & 0x3ff), int32(c >> 10 & 0x3ff), int32(c >> 20)
 }
 
 // initCentersFixed mirrors slic.InitCenters on the packed codes:
@@ -227,29 +284,30 @@ func lowestGradient3x3Fixed(grad []int64, w, h, x, y int) (int, int) {
 }
 
 // quantizeCenters converts warm-start float64 centers into the fixed
-// register format — the entry point of a warm frame whose previous
-// segmentation ran on either datapath.
-func quantizeCenters(src []slic.Center, dst []fxCenter, w, h int) {
+// register format at code width cw — the entry point of a warm frame
+// whose previous segmentation ran on either datapath.
+func quantizeCenters(src []slic.Center, dst []fxCenter, w, h int, cw codeWidth) {
+	top := int32(cw.max) * colorOne
 	for i, c := range src {
 		dst[i] = fxCenter{
-			l: clampI32(math.Round(c.L*255/100*colorOne), 0, 255*colorOne),
-			a: clampI32(math.Round((c.A+128)*colorOne), 0, 255*colorOne),
-			b: clampI32(math.Round((c.B+128)*colorOne), 0, 255*colorOne),
+			l: clampI32(math.Round(c.L*float64(cw.max)/100*colorOne), 0, top),
+			a: clampI32(math.Round((c.A+128)*cw.abScale*colorOne), 0, top),
+			b: clampI32(math.Round((c.B+128)*cw.abScale*colorOne), 0, top),
 			x: clampI64(math.Round(c.X*coordOne), 0, int64(w-1)*coordOne),
 			y: clampI64(math.Round(c.Y*coordOne), 0, int64(h-1)*coordOne),
 		}
 	}
 }
 
-// floatCenters converts the fixed registers back to the public
-// slic.Center form (Lab units, pixel coordinates).
-func floatCenters(fx []fxCenter) []slic.Center {
+// floatCenters converts the fixed registers at code width cw back to the
+// public slic.Center form (Lab units, pixel coordinates).
+func floatCenters(fx []fxCenter, cw codeWidth) []slic.Center {
 	out := make([]slic.Center, len(fx))
 	for i, c := range fx {
 		out[i] = slic.Center{
-			L: float64(c.l) / colorOne * 100 / 255,
-			A: float64(c.a)/colorOne - 128,
-			B: float64(c.b)/colorOne - 128,
+			L: float64(c.l) / colorOne * 100 / float64(cw.max),
+			A: float64(c.a)/colorOne/cw.abScale - 128,
+			B: float64(c.b)/colorOne/cw.abScale - 128,
 			X: float64(c.x) / coordOne,
 			Y: float64(c.y) / coordOne,
 		}
@@ -285,31 +343,36 @@ type fxKernel struct {
 	centers []fxCenter
 	acc     []fxSigma
 	settled []bool
+	cw      codeWidth
 	dw      fxWeights
 	subset  int // the subset the current pass assigns
 }
 
 func (kn *fxKernel) convert(im *imgio.Image) {
-	kn.codes = convertLabCodes(fixedConverter(), im, kn.scr)
+	kn.cw = newCodeWidth(kn.p.CodeBits)
+	kn.codes = convertLabCodes(fixedConverter(), im, kn.p.CodeBits, kn.scr)
 }
 
 func (kn *fxKernel) seed(tiling *Tiling, labels *imgio.LabelMap) {
 	kn.tiling, kn.labels = tiling, labels
 	kn.centers = grow(&kn.scr.fxCenters, tiling.NumTiles())
 	if kn.p.InitialCenters != nil {
-		quantizeCenters(kn.p.InitialCenters, kn.centers, labels.W, labels.H)
+		quantizeCenters(kn.p.InitialCenters, kn.centers, labels.W, labels.H, kn.cw)
 	} else {
 		initCentersFixed(kn.codes, labels.W, labels.H, tiling, kn.p.PerturbCenters, kn.centers, kn.scr)
 	}
 	ownCenterFill(labels, tiling, false)
 	kn.settled = kn.scr.settledFor(len(kn.centers))
 	kn.acc = grow(&kn.scr.fxPass.acc, len(kn.centers))
-	kn.dw = newFxWeights(kn.invS2)
+	kn.dw = newFxWeights(kn.invS2, kn.cw)
 }
 
 func (kn *fxKernel) assign(pass, subset int) (calcs, skipped, saved int64, err error) {
 	clear(kn.acc)
 	kn.subset = subset
+	if kn.cw.bits != 0 {
+		return runBands(&kn.frame, (*fxCoded)(kn), kn.acc, &kn.scr.fxPass, pass)
+	}
 	grow(&kn.scr.fxXTerms, tileBands(kn.p.TileWorkers, kn.tiling.NY)) // one table per band
 	return runBands(&kn.frame, kn, kn.acc, &kn.scr.fxPass, pass)
 }
@@ -374,8 +437,59 @@ func (kn *fxKernel) band(acc []fxSigma, b, tyFrom, tyTo int) (calcs, skippedTile
 	return calcs, skippedTiles, saved
 }
 
+// fxCoded is fxKernel on a coded width: the same state and lane file,
+// with a band that takes each pixel's argmin over distance codes
+// (nearestCoded). assign picks it once per pass, so the served band's
+// loop is untouched; the coded one, which only the §6.1 sweep and the
+// functional simulator run, keeps to the plainest traversal: every
+// pixel of the tile, filtered by subsetOf, with its x terms computed in
+// place.
+type fxCoded fxKernel
+
+func (kn *fxCoded) band(acc []fxSigma, _, tyFrom, tyTo int) (calcs, skippedTiles, saved int64) {
+	tiling, labels, k := kn.tiling, kn.labels, kn.k
+	w, h := labels.W, labels.H
+	var lf fxLaneFile
+	var sx [fxLanes]int64
+	for ty := tyFrom; ty < tyTo; ty++ {
+		y0, y1 := ty*h/tiling.NY, (ty+1)*h/tiling.NY
+		for tx := 0; tx < tiling.NX; tx++ {
+			cand := tiling.Candidates[ty*tiling.NX+tx]
+			x0, x1 := tx*w/tiling.NX, (tx+1)*w/tiling.NX
+			if skip, sv := skipTile(kn.p.Preemptive, cand, kn.settled, (x1-x0)*(y1-y0), k); skip {
+				skippedTiles++
+				saved += sv
+				continue
+			}
+			lf.load(kn.centers, cand)
+			for y := y0; y < y1; y++ {
+				lf.yTerms(y, kn.dw)
+				for x := x0; x < x1; x++ {
+					if subsetOf(kn.p.Scheme, x, y, w, h, k) != kn.subset {
+						continue
+					}
+					lf.xTerms(sx[:], x, x+1, kn.dw)
+					i := y*w + x
+					pl, pa, pb := unpackLab(kn.codes[i])
+					lbl := cand[lf.nearestCoded(pl, pa, pb, int32(kn.dw.wL), &kn.cw, &sx)&0xf]
+					calcs += int64(len(cand))
+					labels.Labels[i] = lbl
+					sg := &acc[lbl]
+					sg.l += int64(pl)
+					sg.a += int64(pa)
+					sg.b += int64(pb)
+					sg.x += int64(x)
+					sg.y += int64(y)
+					sg.n++
+				}
+			}
+		}
+	}
+	return calcs, skippedTiles, saved
+}
+
 // fxLaneFile is the register file of the 9 distance calculators for one
-// tile: each lane's candidate as 8-bit codes (its Q8.8 colours rounded,
+// tile: each lane's candidate as codes (its Q8.8 colours rounded,
 // the hardware's register-file read) and Q8 coordinates, and its y term
 // on the row being assigned.
 type fxLaneFile struct {
@@ -387,7 +501,8 @@ type fxLaneFile struct {
 
 // load reads a tile's candidates into the first lanes and parks the
 // rest at fxParked, so every pixel can run all 9. A parked lane's codes
-// are whatever it last held: any 8-bit codes keep its key in range.
+// are whatever it last held: any codes of the run's width keep its key
+// in range.
 func (lf *fxLaneFile) load(centers []fxCenter, cand []int32) {
 	lf.n = len(cand)
 	for j, ci := range cand {
@@ -445,12 +560,29 @@ func (lf *fxLaneFile) key(j int, pl, pa, pb, wL int32, sx *[fxLanes]int64) int64
 	return d<<4 | int64(j)
 }
 
+// nearestCoded is nearest on a coded width: each lane's distance, at the
+// width's colour weights, becomes its distance code — what §4.3's
+// distance calculator returns — and the least code<<4 | lane wins, so
+// equal codes go to the first lane. A parked lane saturates to the
+// largest code and sits above every candidate's lane. The colour term
+// stays below 2^31 at every width: (2^w−1)²·wL is about 100²·2^16, and
+// the a/b term about 2^21.
+func (lf *fxLaneFile) nearestCoded(pl, pa, pb, wL int32, cw *codeWidth, sx *[fxLanes]int64) int64 {
+	best := int64(math.MaxInt64)
+	for j := range fxLanes {
+		dl, da, db := pl-lf.l[j], pa-lf.a[j], pb-lf.b[j]
+		d := lf.sy[j] + sx[j] + int64((dl*dl*wL)>>(weightFrac-distFrac)+(da*da+db*db)<<cw.abShift)
+		best = min(best, cw.distCode(d)<<4|int64(j))
+	}
+	return best
+}
+
 func (kn *fxKernel) update(int) (float64, int) {
 	preemptQ8 := int64(math.Round(kn.p.preemptThreshold() * coordOne))
 	return applySigmaFixed(kn.centers, kn.acc, kn.settled, preemptQ8, kn.p.Preemptive), len(kn.centers)
 }
 
-func (kn *fxKernel) finish() []slic.Center { return floatCenters(kn.centers) }
+func (kn *fxKernel) finish() []slic.Center { return floatCenters(kn.centers, kn.cw) }
 
 // applySigmaFixed is the Center Update Unit: one rounded integer
 // division per register. Returns the summed L1 center movement in the

@@ -3,6 +3,7 @@ package sslic
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -60,8 +61,15 @@ func TestFixedDatapathValidation(t *testing.T) {
 	}{
 		{"unknown datapath", func(p *Params) { p.Datapath = DatapathKind(9) }},
 		{"fixed on CPA", func(p *Params) { p.Arch = CPA }},
-		{"fixed with quantization", func(p *Params) { p.Quantization = slic.NewDatapath(8) }},
 		{"fixed with software center update", func(p *Params) { p.SoftwareCenterUpdate = true }},
+		{"code bits on float64", func(p *Params) { p.Datapath, p.CodeBits = Float64, 8 }},
+		{"code bits on CPA", func(p *Params) { p.Datapath, p.Arch, p.CodeBits = Float64, CPA, 8 }},
+	}
+	for _, bits := range []int{-1, 1, 2, 3, 11, 16} {
+		cases = append(cases, struct {
+			name string
+			mod  func(*Params)
+		}{fmt.Sprintf("code bits %d", bits), func(p *Params) { p.CodeBits = bits }})
 	}
 	for _, c := range cases {
 		p := fixedParams(9, 0.5)
@@ -413,21 +421,40 @@ const refSpatSaturated = int64(1) << 60
 
 // refFxKernel carries the fixed kernel's hot loop as it stood before
 // the 9-lane rewrite, on three int32 code planes, with a saturation
-// branch per candidate and a compare-and-branch argmin. It is the
-// differential oracle of fxKernel.band: the lane kernel must reproduce
-// its labels, sigma sums and work counters exactly.
+// branch per candidate and a compare-and-branch argmin, plus the coded
+// widths' distance codes (refDistCode). It is the differential oracle of
+// fxKernel.band: the lane kernel must reproduce its labels, sigma sums
+// and work counters exactly.
 type refFxKernel struct {
 	fxKernel
 	lp, ap, bp []int32
 }
 
-// band is the reference hot loop, copied verbatim.
+// refDistCode is the distance code of a Q4 distance d by its
+// definition: the largest c ≤ max with 448·c ≤ √(d/16)·max, that is
+// 16·(448c)² ≤ d·max².
+func refDistCode(d, max int64) int64 {
+	if d >= 16*448*448 {
+		return max
+	}
+	c := int64(math.Sqrt(float64(d*max*max) / (16 * 448 * 448)))
+	for c > 0 && 16*448*448*c*c > d*max*max {
+		c--
+	}
+	for 16*448*448*(c+1)*(c+1) <= d*max*max {
+		c++
+	}
+	return c
+}
+
+// band is the reference hot loop, copied verbatim but for the coded
+// widths' a/b shift and distance code.
 func (kn *refFxKernel) band(acc []fxSigma, tyFrom, tyTo int) (calcs, skippedTiles, saved int64) {
 	lp, ap, bp, tiling, centers, labels, settled := kn.lp, kn.ap, kn.bp, kn.tiling, kn.centers, kn.labels, kn.settled
 	subset, k, scheme, preemptive := kn.subset, kn.k, kn.p.Scheme, kn.p.Preemptive
 	w, h := labels.W, labels.H
 
-	wL, wS, spCap := kn.dw.wL, kn.dw.wS, kn.dw.spCap
+	wL, wS, spCap, abShift, coded := kn.dw.wL, kn.dw.wS, kn.dw.spCap, kn.cw.abShift, kn.cw.bits != 0
 	var clA, caA, cbA [9]int32
 	var cxA, cyA, syA [9]int64
 	for ty := tyFrom; ty < tyTo; ty++ {
@@ -487,12 +514,15 @@ func (kn *refFxKernel) band(acc []fxSigma, tyFrom, tyTo int) (calcs, skippedTile
 						dl := pl - cl[j]
 						da := pa - ca[j]
 						db := pb - cb[j]
-						d := sy[j] + (int64(dl*dl)*wL)>>(weightFrac-distFrac) + int64(da*da+db*db)<<distFrac
+						d := sy[j] + (int64(dl*dl)*wL)>>(weightFrac-distFrac) + int64(da*da+db*db)<<abShift
 						dx := xQ - cx[j]
 						if sp := dx * dx; sp <= spCap {
 							d += (sp * wS) >> spatShift
 						} else {
 							d += refSpatSaturated
+						}
+						if coded {
+							d = refDistCode(d, kn.cw.max)
 						}
 						if d < bestD {
 							bestD = d
@@ -516,7 +546,8 @@ func (kn *refFxKernel) band(acc []fxSigma, tyFrom, tyTo int) (calcs, skippedTile
 }
 
 // bandCase is one draw of the band oracle: geometry, content seed,
-// compactness, subset scheme and pass, preemption and band count.
+// compactness, subset scheme and pass, preemption, band count and code
+// width.
 type bandCase struct {
 	seed       int64
 	w, h, K    int
@@ -525,6 +556,7 @@ type bandCase struct {
 	k, subset  int
 	preemptive bool
 	bands      int
+	bits       int
 }
 
 // checkFixedBand runs one subset pass of fxKernel over random packed
@@ -538,9 +570,11 @@ func checkFixedBand(t *testing.T, c bandCase) {
 	tiling := NewTiling(c.w, c.h, c.K)
 	s := slic.GridInterval(c.w, c.h, c.K)
 	p := Params{K: c.K, Compactness: c.m, Scheme: c.scheme, Preemptive: c.preemptive,
-		TileWorkers: c.bands, Datapath: Fixed}
+		TileWorkers: c.bands, Datapath: Fixed, CodeBits: c.bits}
 	kn := &fxKernel{frame: frame{p: p, scr: new(Scratch), tiling: tiling,
-		labels: imgio.NewLabelMap(c.w, c.h), k: c.k, s: s, invS2: c.m * c.m / (s * s)}}
+		labels: imgio.NewLabelMap(c.w, c.h), k: c.k, s: s, invS2: c.m * c.m / (s * s)},
+		cw: newCodeWidth(c.bits)}
+	top := uint32(kn.cw.max)
 	// Half the draws take codes and center colours from a palette of
 	// 1–3 words and put centers on whole pixels, so that exact distance
 	// ties, which the tie rule decides, are common.
@@ -548,14 +582,14 @@ func checkFixedBand(t *testing.T, c bandCase) {
 	if rng.Intn(2) == 0 {
 		palette = make([]uint32, 1+rng.Intn(3))
 		for i := range palette {
-			palette[i] = rng.Uint32() & 0xffffff
+			palette[i] = pack(rng.Uint32(), top)
 		}
 	}
 	code := func() uint32 {
 		if palette != nil {
 			return palette[rng.Intn(len(palette))]
 		}
-		return rng.Uint32() & 0xffffff
+		return pack(rng.Uint32(), top)
 	}
 	kn.codes = make([]uint32, n)
 	for i := range kn.codes {
@@ -572,13 +606,13 @@ func checkFixedBand(t *testing.T, c bandCase) {
 			ct.l, ct.a, ct.b = l<<colorFrac, a<<colorFrac, b<<colorFrac
 			ct.x, ct.y = int64(rng.Intn(c.w))<<coordFrac, int64(rng.Intn(c.h))<<coordFrac
 		} else {
-			ct.l, ct.a, ct.b = rng.Int31n(255*colorOne+1), rng.Int31n(255*colorOne+1), rng.Int31n(255*colorOne+1)
+			ct.l, ct.a, ct.b = rng.Int31n(int32(top)*colorOne+1), rng.Int31n(int32(top)*colorOne+1), rng.Int31n(int32(top)*colorOne+1)
 			ct.x, ct.y = rng.Int63n(int64(c.w-1)*coordOne+1), rng.Int63n(int64(c.h-1)*coordOne+1)
 		}
 		kn.settled[i] = rng.Float64() < settleP
 	}
 	kn.acc = make([]fxSigma, nc)
-	kn.dw = newFxWeights(kn.invS2)
+	kn.dw = newFxWeights(kn.invS2, kn.cw)
 	ownCenterFill(kn.labels, tiling, false)
 
 	ref := refFxKernel{fxKernel: *kn, lp: make([]int32, n), ap: make([]int32, n), bp: make([]int32, n)}
@@ -622,12 +656,20 @@ func checkFixedBand(t *testing.T, c bandCase) {
 	}
 }
 
+// pack packs the three fields of a random word, each cut to top (a
+// code width's largest code), in the code word's layout.
+func pack(word, top uint32) uint32 {
+	return packLab(uint16(word&top), uint16(word>>10&top), uint16(word>>20&top))
+}
+
 // fuzzBandCase maps raw fuzz inputs onto a bandCase: W, H ≤ 72, any K,
 // compactness clamped to [0.01, 1e8] (both saturation regimes), every
-// scheme, k ∈ {1, 2, 4} with any of its subsets, and 1–3 bands.
-func fuzzBandCase(seed int64, w8, h8 uint8, k16 uint16, m float64, scheme, subsets, subset uint8, preemptive bool, bands uint8) bandCase {
+// scheme, k ∈ {1, 2, 4} with any of its subsets, 1–3 bands, and code
+// width 0 or 4–10.
+func fuzzBandCase(seed int64, w8, h8 uint8, k16 uint16, m float64, scheme, subsets, subset uint8, preemptive bool, bands, bits uint8) bandCase {
 	c := bandCase{seed: seed, w: 1 + int(w8)%72, h: 1 + int(h8)%72, m: math.Abs(m),
-		scheme: Scheme(scheme % 4), k: []int{1, 2, 4}[subsets%3], preemptive: preemptive, bands: 1 + int(bands)%3}
+		scheme: Scheme(scheme % 4), k: []int{1, 2, 4}[subsets%3], preemptive: preemptive, bands: 1 + int(bands)%3,
+		bits: []int{0, 4, 5, 6, 7, 8, 9, 10}[bits%8]}
 	c.K = 1 + int(k16)%(c.w*c.h)
 	c.subset = int(subset) % c.k
 	if !(c.m >= 0.01) { // also catches NaN
@@ -641,8 +683,9 @@ func fuzzBandCase(seed int64, w8, h8 uint8, k16 uint16, m float64, scheme, subse
 // the reference loop. The seed corpus, which every go test run checks,
 // holds the golden fixed rows' configurations (scheme, compactness,
 // preemption, bands) on a frame of the fuzz range, each subset of their
-// pass, the corners of the range, and 300 seeded random draws with
-// compactness log-uniform over [0.01, 1e8].
+// pass, at width 0 and at every coded width, the corners of the range,
+// and 300 seeded random draws with compactness log-uniform over
+// [0.01, 1e8] at width 0 and 300 more at random coded widths.
 func FuzzFixedBand(f *testing.F) {
 	type golden struct {
 		m          float64
@@ -656,18 +699,101 @@ func FuzzFixedBand(f *testing.F) {
 		{1e7, Interleaved, false, 0}, {1e7, Interleaved, false, 2},
 	} {
 		for subset := uint8(0); subset < 2; subset++ {
-			f.Add(int64(i), uint8(71), uint8(53), uint16(63), g.m, uint8(g.scheme), uint8(1), subset, g.preemptive, g.bands)
+			for bits := uint8(0); bits < 8; bits++ {
+				f.Add(int64(i), uint8(71), uint8(53), uint16(63), g.m, uint8(g.scheme), uint8(1), subset, g.preemptive, g.bands, bits)
+			}
 		}
 	}
-	f.Add(int64(99), uint8(0), uint8(0), uint16(0), 0.01, uint8(0), uint8(0), uint8(0), false, uint8(0))
-	f.Add(int64(7), uint8(71), uint8(71), uint16(5183), 1e8, uint8(3), uint8(2), uint8(3), true, uint8(1))
+	f.Add(int64(99), uint8(0), uint8(0), uint16(0), 0.01, uint8(0), uint8(0), uint8(0), false, uint8(0), uint8(0))
+	f.Add(int64(7), uint8(71), uint8(71), uint16(5183), 1e8, uint8(3), uint8(2), uint8(3), true, uint8(1), uint8(0))
+	f.Add(int64(7), uint8(71), uint8(71), uint16(5183), 1e8, uint8(3), uint8(2), uint8(3), true, uint8(1), uint8(7))
 	rng := rand.New(rand.NewSource(29))
-	for i := 0; i < 300; i++ {
+	for i := 0; i < 600; i++ {
+		bits := uint8(0)
+		if i >= 300 {
+			bits = uint8(1 + i%7)
+		}
 		f.Add(rng.Int63(), uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint16(rng.Intn(1<<16)),
 			math.Pow(10, -2+10*rng.Float64()), uint8(rng.Intn(4)), uint8(rng.Intn(3)), uint8(rng.Intn(4)),
-			rng.Intn(2) == 1, uint8(rng.Intn(3)))
+			rng.Intn(2) == 1, uint8(rng.Intn(3)), bits)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, w8, h8 uint8, k16 uint16, m float64, scheme, subsets, subset uint8, preemptive bool, bands uint8) {
-		checkFixedBand(t, fuzzBandCase(seed, w8, h8, k16, m, scheme, subsets, subset, preemptive, bands))
+	f.Fuzz(func(t *testing.T, seed int64, w8, h8 uint8, k16 uint16, m float64, scheme, subsets, subset uint8, preemptive bool, bands, bits uint8) {
+		checkFixedBand(t, fuzzBandCase(seed, w8, h8, k16, m, scheme, subsets, subset, preemptive, bands, bits))
 	})
+}
+
+// TestDistanceCodeProperties pins the coded datapath's distance code at
+// every width: 0 when the pixel equals its center, saturation at 2^w−1
+// from the 448-unit full scale on, and monotone in the colour
+// difference.
+func TestDistanceCodeProperties(t *testing.T) {
+	for bits := minCodeBits; bits <= maxCodeBits; bits++ {
+		cw := newCodeWidth(bits)
+		top := int32(cw.max)
+		mid := top / 2
+		// code is the distance code of a pixel with codes (l, a, b) at
+		// (x, y) to a center of codes (mid, mid, mid) at (10, 10), read
+		// through the lane file as the kernel does.
+		code := func(l, a, b int32, x, y int, invS2 float64) int64 {
+			dw := newFxWeights(invS2, cw)
+			var lf fxLaneFile
+			lf.load([]fxCenter{{l: mid << colorFrac, a: mid << colorFrac, b: mid << colorFrac,
+				x: 10 << coordFrac, y: 10 << coordFrac}}, []int32{0})
+			xt := make([]int64, fxLanes)
+			lf.xTerms(xt, x, x+1, dw)
+			lf.yTerms(y, dw)
+			return lf.nearestCoded(l, a, b, int32(dw.wL), &cw, (*[fxLanes]int64)(xt)) >> 4
+		}
+		if c := code(mid, mid, mid, 10, 10, 0.1); c != 0 {
+			t.Errorf("bits=%d: self distance code %d", bits, c)
+		}
+		if c := code(top, 0, top, 1000, 1000, 1); c != cw.max {
+			t.Errorf("bits=%d: far code %d, want saturation at %d", bits, c, cw.max)
+		}
+		if c := cw.distCode(distFullScale - 1); c != cw.max-1 {
+			t.Errorf("bits=%d: code %d just below full scale, want %d", bits, c, cw.max-1)
+		}
+		if c := cw.distCode(distFullScale); c != cw.max {
+			t.Errorf("bits=%d: code %d at full scale, want %d", bits, c, cw.max)
+		}
+		prev := int64(0)
+		for l := mid; l <= top; l++ {
+			c := code(l, mid, mid, 10, 10, 0.1)
+			if c < prev {
+				t.Fatalf("bits=%d: code %d at L code %d, below %d one step nearer", bits, c, l, prev)
+			}
+			prev = c
+		}
+		if near, far := code(mid+top/25, mid, mid, 10, 10, 0.1), code(top, mid, mid, 10, 10, 0.1); far <= near {
+			t.Errorf("bits=%d: codes not monotone: near %d, far %d", bits, near, far)
+		}
+	}
+}
+
+// TestDatapathNarrowWidthChangesMoreThanWide: the coded datapath departs
+// from the served exact kernel's boundaries more at 4 bits than at 10.
+func TestDatapathNarrowWidthChangesMoreThanWide(t *testing.T) {
+	im := goldenScene(t)
+	mask := func(bits int) []bool {
+		p := fixedParams(64, 0.5)
+		p.CodeBits = bits
+		r, err := Segment(im, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Labels.BoundaryMask()
+	}
+	exact := mask(0)
+	diff := func(bits int) int {
+		d := 0
+		for i, b := range mask(bits) {
+			if b != exact[i] {
+				d++
+			}
+		}
+		return d
+	}
+	if d4, d10 := diff(4), diff(10); d4 <= d10 {
+		t.Fatalf("4-bit codes (%d boundary diffs) no further from the exact kernel than 10-bit (%d)", d4, d10)
+	}
 }

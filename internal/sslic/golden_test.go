@@ -49,10 +49,11 @@ type goldenRow struct {
 
 // goldenRows covers every control path of the segmenters: both PPA
 // datapaths and CPA, every subset scheme, preemption, warm start, the
-// software center update, reduced-precision quantization and the
-// Threshold early stop. Every value was computed before the three
-// segmenters were folded into one pass driver and must survive any
-// refactor unchanged. (CPA ignores TileWorkers, so it runs serially.)
+// software center update, the fixed datapath's coded widths and the
+// Threshold early stop. Every value but the coded rows' was computed
+// before the three segmenters were folded into one pass driver and must
+// survive any refactor unchanged. (CPA ignores TileWorkers, so it runs
+// serially.)
 var goldenRows = []goldenRow{
 	{name: "float", workers: []int{1, 4, -1}, labels: goldenLabelsSHA256,
 		stats: "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=2007c0636f6deafd"},
@@ -95,15 +96,20 @@ var goldenRows = []goldenRow{
 	{name: "float/warm", warm: true, workers: []int{1, 3},
 		labels: "2fb5f36d2678939cc30b386e4bd67fbb938b3cc3e0a215ceb55efbf206bc49b9",
 		stats:  "calcs=433875 skipped=0 saved=0 updates=378 passes=6 converged=false moves=3fbdafe167b226e3"},
+	// The §6.1 coded datapath at the hardware's 8 bits and at 5, where
+	// the coarse codes tie often.
+	{name: "fixed/code8", fixed: true, mod: func(p *Params) { p.CodeBits = 8 }, workers: []int{1, 3},
+		labels: "ae75d08c70ed9b99f23c574c1b1654788e22b681e2efc9313f4639f405fa28d2",
+		stats:  "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=39784f8cadb34d85"},
+	{name: "fixed/code5", fixed: true, mod: func(p *Params) { p.CodeBits = 5 }, workers: []int{1, 3},
+		labels: "b53f7eb1fbde7c35649692fcbbd2b0542a88b08b40c5365193202a6c622d46e6",
+		stats:  "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=1e41356f33216fe5"},
 	{name: "fixed/warm", fixed: true, warm: true, workers: []int{1, 3},
 		labels: "5f60c577d62cae76e3f9ba45701b87786713812ed66573d8be20172ce1310be4",
 		stats:  "calcs=433875 skipped=0 saved=0 updates=378 passes=6 converged=false moves=4eea7100f490d969"},
 	{name: "float/software-update", mod: func(p *Params) { p.SoftwareCenterUpdate = true }, workers: []int{1, 3},
 		labels: "31d5ff21ada41a19ea9b4859468cb6caa1849608533500990faa6615b7161cc4",
 		stats:  "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=a4f9708a8624efd5"},
-	{name: "float/quant8", mod: func(p *Params) { p.Quantization = slic.NewDatapath(8) }, workers: []int{1, 3},
-		labels: "8fb18f7dba8850f06b42765b5edbf02b2be484f3cdf2b6ca356e3e1e9890418b",
-		stats:  "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=1199494393cbb395"},
 	{name: "float/threshold", mod: func(p *Params) { p.Threshold = 0.5 }, workers: []int{1, 3},
 		labels: "ebf522fc4f2d755124d8e7e1959b92709806ba8739c8405575660251f6ecd121",
 		stats:  "calcs=723125 skipped=0 saved=0 updates=630 passes=10 converged=true moves=38b6a1e4e53a14e1"},

@@ -5,8 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"sslic/internal/slic"
-
 	"sslic/internal/imgio"
 )
 
@@ -144,16 +142,16 @@ func TestSegmentExtremeParameters(t *testing.T) {
 	}
 }
 
-// TestSegmentWithDatapathNeverPanics sweeps the datapath widths against
-// random noise — the quantization paths must saturate, never wrap or
-// crash.
+// TestSegmentWithDatapathNeverPanics sweeps the fixed datapath's code
+// widths against random noise — the coded paths must saturate, never
+// wrap or crash.
 func TestSegmentWithDatapathNeverPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	im := randomImage(rng, 40, 40)
-	for bits := 2; bits <= 16; bits++ {
+	for bits := minCodeBits; bits <= maxCodeBits; bits++ {
 		p := DefaultParams(8, 0.5)
 		p.FullIters = 2
-		p.Quantization = slic.NewDatapath(bits)
+		p.Datapath, p.CodeBits = Fixed, bits
 		if _, err := Segment(im, p); err != nil {
 			t.Errorf("bits=%d: %v", bits, err)
 		}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"sslic/internal/metrics"
-	"sslic/internal/slic"
 )
 
 // proxyStats is the subset of Stats the quality tracker consumes. The
@@ -43,7 +42,7 @@ func TestQualityProxiesDeterministicAcrossWorkers(t *testing.T) {
 				p := DefaultParams(48, 0.5)
 				p.TileWorkers = workers
 				if tc.fixed {
-					p.Quantization = slic.NewDatapath(8)
+					p.Datapath = Fixed
 				}
 				r, err := Segment(im, p)
 				if err != nil {

@@ -136,11 +136,12 @@ type Params struct {
 	// reference implementation, Fixed runs the paper's integer LUT
 	// datapath (PPA only; see DatapathKind).
 	Datapath DatapathKind
-	// Quantization optionally models the reduced-precision hardware
-	// datapath by quantizing the float64 path's Lab values and distances
-	// (the §6.1 bit-width exploration). Mutually exclusive with
-	// Datapath == Fixed, which replaces the arithmetic outright.
-	Quantization slic.Datapath
+	// CodeBits is the code width of the Fixed datapath. 0 (the default)
+	// is the served arithmetic: 8-bit colour codes and exact distances.
+	// 4 to 10 runs the reduced-precision datapath the §6.1 bit-width
+	// exploration sweeps: colour codes and saturating distance codes of
+	// that width. Fixed datapath only.
+	CodeBits int
 	// Preemptive enables the per-cluster early halt of Preemptive SLIC
 	// (Neubert & Protzel, ICPR 2014) composed with subsampling: tiles
 	// whose 9 candidate centers have all stopped moving are skipped.
@@ -242,11 +243,16 @@ func (p Params) Validate(w, h int) error {
 		if p.Arch == CPA {
 			return fmt.Errorf("sslic: the fixed datapath requires the PPA architecture")
 		}
-		if p.Quantization.Enabled {
-			return fmt.Errorf("sslic: the fixed datapath replaces the arithmetic; Quantization does not apply")
-		}
 		if p.SoftwareCenterUpdate {
 			return fmt.Errorf("sslic: the fixed datapath uses the fused hardware center update; SoftwareCenterUpdate does not apply")
+		}
+	}
+	if p.CodeBits != 0 {
+		if p.Datapath != Fixed {
+			return fmt.Errorf("sslic: CodeBits applies to the fixed datapath only")
+		}
+		if p.CodeBits < minCodeBits || p.CodeBits > maxCodeBits {
+			return fmt.Errorf("sslic: CodeBits = %d out of [%d, %d]", p.CodeBits, minCodeBits, maxCodeBits)
 		}
 	}
 	if p.InitialCenters != nil {
@@ -566,21 +572,16 @@ func (s *sigmaOf[T]) add(o *sigmaOf[T]) {
 type sigma = sigmaOf[float64]
 
 // floatPath is the float64 datapath the PPA reference and the CPA run
-// on: CIELAB planes from the reference Equations 1-4 (optionally
-// quantized to model a §6.1 bit width), float centers, and the matching
-// distance quantizer.
+// on: CIELAB planes from the reference Equations 1-4 and float centers.
 type floatPath struct {
 	frame
 	lab     *slic.LabImage
 	centers []slic.Center
-	quant   func(float64) float64
 }
 
 func (kn *floatPath) convert(im *imgio.Image) {
 	slic.ToLabInto(&kn.scr.lab, im)
 	kn.lab = &kn.scr.lab
-	kn.p.Quantization.QuantizeLab(kn.lab)
-	kn.quant = kn.p.Quantization.DistQuantizer()
 }
 
 func (kn *floatPath) finish() []slic.Center { return kn.centers }
@@ -618,7 +619,7 @@ func (kn *ppaKernel) assign(pass, subset int) (calcs, skipped, saved int64, err 
 // skipped tiles, saved calcs).
 func (kn *ppaKernel) band(acc []sigma, _, tyFrom, tyTo int) (calcs, skippedTiles, saved int64) {
 	lab, tiling, centers, labels, settled := kn.lab, kn.tiling, kn.centers, kn.labels, kn.settled
-	subset, k, invS2, quant := kn.subset, kn.k, kn.invS2, kn.quant
+	subset, k, invS2 := kn.subset, kn.k, kn.invS2
 	scheme, preemptive, fused := kn.p.Scheme, kn.p.Preemptive, !kn.p.SoftwareCenterUpdate
 
 	w, h := lab.W, lab.H
@@ -651,9 +652,6 @@ func (kn *ppaKernel) band(acc []sigma, _, tyFrom, tyTo int) (calcs, skippedTiles
 					bestD := math.Inf(1)
 					for _, ci := range cand {
 						d := slic.Distance5(l, a, b, float64(x), float64(y), &centers[ci], invS2)
-						if quant != nil {
-							d = quant(d)
-						}
 						calcs++
 						if d < bestD {
 							bestD = d

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"sslic/internal/imgio"
-	"sslic/internal/slic"
 )
 
 // testImage builds a w×h image split into colored quadrants plus a smooth
@@ -392,7 +391,7 @@ func TestPreemptiveSavesWork(t *testing.T) {
 func TestSegmentWithDatapath(t *testing.T) {
 	im := testImage(48, 48)
 	p := DefaultParams(16, 0.5)
-	p.Quantization = slic.NewDatapath(8)
+	p.Datapath, p.CodeBits = Fixed, 8
 	res, err := Segment(im, p)
 	if err != nil {
 		t.Fatal(err)

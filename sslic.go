@@ -66,15 +66,14 @@ type Options struct {
 	// subsampling, 0.5 and 0.25 are the paper's variants. Ignored for
 	// Method == SLIC.
 	SubsampleRatio float64
-	// FixedPointBits, when nonzero, quantizes the float64 datapath to the
-	// reduced precision of the paper's §6.1 exploration (8 is the
-	// hardware's choice; 0 = float64). For the full integer hardware
-	// datapath use FixedDatapath instead.
+	// FixedPointBits, when nonzero, runs the fixed datapath at the
+	// reduced precision of the paper's §6.1 exploration: colour codes
+	// and saturating distance codes of that width, 4 to 10 bits (8 is
+	// the hardware's choice; 0 = off). S-SLIC PPA only.
 	FixedPointBits int
 	// FixedDatapath runs the paper's integer LUT datapath in the hot
-	// loop: 8-bit Lab codes from the gamma/cube-root LUTs and integer
-	// distance arithmetic. S-SLIC PPA only; mutually exclusive with
-	// FixedPointBits.
+	// loop: 8-bit Lab codes from the gamma/cube-root LUTs and exact
+	// integer distance arithmetic. S-SLIC PPA only.
 	FixedDatapath bool
 	// Preemptive composes the Preemptive-SLIC per-cluster early halt with
 	// subsampling (paper §8's suggested combination).
@@ -140,7 +139,7 @@ func Segment(img image.Image, opt Options) (*Segmentation, error) {
 	if opt.AdaptiveCompactness && opt.Method != SLIC {
 		return nil, fmt.Errorf("sslic: adaptive compactness (SLICO) requires the SLIC method")
 	}
-	if opt.FixedDatapath && opt.Method != SSLICPPA {
+	if (opt.FixedDatapath || opt.FixedPointBits != 0) && opt.Method != SSLICPPA {
 		return nil, fmt.Errorf("sslic: the fixed datapath requires the S-SLIC PPA method")
 	}
 	im := imgio.FromGoImage(img)
@@ -149,9 +148,6 @@ func Segment(img image.Image, opt Options) (*Segmentation, error) {
 		p := slic.DefaultParams(opt.K)
 		applyCommon(&p.Compactness, &p.MaxIters, opt)
 		p.AdaptiveCompactness = opt.AdaptiveCompactness
-		if opt.FixedPointBits > 0 {
-			p.Datapath = slic.NewDatapath(opt.FixedPointBits)
-		}
 		r, err := slic.Segment(im, p)
 		if err != nil {
 			return nil, err
@@ -163,11 +159,9 @@ func Segment(img image.Image, opt Options) (*Segmentation, error) {
 		if opt.Method == SSLICCPA {
 			p.Arch = islic.CPA
 		}
-		if opt.FixedPointBits > 0 {
-			p.Quantization = slic.NewDatapath(opt.FixedPointBits)
-		}
-		if opt.FixedDatapath {
+		if opt.FixedDatapath || opt.FixedPointBits != 0 {
 			p.Datapath = islic.Fixed
+			p.CodeBits = opt.FixedPointBits
 		}
 		p.Preemptive = opt.Preemptive
 		p.TileWorkers = opt.TileWorkers

@@ -95,6 +95,25 @@ func TestSegmentFixedPoint(t *testing.T) {
 	}
 }
 
+// TestFixedPointBitsRequiresPPA: FixedPointBits runs the fixed datapath,
+// which only the S-SLIC PPA has, at a width of 4 to 10 bits.
+func TestFixedPointBitsRequiresPPA(t *testing.T) {
+	img := testImage(48, 48)
+	for _, m := range []Method{SLIC, SSLICCPA} {
+		opt := DefaultOptions(9)
+		opt.Method = m
+		opt.FixedPointBits = 8
+		if _, err := Segment(img, opt); err == nil {
+			t.Errorf("%v: FixedPointBits accepted", m)
+		}
+	}
+	opt := DefaultOptions(9)
+	opt.FixedPointBits = 12
+	if _, err := Segment(img, opt); err == nil {
+		t.Error("FixedPointBits 12 accepted")
+	}
+}
+
 func TestLabelAccessor(t *testing.T) {
 	img := testImage(32, 32)
 	seg, err := Segment(img, DefaultOptions(4))
