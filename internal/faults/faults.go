@@ -2,7 +2,7 @@
 // seedable, registry-based injector whose named injection points are
 // planted at the seams where a production segmentation service actually
 // breaks — frame decode, pipeline stage hand-offs, pool admission, the
-// S-SLIC subset-pass loop, and the hardware model's DRAM accounting.
+// S-SLIC subset-pass loop and tile bands, and tenant admission.
 //
 // The design goals, in order:
 //
@@ -23,7 +23,7 @@
 //
 // Enabling is process-wide (Enable/Disable) because the points are
 // planted in packages that predate any request context (imgio decode,
-// the DRAM model). Tests that enable an injector must not run in
+// the S-SLIC kernel). Tests that enable an injector must not run in
 // parallel with tests that assume a fault-free process.
 package faults
 
@@ -67,9 +67,6 @@ const (
 	// the other bands when TileWorkers > 1. A failing band fails the pass
 	// deterministically (lowest band index wins).
 	PointTile = "sslic.tile"
-	// PointDRAM fires in the DRAM model's transfer accounting. Record
-	// returns no error, so only the latency and panic actions apply.
-	PointDRAM = "hw.dram"
 	// PointTenantAdmit fires at the top of the multi-tenant fair
 	// admission queue, before any quota is checked or slot reserved —
 	// a failing or slow admission control plane. An error action is
@@ -83,7 +80,7 @@ func KnownPoints() []string {
 	pts := []string{
 		PointDecode, PointPoolSubmit, PointPoolRun,
 		PointPipelineSource, PointPipelineSink,
-		PointSubsetPass, PointTile, PointDRAM, PointTenantAdmit,
+		PointSubsetPass, PointTile, PointTenantAdmit,
 	}
 	sort.Strings(pts)
 	return pts

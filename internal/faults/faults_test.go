@@ -103,9 +103,9 @@ func TestPanicAction(t *testing.T) {
 
 func TestLatencyAction(t *testing.T) {
 	in := New(1)
-	in.Set(PointDRAM, PointConfig{Every: 1, Latency: 20 * time.Millisecond})
+	in.Set(PointDecode, PointConfig{Every: 1, Latency: 20 * time.Millisecond})
 	t0 := time.Now()
-	if err := in.Fire(PointDRAM); err != nil {
+	if err := in.Fire(PointDecode); err != nil {
 		t.Fatalf("latency-only point returned error %v", err)
 	}
 	if d := time.Since(t0); d < 20*time.Millisecond {

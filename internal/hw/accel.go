@@ -3,7 +3,6 @@ package hw
 import (
 	"fmt"
 
-	"sslic/internal/dram"
 	"sslic/internal/energy"
 )
 
@@ -85,6 +84,10 @@ func (c Config) Validate() error {
 	}
 	if c.Tech.ClockHz <= 0 {
 		return fmt.Errorf("hw: clock %g Hz", c.Tech.ClockHz)
+	}
+	if c.Tech.DRAMEffectiveBandwidth <= 0 || c.Tech.DRAMLatencyCycles < 0 {
+		return fmt.Errorf("hw: DRAM bandwidth %g B/s, latency %d cycles",
+			c.Tech.DRAMEffectiveBandwidth, c.Tech.DRAMLatencyCycles)
 	}
 	if c.DividerCyclesPerField < 1 || c.CenterOverheadCycles < 0 || c.TileOverheadCycles < 0 {
 		return fmt.Errorf("hw: invalid cycle overheads")
@@ -190,35 +193,22 @@ func Simulate(cfg Config) (*Report, error) {
 	tilePixels := cfg.BufferBytesPerChannel
 	numTiles := (n + tilePixels - 1) / tilePixels
 
-	mem, err := dram.NewModel(dram.Config{
-		BandwidthBytesPerSec: t.DRAMEffectiveBandwidth,
-		LatencyCycles:        t.DRAMLatencyCycles,
-		ClockHz:              t.ClockHz,
-	})
-	if err != nil {
-		return nil, err
+	// External memory moves one burst per tile fill, each costing its
+	// bytes at the sustained bandwidth plus one access latency.
+	transferTime := func(bytes, bursts int64) float64 {
+		return float64(bytes)/t.DRAMEffectiveBandwidth +
+			float64(bursts)*float64(t.DRAMLatencyCycles)/t.ClockHz
 	}
 
 	r := &Report{}
 
 	// Phase 1: color conversion. The unit is pipelined at 1 pixel/cycle;
-	// RGB streaming from DRAM overlaps with computation, so the phase
-	// time is the maximum of the two plus the per-tile latency.
-	ccCycles := float64(n) / float64(cfg.Cores)
-	ccMem, _ := dram.NewModel(dram.Config{
-		BandwidthBytesPerSec: t.DRAMEffectiveBandwidth,
-		LatencyCycles:        t.DRAMLatencyCycles,
-		ClockHz:              t.ClockHz,
-	})
-	for tile := 0; tile < numTiles; tile++ {
-		px := tilePixels
-		if tile == numTiles-1 {
-			px = n - tile*tilePixels
-		}
-		ccMem.RecordBurst(int64(px*3), 0, 0)
-	}
-	ccTime := ccCycles / t.ClockHz
-	if mt := ccMem.TransferTime(); mt > ccTime {
+	// RGB streaming from DRAM (3 bytes per pixel, one burst per tile)
+	// overlaps with computation, so the phase time is the maximum of the
+	// two plus the first burst's latency.
+	ccBytes, ccBursts := int64(3*n), int64(numTiles)
+	ccTime := float64(n) / float64(cfg.Cores) / t.ClockHz
+	if mt := transferTime(ccBytes, ccBursts); mt > ccTime {
 		ccTime = mt
 	}
 	ccTime += float64(t.DRAMLatencyCycles) / t.ClockHz // first-burst startup
@@ -227,24 +217,21 @@ func Simulate(cfg Config) (*Report, error) {
 	// Phase 2: cluster update passes. Per pass: every tile streams in,
 	// the visited subset of its pixels flows through the Cluster Update
 	// Unit at the configured initiation interval, and the index plane
-	// streams back.
+	// streams back. Each tile visits its own pixel count times the
+	// ratio, truncated; all tiles are full but the last.
 	ii := float64(cfg.Cluster.InitiationInterval())
 	visitedPerPass := float64(n) * cfg.SubsampleRatio
 	var clusterCycles float64
 	for pass := 0; pass < cfg.Passes; pass++ {
 		clusterCycles += visitedPerPass * ii / float64(cfg.Cores)
 		clusterCycles += float64(numTiles) * float64(cfg.Cluster.LatencyCycles()+cfg.TileOverheadCycles)
-		for tile := 0; tile < numTiles; tile++ {
-			px := tilePixels
-			if tile == numTiles-1 {
-				px = n - tile*tilePixels
-			}
-			visited := int64(float64(px) * cfg.SubsampleRatio)
-			mem.RecordBurst(visited*3, visited*2, bytesPerTileOverhead)
-		}
 	}
+	tileVisited := func(px int) int64 { return int64(float64(px) * cfg.SubsampleRatio) }
+	visited := int64(numTiles-1)*tileVisited(tilePixels) + tileVisited(n-(numTiles-1)*tilePixels)
+	memBytes := int64(cfg.Passes) * (bytesPerVisitedPixel*visited + bytesPerTileOverhead*int64(numTiles))
+	memBursts := int64(cfg.Passes) * int64(numTiles)
 	r.ClusterComputeTime = clusterCycles / t.ClockHz
-	r.ClusterMemTime = mem.TransferTime()
+	r.ClusterMemTime = transferTime(memBytes, memBursts)
 
 	// Phase 3: center updates after every pass. The Center Update Unit
 	// averages six sigma fields per superpixel on an iterative divider.
@@ -261,8 +248,8 @@ func Simulate(cfg Config) (*Report, error) {
 	}
 	r.StreamFPS = 1 / stagePeriod
 
-	r.TrafficBytes = mem.TotalBytes() + ccMem.TotalBytes()
-	r.Transfers = mem.Transfers() + ccMem.Transfers()
+	r.TrafficBytes = memBytes + ccBytes
+	r.Transfers = memBursts + ccBursts
 	r.ScratchAccesses = int64(12*n) + int64(float64(cfg.Passes)*visitedPerPass*4)
 
 	// Physical estimates.

@@ -2,11 +2,10 @@
 // the FSM host controller, the LUT-based color conversion unit, the four
 // scratchpad memories, the Cluster Update Unit with its configurable
 // parallelism (Table 3), the Center Update Unit with an iterative
-// divider, and the tile-by-tile dataflow against the external memory
-// model of internal/dram. Timing, area and power come from the calibrated
-// component models in internal/energy; the functional (bit-accurate)
-// behavior of the same datapath lives in internal/lut and the
-// fixed-point paths of internal/slic.
+// divider, and the tile-by-tile dataflow against external memory.
+// Timing, area and power come from the calibrated component models in
+// internal/energy; the functional (bit-accurate) behavior of the same
+// datapath lives in internal/lut and the fixed kernel of internal/sslic.
 package hw
 
 import (

@@ -41,6 +41,12 @@ func TestFuncSimValidation(t *testing.T) {
 	if _, err := NewFuncSim(cfg); err == nil {
 		t.Error("invalid config accepted")
 	}
+	// Energy divides the traffic by the DRAM bandwidth.
+	cfg = funcTestConfig(96, 64, 24)
+	cfg.Tech.DRAMEffectiveBandwidth = 0
+	if _, err := NewFuncSim(cfg); err == nil {
+		t.Error("zero DRAM bandwidth accepted")
+	}
 	// The kernel runs whole iterations: 9 passes do not split into the
 	// two subsets of ratio 0.5.
 	cfg = funcTestConfig(96, 64, 24)

@@ -40,7 +40,6 @@ import (
 	"math"
 	"sync"
 
-	"sslic/internal/fixed"
 	"sslic/internal/imgio"
 	"sslic/internal/lut"
 	"sslic/internal/slic"
@@ -123,7 +122,31 @@ func (cw *codeWidth) distCode(d int64) int64 {
 	if d >= distFullScale {
 		return cw.max
 	}
-	root, _ := fixed.Isqrt(d * cw.max * cw.max / distFullScale)
+	return isqrt(d * cw.max * cw.max / distFullScale)
+}
+
+// isqrt is the distance calculator's integer square root (§4.3 returns a
+// distance, not its square): ⌊√v⌋, 0 for v ≤ 0. It works digit by digit
+// (binary restoring), the structure a serial hardware unit uses, and is
+// exact for every int64.
+func isqrt(v int64) int64 {
+	if v <= 0 {
+		return 0
+	}
+	var root int64
+	bit := int64(1) << 62
+	for bit > v {
+		bit >>= 2
+	}
+	for bit != 0 {
+		if v >= root+bit {
+			v -= root + bit
+			root = root>>1 + bit
+		} else {
+			root >>= 1
+		}
+		bit >>= 2
+	}
 	return root
 }
 

@@ -722,6 +722,45 @@ func FuzzFixedBand(f *testing.F) {
 	})
 }
 
+func TestIsqrtExact(t *testing.T) {
+	cases := map[int64]int64{
+		0: 0, 1: 1, 2: 1, 3: 1, 4: 2, 8: 2, 9: 3, 15: 3, 16: 4,
+		1 << 40: 1 << 20, (1 << 30) - 1: 32767,
+	}
+	for v, want := range cases {
+		if got := isqrt(v); got != want {
+			t.Errorf("isqrt(%d) = %d, want %d", v, got, want)
+		}
+	}
+	if got := isqrt(-9); got != 0 {
+		t.Error("negative input must yield 0")
+	}
+}
+
+func TestIsqrtFloorProperty(t *testing.T) {
+	prop := func(raw uint32) bool {
+		v := int64(raw)
+		r := isqrt(v)
+		return r*r <= v && (r+1)*(r+1) > v
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestIsqrtMonotone(t *testing.T) {
+	prop := func(a, b uint32) bool {
+		x, y := int64(a), int64(b)
+		if x > y {
+			x, y = y, x
+		}
+		return isqrt(x) <= isqrt(y)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDistanceCodeProperties pins the coded datapath's distance code at
 // every width: 0 when the pixel equals its center, saturation at 2^w−1
 // from the 448-unit full scale on, and monotone in the colour

@@ -1,9 +1,9 @@
 // Package telemetry is the repo's unified observability layer: a
 // zero-dependency metrics registry (atomic counters, gauges and
-// fixed-bucket histograms) with Prometheus text-format exposition and an
-// expvar bridge, a log/slog-based structured logger with per-component
-// levels, a lightweight span API for per-frame latency tracking, and an
-// HTTP server exposing /metrics, /healthz, /debug/vars and net/http/pprof.
+// fixed-bucket histograms) with Prometheus text-format exposition, a
+// log/slog-based structured logger with per-component levels, a
+// lightweight span API for per-frame latency tracking, and an HTTP
+// server exposing /metrics, /healthz, /debug/vars and net/http/pprof.
 //
 // The paper's whole argument is quantitative — ops/iteration,
 // MB/iteration, energy per frame — and this package makes those same

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -47,13 +48,19 @@ func TestGaugeFunc(t *testing.T) {
 	reg := NewRegistry()
 	v := 7.0
 	reg.GaugeFunc("derived", "", func() float64 { return v })
-	snap := reg.expvarSnapshot()
-	if snap["derived"] != 7.0 {
-		t.Fatalf("gauge func snapshot = %v", snap["derived"])
+	scrape := func() string {
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	if out := scrape(); !strings.Contains(out, "derived 7\n") {
+		t.Fatalf("gauge func scrape:\n%s", out)
 	}
 	v = 8
-	if snap := reg.expvarSnapshot(); snap["derived"] != 8.0 {
-		t.Fatalf("gauge func not re-evaluated: %v", snap["derived"])
+	if out := scrape(); !strings.Contains(out, "derived 8\n") {
+		t.Fatalf("gauge func not re-evaluated:\n%s", out)
 	}
 }
 

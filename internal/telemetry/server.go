@@ -42,7 +42,7 @@ type ServerConfig struct {
 //
 //	/metrics       Prometheus text exposition of the registry
 //	/healthz       200 "ok" liveness probe
-//	/debug/vars    expvar JSON (stdlib expvars plus the registry bridge)
+//	/debug/vars    the standard library's expvar JSON (cmdline, memstats)
 //	/debug/pprof/  the full net/http/pprof suite (profile, heap, trace, …)
 //	/debug/traces  recent flight-recorder traces (JSON summaries)
 //	/debug/trace   one stored trace by ?id=, as Chrome trace_event JSON
@@ -73,8 +73,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: listen %s: %w", cfg.Addr, err)
 	}
-	cfg.Registry.PublishExpvar("telemetry")
-
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

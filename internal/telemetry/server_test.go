@@ -56,7 +56,7 @@ func TestServerEndpoints(t *testing.T) {
 	}
 
 	code, body = get(t, base+"/debug/vars")
-	if code != http.StatusOK || !strings.Contains(body, "telemetry") {
+	if code != http.StatusOK || !strings.Contains(body, "memstats") {
 		t.Fatalf("/debug/vars = %d, body %q", code, truncate(body))
 	}
 
