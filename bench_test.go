@@ -96,10 +96,12 @@ func sample(b *testing.B) *dataset.Sample {
 // frame (K=900, 10 iterations).
 func BenchmarkSegmentSLIC(b *testing.B) {
 	s := sample(b)
+	p := islic.DefaultParams(900, 1)
+	p.Arch = islic.SLIC
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := slic.Segment(s.Image, slic.DefaultParams(900)); err != nil {
+		if _, err := islic.Segment(s.Image, p); err != nil {
 			b.Fatal(err)
 		}
 	}

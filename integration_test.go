@@ -14,6 +14,7 @@ import (
 	"sslic/internal/lut"
 	"sslic/internal/metrics"
 	"sslic/internal/slic"
+	islic "sslic/internal/sslic"
 )
 
 func corpusSample(t testing.TB, seed int64) *dataset.Sample {
@@ -96,8 +97,9 @@ func TestLUTConversionPreservesSegmentationQuality(t *testing.T) {
 	s := corpusSample(t, 5)
 
 	// Reference: float path through the normal pipeline.
-	p := slic.DefaultParams(900)
-	ref, err := slic.Segment(s.Image, p)
+	p := islic.DefaultParams(900, 1)
+	p.Arch = islic.SLIC
+	ref, err := islic.Segment(s.Image, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"sslic/internal/metrics"
-	slicpkg "sslic/internal/slic"
 	"sslic/internal/sslic"
 )
 
@@ -204,16 +203,17 @@ func ablationSLICO(o Options) (*Table, error) {
 		Notes: []string{
 			"SLICO normalizes each cluster's color distance by its own observed scale, removing the m parameter;",
 			"on this corpus of fairly homogeneous regions it costs some USE/BR — its benefit is shape uniformity",
-			"across texture levels (asserted in internal/slic's TestSLICOEqualizesCompactness), not global quality",
+			"across texture levels (asserted in internal/sslic's TestSLICOEqualizesCompactness), not global quality",
 		},
 	}
 	for _, adaptive := range []bool{false, true} {
 		var use, br, co float64
 		for _, s := range samples {
-			p := slicpkg.DefaultParams(fig2K)
-			p.MaxIters = iters
+			p := sslic.DefaultParams(fig2K, 1)
+			p.Arch = sslic.SLIC
+			p.FullIters = iters
 			p.AdaptiveCompactness = adaptive
-			r, err := slicpkg.Segment(s.Image, p)
+			r, err := sslic.Segment(s.Image, p)
 			if err != nil {
 				return nil, err
 			}

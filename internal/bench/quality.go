@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"sslic/internal/dataset"
-	"sslic/internal/imgio"
 	"sslic/internal/metrics"
 	"sslic/internal/slic"
 	"sslic/internal/sslic"
@@ -68,12 +67,13 @@ func runQualitySweep(o Options) ([]qualityPoint, error) {
 	}
 	type variant struct {
 		name  string
+		arch  sslic.Arch
 		ratio float64
 	}
 	variants := []variant{
-		{"SLIC", 0}, // ratio 0 marks the reference CPA SLIC
-		{"S-SLIC(0.5)", 0.5},
-		{"S-SLIC(0.25)", 0.25},
+		{"SLIC", sslic.SLIC, 1},
+		{"S-SLIC(0.5)", sslic.PPA, 0.5},
+		{"S-SLIC(0.25)", sslic.PPA, 0.25},
 	}
 	var points []qualityPoint
 	for _, v := range variants {
@@ -81,31 +81,20 @@ func runQualitySweep(o Options) ([]qualityPoint, error) {
 			var totalTime time.Duration
 			var useAgg, brAgg metrics.Aggregate
 			for _, s := range samples {
-				var labels *imgio.LabelMap
+				p := sslic.DefaultParams(fig2K, v.ratio)
+				p.Arch = v.arch
+				p.FullIters = iters
 				t0 := time.Now()
-				if v.ratio == 0 {
-					p := slic.DefaultParams(fig2K)
-					p.MaxIters = iters
-					r, err := slic.Segment(s.Image, p)
-					if err != nil {
-						return nil, err
-					}
-					labels = r.Labels
-				} else {
-					p := sslic.DefaultParams(fig2K, v.ratio)
-					p.FullIters = iters
-					r, err := sslic.Segment(s.Image, p)
-					if err != nil {
-						return nil, err
-					}
-					labels = r.Labels
-				}
-				totalTime += time.Since(t0)
-				u, err := metrics.UndersegmentationError(labels, s.GT)
+				r, err := sslic.Segment(s.Image, p)
 				if err != nil {
 					return nil, err
 				}
-				b, err := metrics.BoundaryRecall(labels, s.GT, 2)
+				totalTime += time.Since(t0)
+				u, err := metrics.UndersegmentationError(r.Labels, s.GT)
+				if err != nil {
+					return nil, err
+				}
+				b, err := metrics.BoundaryRecall(r.Labels, s.GT, 2)
 				if err != nil {
 					return nil, err
 				}

@@ -24,32 +24,6 @@ func testImage(w, h, bands int) *imgio.Image {
 	return im
 }
 
-func TestDefaultParamsValid(t *testing.T) {
-	p := DefaultParams(100)
-	if err := p.Validate(64, 64); err != nil {
-		t.Fatalf("default params invalid: %v", err)
-	}
-}
-
-func TestValidateRejectsBadParams(t *testing.T) {
-	cases := []struct {
-		name string
-		p    Params
-		w, h int
-	}{
-		{"zero K", Params{K: 0, Compactness: 10, MaxIters: 10}, 64, 64},
-		{"K > N", Params{K: 10000, Compactness: 10, MaxIters: 10}, 16, 16},
-		{"zero m", Params{K: 10, Compactness: 0, MaxIters: 10}, 64, 64},
-		{"zero iters", Params{K: 10, Compactness: 10, MaxIters: 0}, 64, 64},
-		{"bad size", Params{K: 10, Compactness: 10, MaxIters: 10}, 0, 64},
-	}
-	for _, c := range cases {
-		if err := c.p.Validate(c.w, c.h); err == nil {
-			t.Errorf("%s: Validate passed, want error", c.name)
-		}
-	}
-}
-
 func TestGridInterval(t *testing.T) {
 	if s := GridInterval(100, 100, 100); math.Abs(s-10) > 1e-9 {
 		t.Fatalf("S = %g, want 10", s)
@@ -154,114 +128,6 @@ func TestDistance5SymmetricInColor(t *testing.T) {
 	d21 := Distance5(c1.L, c1.A, c1.B, 0, 0, c2, 1)
 	if d12 != d21 {
 		t.Fatalf("asymmetric: %g vs %g", d12, d21)
-	}
-}
-
-func TestSegmentBasic(t *testing.T) {
-	im := testImage(60, 40, 3)
-	res, err := Segment(im, DefaultParams(24))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every pixel labeled.
-	for i, v := range res.Labels.Labels {
-		if v < 0 {
-			t.Fatalf("pixel %d unassigned", i)
-		}
-	}
-	n := res.Labels.NumRegions()
-	if n < 12 || n > 48 {
-		t.Fatalf("region count %d too far from requested 24", n)
-	}
-	if res.Stats.Iterations != 10 {
-		t.Fatalf("iterations = %d, want 10", res.Stats.Iterations)
-	}
-	if res.Stats.DistanceCalcs == 0 {
-		t.Fatal("distance calcs not counted")
-	}
-}
-
-func TestSegmentRespectsColorBoundaries(t *testing.T) {
-	// Two halves of very different color: no superpixel may straddle the
-	// boundary by much. Check label purity against the two halves.
-	w, h := 64, 32
-	im := imgio.NewImage(w, h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			if x < w/2 {
-				im.Set(x, y, 250, 20, 20)
-			} else {
-				im.Set(x, y, 20, 20, 250)
-			}
-		}
-	}
-	res, err := Segment(im, DefaultParams(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// For each label, count pixels on each side; impurity must be tiny.
-	left := map[int32]int{}
-	right := map[int32]int{}
-	for i, v := range res.Labels.Labels {
-		if (i % w) < w/2 {
-			left[v]++
-		} else {
-			right[v]++
-		}
-	}
-	var impure int
-	for lbl, lc := range left {
-		if rc := right[lbl]; rc > 0 && lc > 0 {
-			if lc < rc {
-				impure += lc
-			} else {
-				impure += rc
-			}
-		}
-	}
-	if impure > w*h/50 {
-		t.Fatalf("%d pixels in straddling superpixels (>2%%)", impure)
-	}
-}
-
-func TestSegmentConvergesWithThreshold(t *testing.T) {
-	im := testImage(48, 48, 2)
-	p := DefaultParams(16)
-	p.Threshold = 0.5
-	p.MaxIters = 50
-	res, err := Segment(im, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stats.Converged {
-		t.Fatal("did not converge in 50 iterations on a trivial image")
-	}
-	if res.Stats.Iterations >= 50 {
-		t.Fatal("threshold did not shorten the run")
-	}
-}
-
-func TestSegmentDeterministic(t *testing.T) {
-	im := testImage(40, 30, 3)
-	a, err := Segment(im, DefaultParams(12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Segment(im, DefaultParams(12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Labels.Labels {
-		if a.Labels.Labels[i] != b.Labels.Labels[i] {
-			t.Fatal("segmentation not deterministic")
-		}
-	}
-}
-
-func TestSegmentErrorOnBadParams(t *testing.T) {
-	im := testImage(16, 16, 2)
-	if _, err := Segment(im, Params{}); err == nil {
-		t.Fatal("want error for zero params")
 	}
 }
 

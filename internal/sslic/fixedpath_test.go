@@ -61,6 +61,7 @@ func TestFixedDatapathValidation(t *testing.T) {
 	}{
 		{"unknown datapath", func(p *Params) { p.Datapath = DatapathKind(9) }},
 		{"fixed on CPA", func(p *Params) { p.Arch = CPA }},
+		{"fixed on SLIC", func(p *Params) { p.Arch, p.SubsampleRatio = SLIC, 1 }},
 		{"fixed with software center update", func(p *Params) { p.SoftwareCenterUpdate = true }},
 		{"code bits on float64", func(p *Params) { p.Datapath, p.CodeBits = Float64, 8 }},
 		{"code bits on CPA", func(p *Params) { p.Datapath, p.Arch, p.CodeBits = Float64, CPA, 8 }},

@@ -39,9 +39,10 @@ type Scratch struct {
 
 	// The kernels live here too, rebuilt at the start of every run, so
 	// a run with a Scratch allocates no kernel of its own.
-	ppa ppaKernel
-	fx  fxKernel
-	cpa cpaKernel
+	ppa  ppaKernel
+	fx   fxKernel
+	cpa  cpaKernel
+	slic slicKernel
 }
 
 // NewScratch returns an empty Scratch; buffers are grown on first use.

@@ -5,7 +5,8 @@
 // stochastic-gradient style acceleration that cuts distance computations
 // and memory bandwidth while preserving convergence.
 //
-// Two dataflow architectures are provided (§4.2):
+// Two dataflow architectures are provided (§4.2), and the reference
+// SLIC of §2 runs on the same pass driver:
 //
 //   - PPA (pixel perspective): each visited pixel evaluates the 9
 //     spatially closest initial centers from a precomputed static tiling
@@ -13,6 +14,9 @@
 //     on the fly. Reads the image once per pass.
 //   - CPA (center perspective): each updated center scans its 2S×2S patch
 //     like original SLIC; overlapping patches re-read pixels ~4×.
+//   - SLIC (Achanta et al.; Figure 1a): every center scans its 2S×2S
+//     patch each iteration, then every center is recomputed from the
+//     whole image. SLICO's per-cluster colour scale is an option of it.
 //
 // The package also exposes the operation-count and DRAM-traffic analysis
 // behind Table 2 and the preemptive per-cluster early-halt extension the
@@ -31,7 +35,8 @@ import (
 	"sslic/internal/telemetry"
 )
 
-// Arch selects the dataflow architecture of §4.2.
+// Arch selects the dataflow architecture of §4.2, or the reference
+// SLIC of §2.
 type Arch int
 
 const (
@@ -39,14 +44,21 @@ const (
 	PPA Arch = iota
 	// CPA is the center perspective architecture baseline.
 	CPA
+	// SLIC is the original windowed algorithm of §2, which S-SLIC
+	// subsamples. It runs at SubsampleRatio 1 only.
+	SLIC
 )
 
 // String returns the paper's name for the architecture.
 func (a Arch) String() string {
-	if a == CPA {
+	switch a {
+	case CPA:
 		return "CPA"
+	case SLIC:
+		return "SLIC"
+	default:
+		return "PPA"
 	}
-	return "PPA"
 }
 
 // Scheme selects how pixels (PPA) or centers (CPA) are split into
@@ -122,7 +134,7 @@ type Params struct {
 	// SubsampleRatio is 1/Subsets: 1 disables subsampling, 0.5 and 0.25
 	// are the paper's S-SLIC(0.5) and S-SLIC(0.25).
 	SubsampleRatio float64
-	// Arch selects PPA or CPA.
+	// Arch selects PPA, CPA or SLIC.
 	Arch Arch
 	// Scheme selects the subset construction.
 	Scheme Scheme
@@ -132,6 +144,13 @@ type Params struct {
 	EnforceConnectivity bool
 	// MinRegionDivisor sets the connectivity minimum size S²/divisor.
 	MinRegionDivisor int
+	// AdaptiveCompactness enables the SLICO variant of the original
+	// authors' release: instead of one global m, every superpixel
+	// normalizes its color distance by the largest color distance
+	// observed in the cluster during the previous iteration, making the
+	// compactness parameter-free and the superpixel shapes uniform
+	// across textured and smooth regions. SLIC only.
+	AdaptiveCompactness bool
 	// Datapath selects the hot-loop arithmetic: Float64 (default) is the
 	// reference implementation, Fixed runs the paper's integer LUT
 	// datapath (PPA only; see DatapathKind).
@@ -152,8 +171,8 @@ type Params struct {
 	// InitialCenters seeds the superpixel centers instead of grid
 	// initialization — the warm-start path video pipelines use to carry
 	// centers across frames. Length must equal the effective K (the
-	// center grid size for the image and K). PPA only: the CPA always
-	// seeds on the grid.
+	// center grid size for the image and K). PPA only: the CPA and SLIC
+	// always seed on the grid.
 	InitialCenters []slic.Center
 	// TileWorkers sets the number of goroutines for the PPA cluster-update
 	// pass: 0 or 1 runs serially, n > 1 uses n workers, -1 uses
@@ -236,11 +255,20 @@ func (p Params) Validate(w, h int) error {
 	if p.SubsampleRatio <= 0 || p.SubsampleRatio > 1 {
 		return fmt.Errorf("sslic: subsample ratio %g out of (0, 1]", p.SubsampleRatio)
 	}
+	if p.Arch != PPA && p.Arch != CPA && p.Arch != SLIC {
+		return fmt.Errorf("sslic: unknown architecture %d", p.Arch)
+	}
+	if p.Arch == SLIC && p.SubsampleRatio != 1 {
+		return fmt.Errorf("sslic: SLIC does not subsample; SubsampleRatio %g, want 1", p.SubsampleRatio)
+	}
+	if p.AdaptiveCompactness && p.Arch != SLIC {
+		return fmt.Errorf("sslic: adaptive compactness (SLICO) requires the SLIC architecture")
+	}
 	if p.Datapath != Float64 && p.Datapath != Fixed {
 		return fmt.Errorf("sslic: unknown datapath %d", p.Datapath)
 	}
 	if p.Datapath == Fixed {
-		if p.Arch == CPA {
+		if p.Arch != PPA {
 			return fmt.Errorf("sslic: the fixed datapath requires the PPA architecture")
 		}
 		if p.SoftwareCenterUpdate {
@@ -256,7 +284,7 @@ func (p Params) Validate(w, h int) error {
 		}
 	}
 	if p.InitialCenters != nil {
-		if p.Arch == CPA {
+		if p.Arch != PPA {
 			return fmt.Errorf("sslic: warm start (InitialCenters) requires the PPA architecture")
 		}
 		if nx, ny := slic.CenterGridDims(w, h, p.K); len(p.InitialCenters) != nx*ny {
@@ -318,7 +346,8 @@ type Result struct {
 	Stats   Stats
 }
 
-// Segment runs S-SLIC per Figure 1b (PPA) or the CPA variant.
+// Segment runs S-SLIC per Figure 1b (PPA), the CPA variant or the
+// reference SLIC of Figure 1a.
 func Segment(im *imgio.Image, p Params) (*Result, error) {
 	return SegmentContext(context.Background(), im, p)
 }
@@ -358,6 +387,9 @@ func SegmentContext(ctx context.Context, im *imgio.Image, p Params) (*Result, er
 	f.invS2 = p.Compactness * p.Compactness / (f.s * f.s)
 	var kern kernel
 	switch {
+	case p.Arch == SLIC:
+		f.scr.slic = slicKernel{cpaKernel: cpaKernel{floatPath: floatPath{frame: f}}}
+		kern = &f.scr.slic
 	case p.Arch == CPA:
 		f.scr.cpa = cpaKernel{floatPath: floatPath{frame: f}}
 		kern = &f.scr.cpa
@@ -458,8 +490,9 @@ func SegmentContext(ctx context.Context, im *imgio.Image, p Params) (*Result, er
 
 // kernel is one segmenter's datapath under the pass driver: the float64
 // PPA reference (ppaKernel), the fixed-point PPA of §4.3/§6.1
-// (fxKernel) and the CPA baseline (cpaKernel). The driver runs each
-// step inside the phase clock it belongs to.
+// (fxKernel), the CPA baseline (cpaKernel) and the reference SLIC
+// (slicKernel). The driver runs each step inside the phase clock it
+// belongs to.
 type kernel interface {
 	// convert is the colour conversion phase.
 	convert(im *imgio.Image)

@@ -133,47 +133,39 @@ func Segment(img image.Image, opt Options) (*Segmentation, error) {
 	if img == nil {
 		return nil, fmt.Errorf("sslic: nil image")
 	}
+	// Checked here rather than left to the segmenter: a WarmStart built
+	// by FromLabels has no centers and would otherwise run cold.
 	if opt.WarmStart != nil && opt.Method != SSLICPPA {
 		return nil, fmt.Errorf("sslic: warm start requires the S-SLIC PPA method")
 	}
-	if opt.AdaptiveCompactness && opt.Method != SLIC {
-		return nil, fmt.Errorf("sslic: adaptive compactness (SLICO) requires the SLIC method")
-	}
-	if (opt.FixedDatapath || opt.FixedPointBits != 0) && opt.Method != SSLICPPA {
-		return nil, fmt.Errorf("sslic: the fixed datapath requires the S-SLIC PPA method")
-	}
-	im := imgio.FromGoImage(img)
+	p := islic.DefaultParams(opt.K, ratioOrDefault(opt.SubsampleRatio))
 	switch opt.Method {
+	case SSLICCPA:
+		p.Arch = islic.CPA
 	case SLIC:
-		p := slic.DefaultParams(opt.K)
-		applyCommon(&p.Compactness, &p.MaxIters, opt)
-		p.AdaptiveCompactness = opt.AdaptiveCompactness
-		r, err := slic.Segment(im, p)
-		if err != nil {
-			return nil, err
-		}
-		return wrap(r.Labels, r.Centers, r.Stats.Iterations, r.Stats.DistanceCalcs, r.Stats.MoveHistory), nil
-	default:
-		p := islic.DefaultParams(opt.K, ratioOrDefault(opt.SubsampleRatio))
-		applyCommon(&p.Compactness, &p.FullIters, opt)
-		if opt.Method == SSLICCPA {
-			p.Arch = islic.CPA
-		}
-		if opt.FixedDatapath || opt.FixedPointBits != 0 {
-			p.Datapath = islic.Fixed
-			p.CodeBits = opt.FixedPointBits
-		}
-		p.Preemptive = opt.Preemptive
-		p.TileWorkers = opt.TileWorkers
-		if opt.WarmStart != nil {
-			p.InitialCenters = opt.WarmStart.centers
-		}
-		r, err := islic.Segment(im, p)
-		if err != nil {
-			return nil, err
-		}
-		return wrap(r.Labels, r.Centers, r.Stats.Iterations, r.Stats.DistanceCalcs, r.Stats.MoveHistory), nil
+		p.Arch, p.SubsampleRatio = islic.SLIC, 1
 	}
+	if opt.Compactness > 0 {
+		p.Compactness = opt.Compactness
+	}
+	if opt.Iterations > 0 {
+		p.FullIters = opt.Iterations
+	}
+	if opt.FixedDatapath || opt.FixedPointBits != 0 {
+		p.Datapath = islic.Fixed
+		p.CodeBits = opt.FixedPointBits
+	}
+	p.AdaptiveCompactness = opt.AdaptiveCompactness
+	p.Preemptive = opt.Preemptive
+	p.TileWorkers = opt.TileWorkers
+	if opt.WarmStart != nil {
+		p.InitialCenters = opt.WarmStart.centers
+	}
+	r, err := islic.Segment(imgio.FromGoImage(img), p)
+	if err != nil {
+		return nil, err
+	}
+	return wrap(r.Labels, r.Centers, r.Stats.Iterations, r.Stats.DistanceCalcs, r.Stats.MoveHistory), nil
 }
 
 func ratioOrDefault(r float64) float64 {
@@ -181,15 +173,6 @@ func ratioOrDefault(r float64) float64 {
 		return 0.5
 	}
 	return r
-}
-
-func applyCommon(compactness *float64, iters *int, opt Options) {
-	if opt.Compactness > 0 {
-		*compactness = opt.Compactness
-	}
-	if opt.Iterations > 0 {
-		*iters = opt.Iterations
-	}
 }
 
 func wrap(lm *imgio.LabelMap, centers []slic.Center, iters int, calcs int64, residuals []float64) *Segmentation {
