@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"image/color"
 	"os"
+	"strings"
 	"time"
 
 	"sslic"
@@ -105,12 +106,22 @@ func main() {
 		}
 	}
 	if !*quiet {
+		used := *ratio
+		if opt.Method == sslic.SLIC {
+			used = 1 // SLIC visits every pixel on every pass
+		}
 		fmt.Printf("%s: %dx%d, %d superpixels (%s, K=%d, m=%g, ratio=%g) in %v\n",
-			*in, seg.W, seg.H, seg.NumSegments, opt.Method, *k, *m, *ratio, elapsed.Round(time.Millisecond))
+			*in, seg.W, seg.H, seg.NumSegments, opt.Method, *k, *m, used, elapsed.Round(time.Millisecond))
 	}
 }
 
+// fatal prints err with one "sslic:" prefix, which the segmenter's own
+// errors already carry, and exits 1.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sslic:", err)
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "sslic:") {
+		msg = "sslic: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
 	os.Exit(1)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -561,9 +562,10 @@ type bandCase struct {
 }
 
 // checkFixedBand runs one subset pass of fxKernel over random packed
-// codes, centers and settled flags, and the reference kernel over the
-// same state band by band. Labels, merged sigma accumulators and the
-// (calcs, skipped, saved) counters must be identical.
+// codes, centers and settled flags, once with every row kernel the host
+// runs, and the reference kernel over the same state band by band.
+// Labels, merged sigma accumulators and the (calcs, skipped, saved)
+// counters must be identical.
 func checkFixedBand(t *testing.T, c bandCase) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(c.seed))
@@ -623,10 +625,6 @@ func checkFixedBand(t *testing.T, c bandCase) {
 		ref.lp[i], ref.ap[i], ref.bp[i] = unpackLab(word)
 	}
 
-	calcs, skipped, saved, err := kn.assign(0, c.subset)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ref.subset = c.subset
 	refAcc := make([]fxSigma, nc)
 	var rCalcs, rSkipped, rSaved int64
@@ -641,18 +639,28 @@ func checkFixedBand(t *testing.T, c bandCase) {
 		}
 	}
 
-	if got, want := [3]int64{calcs, skipped, saved}, [3]int64{rCalcs, rSkipped, rSaved}; got != want {
-		t.Fatalf("%+v: (calcs, skipped, saved) = %v, reference %v", c, got, want)
-	}
-	for i := range ref.labels.Labels {
-		if kn.labels.Labels[i] != ref.labels.Labels[i] {
-			t.Fatalf("%+v: label %d at (%d, %d), reference %d", c, kn.labels.Labels[i],
-				i%c.w, i/c.w, ref.labels.Labels[i])
+	start := slices.Clone(kn.labels.Labels)
+	for _, rk := range hostRowKernels {
+		copy(kn.labels.Labels, start)
+		restore := rk.use()
+		calcs, skipped, saved, err := kn.assign(0, c.subset)
+		restore()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for ci := range refAcc {
-		if kn.acc[ci] != refAcc[ci] {
-			t.Fatalf("%+v: sigma %d = %+v, reference %+v", c, ci, kn.acc[ci], refAcc[ci])
+		if got, want := [3]int64{calcs, skipped, saved}, [3]int64{rCalcs, rSkipped, rSaved}; got != want {
+			t.Fatalf("%s kernel, %+v: (calcs, skipped, saved) = %v, reference %v", rk.name, c, got, want)
+		}
+		for i := range ref.labels.Labels {
+			if kn.labels.Labels[i] != ref.labels.Labels[i] {
+				t.Fatalf("%s kernel, %+v: label %d at (%d, %d), reference %d", rk.name, c, kn.labels.Labels[i],
+					i%c.w, i/c.w, ref.labels.Labels[i])
+			}
+		}
+		for ci := range refAcc {
+			if kn.acc[ci] != refAcc[ci] {
+				t.Fatalf("%s kernel, %+v: sigma %d = %+v, reference %+v", rk.name, c, ci, kn.acc[ci], refAcc[ci])
+			}
 		}
 	}
 }
@@ -680,13 +688,14 @@ func fuzzBandCase(seed int64, w8, h8 uint8, k16 uint16, m float64, scheme, subse
 	return c
 }
 
-// FuzzFixedBand is the differential oracle of the lane kernel against
-// the reference loop. The seed corpus, which every go test run checks,
-// holds the golden fixed rows' configurations (scheme, compactness,
-// preemption, bands) on a frame of the fuzz range, each subset of their
-// pass, at width 0 and at every coded width, the corners of the range,
-// and 300 seeded random draws with compactness log-uniform over
-// [0.01, 1e8] at width 0 and 300 more at random coded widths.
+// FuzzFixedBand is the differential oracle of the lane kernel, through
+// each row kernel the host runs, against the reference loop. The seed
+// corpus, which every go test run checks, holds the golden fixed rows'
+// configurations (scheme, compactness, preemption, bands) on a frame of
+// the fuzz range, each subset of their pass, at width 0 and at every
+// coded width, the corners of the range, and 300 seeded random draws
+// with compactness log-uniform over [0.01, 1e8] at width 0 and 300 more
+// at random coded widths.
 func FuzzFixedBand(f *testing.F) {
 	type golden struct {
 		m          float64
