@@ -123,6 +123,26 @@ var goldenRows = []goldenRow{
 	{name: "fixed/code5", fixed: true, mod: func(p *Params) { p.CodeBits = 5 }, workers: []int{1, 3},
 		labels: "b53f7eb1fbde7c35649692fcbbd2b0542a88b08b40c5365193202a6c622d46e6",
 		stats:  "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=1e41356f33216fe5"},
+	// The coded datapath on the other subset schemes (whole rows, row
+	// bands, hashed pixels), from a warm start, and preempted at a
+	// quarter ratio. Computed on the coded widths' own per-pixel band.
+	{name: "fixed/code8/rows", fixed: true, mod: func(p *Params) { p.CodeBits, p.Scheme = 8, Rows }, workers: []int{1, 3},
+		labels: "94fb8074f70414a7d511815eaa107c323a83a664448b9dd8877c62e65893454b",
+		stats:  "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=c6df0d27ee02939c"},
+	{name: "fixed/code8/blocks", fixed: true, mod: func(p *Params) { p.CodeBits, p.Scheme = 8, Blocks }, workers: []int{1, 3},
+		labels: "9f2fff6bfbb11f29be3bdb714c1354d3ddc835a7507de208b3cd7fa8a153bfad",
+		stats:  "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=449c6bebd04dcb8e"},
+	{name: "fixed/code8/hashed", fixed: true, mod: func(p *Params) { p.CodeBits, p.Scheme = 8, Hashed }, workers: []int{1, 3},
+		labels: "020e55672680ea17bcb4631b327c3488049c3adfc8226481ec22de36994cdd1a",
+		stats:  "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=baa9bf6b3952be71"},
+	{name: "fixed/code8/warm", fixed: true, warm: true, mod: func(p *Params) { p.CodeBits = 8 }, workers: []int{1, 3},
+		labels: "b18a8a7426419fa5b318c3128e44c21732b36b5a43f2f41826a924fee20f0856",
+		stats:  "calcs=433875 skipped=0 saved=0 updates=378 passes=6 converged=false moves=d9e2b9e050b763a5"},
+	{name: "fixed/code5/preemptive", fixed: true, mod: func(p *Params) {
+		p.CodeBits, p.Preemptive, p.SubsampleRatio = 5, true, 0.25
+	}, workers: []int{1, 3},
+		labels: "8489715fa340cb619364100535420c6c19531af9d2c02fa2ecc92f92dca15c92",
+		stats:  "calcs=1439302 skipped=19 saved=6912 updates=2520 passes=40 converged=false moves=0d2d044742fad4d7"},
 	{name: "fixed/warm", fixed: true, warm: true, workers: []int{1, 3},
 		labels: "5f60c577d62cae76e3f9ba45701b87786713812ed66573d8be20172ce1310be4",
 		stats:  "calcs=433875 skipped=0 saved=0 updates=378 passes=6 converged=false moves=4eea7100f490d969"},
