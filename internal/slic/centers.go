@@ -8,37 +8,26 @@ import "math"
 // or a noisy pixel"). The returned slice length is the effective K — the
 // grid point count nearest to the requested K.
 func InitCenters(lab *LabImage, k int, perturb bool) []Center {
-	c, _ := InitCentersInto(lab, k, perturb, nil, nil)
+	c, _ := InitCentersInto(lab, k, perturb, nil)
 	return c
 }
 
-// InitCentersInto is InitCenters with caller-owned scratch: the centers
-// slice and the gradient buffer (only consulted when perturb is set)
-// are reused when their capacity suffices. It returns the filled center
-// slice and the gradient buffer so the caller can hand both back on the
-// next frame.
-func InitCentersInto(lab *LabImage, k int, perturb bool, centers []Center, grad []float64) ([]Center, []float64) {
+// InitCentersInto is InitCenters with a caller-owned gradient buffer,
+// only consulted when perturb is set and reused when its capacity
+// suffices. It returns the centers and the gradient buffer so the caller
+// can hand the buffer back on the next frame.
+func InitCentersInto(lab *LabImage, k int, perturb bool, grad []float64) ([]Center, []float64) {
 	w, h := lab.W, lab.H
-	s := GridInterval(w, h, k)
-	nx := max(1, int(float64(w)/s+0.5))
-	ny := max(1, int(float64(h)/s+0.5))
-
+	nx, ny := CenterGridDims(w, h, k)
+	var seedGrad []float64 // nil seeds at the cell centres
 	if perturb {
 		grad = GradientMapInto(lab, grad)
+		seedGrad = grad
 	}
-
-	if cap(centers) < nx*ny {
-		centers = make([]Center, 0, nx*ny)
-	}
-	centers = centers[:0]
+	centers := make([]Center, 0, nx*ny)
 	for gy := 0; gy < ny; gy++ {
 		for gx := 0; gx < nx; gx++ {
-			// Cell-centered placement.
-			x := min(w-1, int((float64(gx)+0.5)*float64(w)/float64(nx)))
-			y := min(h-1, int((float64(gy)+0.5)*float64(h)/float64(ny)))
-			if perturb {
-				x, y = lowestGradient3x3(grad, w, h, x, y)
-			}
+			x, y := GridSeed(w, h, nx, ny, gx, gy, seedGrad)
 			i := y*w + x
 			centers = append(centers, Center{
 				L: lab.L[i], A: lab.A[i], B: lab.B[i],
@@ -47,6 +36,34 @@ func InitCentersInto(lab *LabImage, k int, perturb bool, centers []Center, grad 
 		}
 	}
 	return centers, grad
+}
+
+// GridSeed is §2's seed of cell (gx, gy) of an nx×ny grid on a w×h
+// image: the cell's centre pixel, moved to the lowest-gradient pixel of
+// its 3×3 neighborhood when grad is non-nil, ties resolved in favor of
+// the cell centre first, then scan order. Both datapaths seed through
+// it, each on its own gradient map (T is the map's arithmetic).
+func GridSeed[T int64 | float64](w, h, nx, ny, gx, gy int, grad []T) (x, y int) {
+	x = min(w-1, int((float64(gx)+0.5)*float64(w)/float64(nx)))
+	y = min(h-1, int((float64(gy)+0.5)*float64(h)/float64(ny)))
+	if grad == nil {
+		return x, y
+	}
+	bestX, bestY := x, y
+	best := grad[y*w+x]
+	for dy := -1; dy <= 1; dy++ {
+		for dx := -1; dx <= 1; dx++ {
+			px, py := x+dx, y+dy
+			if px < 0 || px >= w || py < 0 || py >= h {
+				continue
+			}
+			if g := grad[py*w+px]; g < best {
+				best = g
+				bestX, bestY = px, py
+			}
+		}
+	}
+	return bestX, bestY
 }
 
 // CenterGridDims returns the (nx, ny) grid used by InitCenters for a w×h
@@ -85,27 +102,6 @@ func GradientMapInto(lab *LabImage, grad []float64) []float64 {
 		}
 	}
 	return grad
-}
-
-// lowestGradient3x3 returns the coordinates of the minimum-gradient pixel
-// in the 3×3 neighborhood of (x, y), ties resolved in favor of the
-// original position first, then scan order.
-func lowestGradient3x3(grad []float64, w, h, x, y int) (int, int) {
-	bestX, bestY := x, y
-	best := grad[y*w+x]
-	for dy := -1; dy <= 1; dy++ {
-		for dx := -1; dx <= 1; dx++ {
-			nx, ny := x+dx, y+dy
-			if nx < 0 || nx >= w || ny < 0 || ny >= h {
-				continue
-			}
-			if g := grad[ny*w+nx]; g < best {
-				best = g
-				bestX, bestY = nx, ny
-			}
-		}
-	}
-	return bestX, bestY
 }
 
 func sq(v float64) float64 { return v * v }

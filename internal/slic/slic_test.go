@@ -84,7 +84,7 @@ func TestGradientPerturbationAvoidsEdges(t *testing.T) {
 	if grad[10*21+10] <= grad[10*21+5] {
 		t.Fatal("edge gradient not larger than flat gradient")
 	}
-	x, y := lowestGradient3x3(grad, 21, 21, 10, 10)
+	x, y := GridSeed(21, 21, 1, 1, 0, 0, grad) // the cell centre is (10, 10)
 	if x == 10 {
 		t.Fatalf("perturbation kept center on the edge column (%d,%d)", x, y)
 	}

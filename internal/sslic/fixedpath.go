@@ -33,7 +33,8 @@ package sslic
 //     the default, is the served arithmetic above. A width of 4 to 10
 //     bits is the reduced-precision datapath §6.1 sweeps: colour codes of
 //     that width, and distances that become saturating codes of that
-//     width before the argmin compares them.
+//     width before the argmin compares them. Every width runs the same
+//     band; only its row kernel differs (nearestRowCoded, in Go).
 //
 // The float64 path in sslic.go is the reference oracle; the parity and
 // golden tests pin this implementation against it.
@@ -243,9 +244,8 @@ func unpackLab(c uint32) (l, a, b int32) {
 	return int32(c & 0x3ff), int32(c >> 10 & 0x3ff), int32(c >> 20)
 }
 
-// initCentersFixed mirrors slic.InitCenters on the packed codes:
-// cell-centered grid placement with the optional 3×3 lowest-gradient
-// perturbation, evaluated on code-space gradients.
+// initCentersFixed seeds the grid as the float64 path does, through
+// slic.GridSeed, on the packed codes and their code-space gradients.
 func initCentersFixed(codes []uint32, w, h int, tiling *Tiling, perturb bool, centers []fxCenter, scr *Scratch) {
 	var grad []int64
 	if perturb {
@@ -253,11 +253,7 @@ func initCentersFixed(codes []uint32, w, h int, tiling *Tiling, perturb bool, ce
 	}
 	for gy := 0; gy < tiling.NY; gy++ {
 		for gx := 0; gx < tiling.NX; gx++ {
-			x := min(w-1, int((float64(gx)+0.5)*float64(w)/float64(tiling.NX)))
-			y := min(h-1, int((float64(gy)+0.5)*float64(h)/float64(tiling.NY)))
-			if perturb {
-				x, y = lowestGradient3x3Fixed(grad, w, h, x, y)
-			}
+			x, y := slic.GridSeed(w, h, tiling.NX, tiling.NY, gx, gy, grad)
 			l, a, b := unpackLab(codes[y*w+x])
 			centers[gy*tiling.NX+gx] = fxCenter{
 				l: l << colorFrac, a: a << colorFrac, b: b << colorFrac,
@@ -288,24 +284,6 @@ func gradientMapFixed(codes []uint32, w, h int, scr *Scratch) []int64 {
 		}
 	}
 	return grad
-}
-
-func lowestGradient3x3Fixed(grad []int64, w, h, x, y int) (int, int) {
-	bestX, bestY := x, y
-	best := grad[y*w+x]
-	for dy := -1; dy <= 1; dy++ {
-		for dx := -1; dx <= 1; dx++ {
-			nx, ny := x+dx, y+dy
-			if nx < 0 || nx >= w || ny < 0 || ny >= h {
-				continue
-			}
-			if g := grad[ny*w+nx]; g < best {
-				best = g
-				bestX, bestY = nx, ny
-			}
-		}
-	}
-	return bestX, bestY
 }
 
 // quantizeCenters converts warm-start float64 centers into the fixed
@@ -395,9 +373,6 @@ func (kn *fxKernel) seed(tiling *Tiling, labels *imgio.LabelMap) {
 func (kn *fxKernel) assign(pass, subset int) (calcs, skipped, saved int64, err error) {
 	clear(kn.acc)
 	kn.subset = subset
-	if kn.cw.bits != 0 {
-		return runBands(&kn.frame, (*fxCoded)(kn), kn.acc, &kn.scr.fxPass, pass)
-	}
 	nb := tileBands(kn.p.TileWorkers, kn.tiling.NY) // one x-term table and winner row per band
 	grow(&kn.scr.fxXTerms, nb)
 	grow(&kn.scr.fxWinners, nb)
@@ -405,18 +380,19 @@ func (kn *fxKernel) assign(pass, subset int) (calcs, skipped, saved int64, err e
 }
 
 // band is the integer hot loop over tile rows [tyFrom, tyTo), band b of
-// the pass. Per tile, the candidate centers are read once into the 9
-// lanes, and the tile's x terms into the band's table; per row, the y
-// terms. Each row's subset pixels go through nearestRow, which writes
-// every pixel's winning lane into the band's winner row; the sigma
-// update — the Cluster Update Unit's adders — then reads it. A Hashed
-// row is evaluated whole and filtered here. DistanceCalcs counts the
-// tile's candidates at subset pixels, not its parked lanes, so it
-// matches the float64 oracle.
+// the pass, at every code width. Per tile, the candidate centers are
+// read once into the 9 lanes, and the tile's x terms into the band's
+// table; per row, the y terms. Each row's subset pixels go through the
+// width's row kernel — nearestRow at width 0, nearestRowCoded on a
+// coded width — which writes every pixel's winning lane into the band's
+// winner row; the sigma update — the Cluster Update Unit's adders —
+// then reads it. A Hashed row is evaluated whole and filtered here.
+// DistanceCalcs counts the tile's candidates at subset pixels, not its
+// parked lanes, so it matches the float64 oracle.
 func (kn *fxKernel) band(acc []fxSigma, b, tyFrom, tyTo int) (calcs, skippedTiles, saved int64) {
 	codes, tiling, centers, labels, settled := kn.codes, kn.tiling, kn.centers, kn.labels, kn.settled
 	subset, k, scheme, preemptive := kn.subset, kn.k, kn.p.Scheme, kn.p.Preemptive
-	hashed := k > 1 && scheme == Hashed
+	hashed, coded := k > 1 && scheme == Hashed, kn.cw.bits != 0
 	w, h := labels.W, labels.H
 	dw, wL := kn.dw, int32(kn.dw.wL)
 	// No tile is wider than ⌈w/NX⌉ columns.
@@ -446,7 +422,11 @@ func (kn *fxKernel) band(acc []fxSigma, b, tyFrom, tyTo int) (calcs, skippedTile
 				lf.yTerms(y, dw)
 				row := y * w
 				out := winners[:(x1-startX+stepX-1)/stepX]
-				nearestRow(&lf, codes[row+startX:], xt[(startX-x0)*fxLanes:], stepX, wL, out)
+				if coded {
+					nearestRowCoded(&lf, codes[row+startX:], xt[(startX-x0)*fxLanes:], stepX, wL, &kn.cw, out)
+				} else {
+					nearestRow(&lf, codes[row+startX:], xt[(startX-x0)*fxLanes:], stepX, wL, out)
+				}
 				for j, lane := range out {
 					x := startX + j*stepX
 					if hashed && subsetOf(scheme, x, y, w, h, k) != subset {
@@ -455,57 +435,6 @@ func (kn *fxKernel) band(acc []fxSigma, b, tyFrom, tyTo int) (calcs, skippedTile
 					i := row + x
 					pl, pa, pb := unpackLab(codes[i])
 					lbl := cand[lane]
-					calcs += int64(len(cand))
-					labels.Labels[i] = lbl
-					sg := &acc[lbl]
-					sg.l += int64(pl)
-					sg.a += int64(pa)
-					sg.b += int64(pb)
-					sg.x += int64(x)
-					sg.y += int64(y)
-					sg.n++
-				}
-			}
-		}
-	}
-	return calcs, skippedTiles, saved
-}
-
-// fxCoded is fxKernel on a coded width: the same state and lane file,
-// with a band that takes each pixel's argmin over distance codes
-// (nearestCoded). assign picks it once per pass, so the served band's
-// loop is untouched; the coded one, which only the §6.1 sweep and the
-// functional simulator run, keeps to the plainest traversal: every
-// pixel of the tile, filtered by subsetOf, with its x terms computed in
-// place.
-type fxCoded fxKernel
-
-func (kn *fxCoded) band(acc []fxSigma, _, tyFrom, tyTo int) (calcs, skippedTiles, saved int64) {
-	tiling, labels, k := kn.tiling, kn.labels, kn.k
-	w, h := labels.W, labels.H
-	var lf fxLaneFile
-	var sx [fxLanes]int64
-	for ty := tyFrom; ty < tyTo; ty++ {
-		y0, y1 := ty*h/tiling.NY, (ty+1)*h/tiling.NY
-		for tx := 0; tx < tiling.NX; tx++ {
-			cand := tiling.Candidates[ty*tiling.NX+tx]
-			x0, x1 := tx*w/tiling.NX, (tx+1)*w/tiling.NX
-			if skip, sv := skipTile(kn.p.Preemptive, cand, kn.settled, (x1-x0)*(y1-y0), k); skip {
-				skippedTiles++
-				saved += sv
-				continue
-			}
-			lf.load(kn.centers, cand)
-			for y := y0; y < y1; y++ {
-				lf.yTerms(y, kn.dw)
-				for x := x0; x < x1; x++ {
-					if subsetOf(kn.p.Scheme, x, y, w, h, k) != kn.subset {
-						continue
-					}
-					lf.xTerms(sx[:], x, x+1, kn.dw)
-					i := y*w + x
-					pl, pa, pb := unpackLab(kn.codes[i])
-					lbl := cand[lf.nearestCoded(pl, pa, pb, int32(kn.dw.wL), &kn.cw, &sx)&0xf]
 					calcs += int64(len(cand))
 					labels.Labels[i] = lbl
 					sg := &acc[lbl]
@@ -619,6 +548,15 @@ func (lf *fxLaneFile) nearestCoded(pl, pa, pb, wL int32, cw *codeWidth, sx *[fxL
 		best = min(best, cw.distCode(d)<<4|int64(j))
 	}
 	return best
+}
+
+// nearestRowCoded is nearestRow's contract on a coded width, a Go loop
+// over nearestCoded on every platform.
+func nearestRowCoded(lf *fxLaneFile, codes []uint32, xt []int64, step int, wL int32, cw *codeWidth, out []uint8) {
+	for i := range out {
+		pl, pa, pb := unpackLab(codes[i*step])
+		out[i] = uint8(lf.nearestCoded(pl, pa, pb, wL, cw, (*[fxLanes]int64)(xt[i*step*fxLanes:])) & 0xf)
+	}
 }
 
 func (kn *fxKernel) update(int) (float64, int) {
