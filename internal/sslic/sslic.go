@@ -140,10 +140,9 @@ type Params struct {
 	Scheme Scheme
 	// PerturbCenters applies the 3×3 gradient perturbation at init.
 	PerturbCenters bool
-	// EnforceConnectivity runs the final stray-pixel pass.
+	// EnforceConnectivity runs the final stray-pixel pass, which absorbs
+	// every component smaller than S²/4 (minRegionDivisor).
 	EnforceConnectivity bool
-	// MinRegionDivisor sets the connectivity minimum size S²/divisor.
-	MinRegionDivisor int
 	// AdaptiveCompactness enables the SLICO variant of the original
 	// authors' release: instead of one global m, every superpixel
 	// normalizes its color distance by the largest color distance
@@ -226,7 +225,6 @@ func DefaultParams(k int, ratio float64) Params {
 		Scheme:              Interleaved,
 		PerturbCenters:      true,
 		EnforceConnectivity: true,
-		MinRegionDivisor:    4,
 	}
 }
 
@@ -466,7 +464,7 @@ func SegmentContext(ctx context.Context, im *imgio.Image, p Params) (*Result, er
 	t0 = time.Now()
 	centers := kern.finish()
 	if p.EnforceConnectivity {
-		slic.EnforceConnectivity(labels, int(f.s*f.s)/max(1, p.MinRegionDivisor))
+		slic.EnforceConnectivity(labels, int(f.s*f.s)/minRegionDivisor)
 		f.tr.Emit("connectivity", "sslic", t0, time.Since(t0), nil)
 	}
 	qualityScan(labels, len(centers), f.scr, &st)
@@ -522,6 +520,10 @@ type frame struct {
 	s      float64 // grid interval S
 	invS2  float64 // m²/S², the spatial weight of Equation 5
 }
+
+// minRegionDivisor sets the connectivity pass's minimum component size,
+// S²/4: a quarter of a grid cell, the original SLIC release's choice.
+const minRegionDivisor = 4
 
 // preemptThreshold resolves PreemptThreshold's zero default.
 func (p *Params) preemptThreshold() float64 {
