@@ -13,6 +13,12 @@
 // an 8-bit datapath loses almost no accuracy; this package is what makes
 // that claim testable against the float64 reference in
 // internal/colorspace.
+//
+// Convert runs the unit's arithmetic step by step. Codes, which the fixed
+// datapath serves, reads a software image of the same unit instead: the
+// gamma LUT folded into the matrix columns, and the PWL f(·) tabulated at
+// every Q0.16 input. The image gives the unit's result on every input,
+// bit for bit, at about half the cost per pixel.
 package lut
 
 import (
@@ -53,6 +59,15 @@ type Converter struct {
 	segBase  []int32 // Q0.16 f(t) at segment start
 	segSlope []int32 // Q0.16 secant slope df/dt over the segment
 	segT0    []int32 // Q0.16 segment start abscissa
+
+	// The software image of the unit, which Codes reads: cols[ch][v] is
+	// the matrix column of input channel ch premultiplied by gamma[v],
+	// one Q2.30 product per XYZ row, so the 3×3 multiply becomes nine
+	// loads and six adds; fTab is the PWL f(·) at every Q0.16 t in
+	// [0, 1]. No product exceeds 2^30 and no row sum 2^31 (Z's, the
+	// largest, is about 1.17e9), so int32 holds them exactly.
+	cols [3][gammaEntries][3]int32
+	fTab [one + 1]int32
 }
 
 // NewConverter builds a converter with the given number of PWL segments
@@ -128,6 +143,17 @@ func NewConverter(segments int) (*Converter, error) {
 	c.segT0[last] = 0
 	c.segBase[last] = int32(math.Round(16.0 / 116 * one))
 	c.segSlope[last] = int32(math.Round(903.3 / 116 * one))
+
+	for ch := range c.cols {
+		for v, lin := range c.gamma {
+			for row := range c.mat {
+				c.cols[ch][v][row] = c.mat[row][ch] * lin
+			}
+		}
+	}
+	for t := range c.fTab {
+		c.fTab[t] = c.labFFixed(int32(t))
+	}
 	return c, nil
 }
 
@@ -176,62 +202,64 @@ func (c *Converter) labFFixed(t int32) int32 {
 
 // Convert maps one 8-bit sRGB pixel to the 8-bit Lab encoding used by the
 // accelerator scratchpads: L ∈ [0,100] scaled to [0,255]; a and b offset
-// by +128. The whole path is integer arithmetic and table lookups.
+// by +128. It is the unit's arithmetic, step by step (modelF), and the
+// oracle of the table image Codes reads.
 func (c *Converter) Convert(r, g, b uint8) (l8, a8, b8 uint8) {
-	// Gamma LUT.
+	fx, fy, fz := c.modelF(r, g, b)
+	lc, ac, bc := labCodes(fx, fy, fz, 8)
+	return uint8(lc), uint8(ac), uint8(bc)
+}
+
+// modelF is the unit's Q0.16 f-triple of a pixel, computed as the
+// hardware does: gamma LUT, 3×3 matrix multiply, white normalisation and
+// the PWL f(·) of each XYZ channel.
+func (c *Converter) modelF(r, g, b uint8) (fx, fy, fz int32) {
 	rl := int64(c.gamma[r])
 	gl := int64(c.gamma[g])
 	bl := int64(c.gamma[b])
-
-	// Matrix multiply; results Q0.16.
-	var xyz [3]int64
-	for row := 0; row < 3; row++ {
-		xyz[row] = (int64(c.mat[row][0])*rl + int64(c.mat[row][1])*gl + int64(c.mat[row][2])*bl) >> matBits
-	}
-
-	// Normalize by white and evaluate the PWL f(·).
 	var f [3]int32
-	for i := 0; i < 3; i++ {
-		t := (xyz[i] * int64(c.invW[i])) >> matBits
-		f[i] = c.labFFixed(int32(t))
+	for row := 0; row < 3; row++ {
+		xyz := (int64(c.mat[row][0])*rl + int64(c.mat[row][1])*gl + int64(c.mat[row][2])*bl) >> matBits
+		f[row] = c.labFFixed(int32((xyz * int64(c.invW[row])) >> matBits))
 	}
+	return f[0], f[1], f[2]
+}
 
-	// Equation 3 in integer form; L in Q0.16 of [0,1] after dividing the
-	// 116·f − 16 range by 100.
-	lQ := (116*int64(f[1]) - 16*one) // L·2^16, L in [0,100]
-	aQ := 500 * (int64(f[0]) - int64(f[1]))
-	bQ := 200 * (int64(f[1]) - int64(f[2]))
+// tableF is modelF read from the table image: the matrix columns give
+// XYZ, and fTab gives f(·) of each channel's normalised t, clamped to
+// [0, 1] as labFFixed clamps it. It equals modelF on every input
+// (TestTableFMatchesModelExhaustive).
+func (c *Converter) tableF(r, g, b uint8) (fx, fy, fz int32) {
+	cr, cg, cb := &c.cols[0][r], &c.cols[1][g], &c.cols[2][b]
+	return c.fAt(cr[0]+cg[0]+cb[0], 0), c.fAt(cr[1]+cg[1]+cb[1], 1), c.fAt(cr[2]+cg[2]+cb[2], 2)
+}
 
-	l8 = clampU8((lQ*255/100 + one/2) >> fracBits)
-	a8 = clampU8((aQ + 128*one + one/2) >> fracBits)
-	b8 = clampU8((bQ + 128*one + one/2) >> fracBits)
-	return l8, a8, b8
+// fAt is f(·) of XYZ channel ch for a row sum of premultiplied columns.
+// The sum's XYZ value is below 2^17 and a white reciprocal below 2^15,
+// so their product fits uint32.
+func (c *Converter) fAt(sum int32, ch int) int32 {
+	t := (uint32(sum) >> matBits * uint32(c.invW[ch])) >> matBits
+	return c.fTab[min(t, one)]
 }
 
 // Codes maps one 8-bit sRGB pixel to Lab codes of the given width, 4 to
-// 10 bits — the §6.1 bit-width exploration's colour codes. It runs
-// Convert's integer path and rounds the same Q0.16 intermediate to the
-// width: L·(2^bits−1)/100, and (a+128)·2^(bits−8) for a and b, each
-// clamped to the width. At 8 bits these are Convert's codes, on every
-// input (TestCodesAt8BitsMatchConvert). Convert keeps its own copy of the
-// path so the served conversion pays for no width.
+// 10 bits — the §6.1 bit-width exploration's colour codes, and at 8 bits
+// the codes the fixed datapath serves. It reads the table image, whose
+// f-triple is the unit's own, and rounds it as Convert does (labCodes),
+// so at 8 bits these are Convert's codes on every input
+// (TestCodesAt8BitsMatchConvert).
 func (c *Converter) Codes(r, g, b uint8, bits int) (lc, ac, bc uint16) {
-	rl := int64(c.gamma[r])
-	gl := int64(c.gamma[g])
-	bl := int64(c.gamma[b])
-	var xyz [3]int64
-	for row := 0; row < 3; row++ {
-		xyz[row] = (int64(c.mat[row][0])*rl + int64(c.mat[row][1])*gl + int64(c.mat[row][2])*bl) >> matBits
-	}
-	var f [3]int32
-	for i := 0; i < 3; i++ {
-		t := (xyz[i] * int64(c.invW[i])) >> matBits
-		f[i] = c.labFFixed(int32(t))
-	}
-	lQ := (116*int64(f[1]) - 16*one)
-	aQ := 500 * (int64(f[0]) - int64(f[1]))
-	bQ := 200 * (int64(f[1]) - int64(f[2]))
+	fx, fy, fz := c.tableF(r, g, b)
+	return labCodes(fx, fy, fz, bits)
+}
 
+// labCodes rounds a Q0.16 f-triple to Lab codes of the given width, by
+// Equation 3 in integer form: L·(2^bits−1)/100, and (a+128)·2^(bits−8)
+// for a and b, each clamped to the width.
+func labCodes(fx, fy, fz int32, bits int) (lc, ac, bc uint16) {
+	lQ := 116*int64(fy) - 16*one // L·2^16, L in [0,100]
+	aQ := 500 * (int64(fx) - int64(fy))
+	bQ := 200 * (int64(fy) - int64(fz))
 	hi := int64(1)<<bits - 1
 	half := int64(1) << (23 - bits) // rounds the a/b scaling's shift by 24−bits
 	lc = uint16(min(hi, max(0, (lQ*hi/100+one/2)>>fracBits)))
@@ -252,17 +280,8 @@ func (c *Converter) ConvertImage(im *imgio.Image) *imgio.Image {
 
 // TableBytes returns the total ROM footprint of the converter's tables in
 // bytes, used by the hardware area model: 256 gamma entries plus
-// base/slope pairs per PWL segment, at 16 bits each.
+// base/slope pairs per PWL segment, at 16 bits each. The software table
+// image Codes reads is not the unit's ROM and is not counted.
 func (c *Converter) TableBytes() int {
 	return gammaEntries*2 + c.segments*2*2
-}
-
-func clampU8(v int64) uint8 {
-	if v < 0 {
-		return 0
-	}
-	if v > 255 {
-		return 255
-	}
-	return uint8(v)
 }

@@ -325,6 +325,21 @@ func maxInt(a, b int) int {
 	return b
 }
 
+// TestTableFMatchesModelExhaustive: the table image's f-triple is the
+// unit's arithmetic on every one of the 2^24 inputs. Convert and Codes
+// round their triple through the one labCodes, so Codes at every width
+// 4–10 is the model's rounding too.
+func TestTableFMatchesModelExhaustive(t *testing.T) {
+	c := MustNewConverter(DefaultSegments)
+	for rgb := 0; rgb < 1<<24; rgb++ {
+		r, g, b := uint8(rgb>>16), uint8(rgb>>8), uint8(rgb)
+		tx, ty, tz := c.tableF(r, g, b)
+		if mx, my, mz := c.modelF(r, g, b); tx != mx || ty != my || tz != mz {
+			t.Fatalf("rgb %06x: table f (%d, %d, %d), model f (%d, %d, %d)", rgb, tx, ty, tz, mx, my, mz)
+		}
+	}
+}
+
 // TestCodesAt8BitsMatchConvert: the width-w rounding of Codes is
 // Convert's own at w = 8, on every one of the 2^24 inputs.
 func TestCodesAt8BitsMatchConvert(t *testing.T) {

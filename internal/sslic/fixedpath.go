@@ -217,19 +217,16 @@ func newFxWeights(invS2 float64, cw codeWidth) fxWeights {
 }
 
 // convertLabCodes runs the LUT color conversion into one packed Lab
-// code word per pixel (see packLab), at code width bits.
+// code word per pixel (see packLab), at code width bits: the colour
+// codes of width 0 are those of width 8.
 func convertLabCodes(conv *lut.Converter, im *imgio.Image, bits int, scr *Scratch) []uint32 {
-	n := im.Pixels()
-	codes := grow(&scr.fxCodes, n)
 	if bits == 0 {
-		for i := range codes {
-			l, a, b := conv.Convert(im.C0[i], im.C1[i], im.C2[i])
-			codes[i] = packLab(uint16(l), uint16(a), uint16(b))
-		}
-		return codes
+		bits = 8
 	}
+	codes := grow(&scr.fxCodes, im.Pixels())
+	c0, c1, c2 := im.C0[:len(codes)], im.C1[:len(codes)], im.C2[:len(codes)]
 	for i := range codes {
-		codes[i] = packLab(conv.Codes(im.C0[i], im.C1[i], im.C2[i], bits))
+		codes[i] = packLab(conv.Codes(c0[i], c1[i], c2[i], bits))
 	}
 	return codes
 }

@@ -846,3 +846,24 @@ func TestDatapathNarrowWidthChangesMoreThanWide(t *testing.T) {
 		t.Fatalf("4-bit codes (%d boundary diffs) no further from the exact kernel than 10-bit (%d)", d4, d10)
 	}
 }
+
+// TestServedCodesMatchConvert: the served colour conversion, width 0
+// read from the unit's table image, packs Convert's 8-bit codes — the
+// unit's step-by-step arithmetic — for every pixel of a frame of random
+// colours, and the coded width 8 packs the same words.
+func TestServedCodesMatchConvert(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	im := imgio.NewImage(256, 256)
+	for i := range im.C0 {
+		im.C0[i], im.C1[i], im.C2[i] = uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256))
+	}
+	conv := fixedConverter()
+	served := slices.Clone(convertLabCodes(conv, im, 0, NewScratch()))
+	coded := convertLabCodes(conv, im, 8, NewScratch())
+	for i, word := range served {
+		l, a, b := conv.Convert(im.C0[i], im.C1[i], im.C2[i])
+		if want := packLab(uint16(l), uint16(a), uint16(b)); word != want || coded[i] != want {
+			t.Fatalf("pixel %d: width 0 word %#x, width 8 word %#x, Convert's %#x", i, word, coded[i], want)
+		}
+	}
+}
