@@ -2,8 +2,11 @@ package sslic
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"sslic/internal/imgio"
 	"sslic/internal/metrics"
 )
 
@@ -129,5 +132,51 @@ func TestBoundaryPixelsMatchesStandaloneScan(t *testing.T) {
 	if got != r.Stats.BoundaryPixels {
 		t.Fatalf("standalone scan counts %d boundary pixels, core counted %d",
 			got, r.Stats.BoundaryPixels)
+	}
+}
+
+// pixelQualityScan is qualityScan's definition, pixel by pixel: each
+// label in [0, k) counts its pixels, and a pixel with a 4-neighbour of
+// another label is a boundary pixel.
+func pixelQualityScan(labels *imgio.LabelMap, k int) (counts []int32, boundary int) {
+	counts = make([]int32, k)
+	w, h := labels.W, labels.H
+	lb := labels.Labels
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			i := y*w + x
+			v := lb[i]
+			if v >= 0 && int(v) < k {
+				counts[v]++
+			}
+			if (x > 0 && lb[i-1] != v) || (x < w-1 && lb[i+1] != v) ||
+				(y > 0 && lb[i-w] != v) || (y < h-1 && lb[i+w] != v) {
+				boundary++
+			}
+		}
+	}
+	return counts, boundary
+}
+
+// TestQualityScanMatchesPixelScan: the run-wise scan counts what the
+// pixel-wise definition counts, on random maps with one-pixel rows and
+// columns, and labels below 0 and past k, with one Scratch reused.
+func TestQualityScanMatchesPixelScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	scr := NewScratch()
+	for iter := 0; iter < 2000; iter++ {
+		w, h := 1+rng.Intn(20), 1+rng.Intn(20)
+		k, nl := 1+rng.Intn(6), 1+rng.Intn(8)
+		lm := imgio.NewLabelMap(w, h)
+		for i := range lm.Labels {
+			lm.Labels[i] = int32(rng.Intn(nl)) - 1
+		}
+		var st Stats
+		qualityScan(lm, k, scr, &st)
+		counts, boundary := pixelQualityScan(lm, k)
+		if !slices.Equal(scr.counts, counts) || st.BoundaryPixels != boundary {
+			t.Fatalf("%dx%d, k %d: counts %v, %d boundary pixels; pixel scan %v, %d",
+				w, h, k, scr.counts, st.BoundaryPixels, counts, boundary)
+		}
 	}
 }

@@ -307,9 +307,16 @@ type Stats struct {
 	// are the live stand-ins for the paper's offline quality metrics:
 	// EmptyClusters and ClusterSizeCV track under-segmentation
 	// collapse, BoundaryPixels tracks boundary density (the BR proxy).
+	// Both cluster proxies read labels 0 to K−1 of the final map, K the
+	// effective K. With EnforceConnectivity those number the final
+	// superpixels in scan order, not the clusters, so EmptyClusters is
+	// K minus the superpixel count, floored at 0. A frame can end with
+	// more superpixels than K, and the proxies leave the ones past the
+	// K-th out.
 	EmptyClusters int
 	// ClusterSizeCV is the coefficient of variation (stddev/mean) of
-	// per-cluster pixel counts across the effective K clusters.
+	// the pixel counts of labels 0 to K−1: the effective K clusters, or
+	// with EnforceConnectivity the first K superpixels in scan order.
 	ClusterSizeCV float64
 	// BoundaryPixels counts pixels with at least one 4-neighbor of a
 	// different label.
@@ -464,7 +471,7 @@ func SegmentContext(ctx context.Context, im *imgio.Image, p Params) (*Result, er
 	t0 = time.Now()
 	centers := kern.finish()
 	if p.EnforceConnectivity {
-		slic.EnforceConnectivity(labels, int(f.s*f.s)/minRegionDivisor)
+		f.scr.conn.Enforce(labels, int(f.s*f.s)/minRegionDivisor)
 		f.tr.Emit("connectivity", "sslic", t0, time.Since(t0), nil)
 	}
 	qualityScan(labels, len(centers), f.scr, &st)
