@@ -210,7 +210,7 @@ func BenchmarkFuncSimFrame(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fs.Run(s.Image); err != nil {
+		if _, _, err := fs.Run(s.Image); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,9 +2,9 @@
 // S-SLIC accelerator on a real image: the pixels go through the fixed
 // datapath at 8-bit colour and distance codes — the modeled LUT color
 // conversion and integer cluster-update datapath — producing the label
-// map the silicon would produce alongside the cycle, traffic and
-// operation counters. The passes must make whole iterations: a multiple
-// of the subset count round(1/ratio).
+// map the silicon would produce alongside the frame's report: its cycle,
+// traffic and operation counts. The passes must make whole iterations: a
+// multiple of the subset count round(1/ratio).
 //
 // Usage:
 //
@@ -52,7 +52,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	lm, err := fs.Run(im)
+	lm, r, err := fs.Run(im)
 	if err != nil {
 		fatal(err)
 	}
@@ -60,12 +60,12 @@ func main() {
 	fmt.Printf("functional simulation of %s (%dx%d, K=%d, %s cluster unit)\n",
 		*in, im.W, im.H, *k, cfg.Cluster)
 	fmt.Printf("  superpixels      %d\n", lm.NumRegions())
-	fmt.Printf("  cycles           %d (%.2f ms at %.1f GHz)\n",
-		fs.Cycles, fs.TimeSeconds()*1e3, cfg.Tech.ClockHz/1e9)
-	fmt.Printf("  distance calcs   %d\n", fs.DistanceCalcs)
-	fmt.Printf("  divider ops      %d\n", fs.DividerOps)
-	fmt.Printf("  DRAM traffic     %.2f MB\n", float64(fs.DRAMBytes)/1e6)
-	fmt.Printf("  scratchpad R/W   %d / %d\n", fs.ScratchReads, fs.ScratchWrites)
+	fmt.Printf("  cycles           %.0f (%.2f ms at %.1f GHz)\n",
+		r.Cycles, r.Cycles/cfg.Tech.ClockHz*1e3, cfg.Tech.ClockHz/1e9)
+	fmt.Printf("  distance calcs   %d\n", r.Work.DistanceCalcs)
+	fmt.Printf("  divider ops      %d\n", r.DividerOps)
+	fmt.Printf("  DRAM traffic     %.2f MB\n", float64(r.TrafficBytes)/1e6)
+	fmt.Printf("  scratchpad R/W   %d / %d\n", r.ScratchReads, r.ScratchWrites)
 
 	if *overlay != "" {
 		out := imgio.Overlay(im, lm, 255, 0, 0)

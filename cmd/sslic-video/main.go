@@ -216,9 +216,9 @@ func main() {
 		mode := "cold"
 		if r.Warm {
 			mode = "warm"
-			hwm.ObserveReportCtx(tctx, warmReport)
+			hwm.ObserveReport(tctx, warmReport)
 		} else {
-			hwm.ObserveReportCtx(tctx, coldReport)
+			hwm.ObserveReport(tctx, coldReport)
 		}
 		if *qualityCol {
 			// The online proxies, next to the exact offline metrics they

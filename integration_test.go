@@ -200,7 +200,7 @@ func TestFacadeAndFunctionalSimAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hwLabels, err := fs.Run(s.Image)
+	hwLabels, _, err := fs.Run(s.Image)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,14 +95,38 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Report is the outcome of simulating one frame.
+// Work is what one frame asks of the accelerator: the counts its
+// account prices.
+type Work struct {
+	// Passes is the number of cluster-update passes; a centre update
+	// follows each.
+	Passes int
+	// Visited is the pixels the Cluster Update Unit takes in, summed over
+	// the passes.
+	Visited int64
+	// Centers is the number of superpixels the Center Update Unit
+	// averages after every pass.
+	Centers int
+	// DistanceCalcs is the Eq-5 evaluations behind those visits.
+	DistanceCalcs int64
+}
+
+// Report is the outcome of pricing one frame.
 type Report struct {
+	// Work is the frame's work the report prices.
+	Work Work
+
 	// Per-phase times in seconds (§7's latency decomposition).
 	ColorConvTime      float64
 	ClusterComputeTime float64
 	ClusterMemTime     float64
 	CenterUpdateTime   float64
 	TotalTime          float64
+
+	// Cycles is the units' compute cycles: colour conversion at one pixel
+	// per cycle, the cluster passes and the centre updates, memory time
+	// aside. Cores split the pixel streams, so it need not be whole.
+	Cycles float64
 
 	// FPS is 1/TotalTime; RealTime is FPS ≥ 30.
 	FPS      float64
@@ -117,19 +141,28 @@ type Report struct {
 	// the number of bursts.
 	TrafficBytes int64
 	Transfers    int64
-	// ScratchAccesses is the on-chip scratchpad port activity per frame
-	// (reads + writes): 12 accesses per pixel in color conversion (fill,
-	// read, write, drain across three channels) plus 4 per visited pixel
-	// per cluster pass (three channel reads and an index write). Together
-	// with Transfers (the burst/miss count) it drives the telemetry
-	// hit-rate gauge.
-	ScratchAccesses int64
+	// ScratchReads and ScratchWrites are the on-chip scratchpad port
+	// activity per frame: colour conversion fills, reads, writes and
+	// drains each pixel's three channels, and every visited pixel reads
+	// its three channels and writes its index. Together with Transfers
+	// (the burst/miss count) they drive the telemetry hit-rate gauge.
+	ScratchReads, ScratchWrites int64
+	// DividerOps is the Center Update Unit's divisions: six sigma fields
+	// per centre per pass.
+	DividerOps int64
 
 	// Physical estimates.
 	AreaMM2        float64
 	PowerWatts     float64
 	EnergyPerFrame float64
 	OnChipBytes    int
+
+	// EnergyBottomUp cross-checks EnergyPerFrame from the other end: the
+	// same counts at the calibrated per-operation energy, plus leakage
+	// and scratchpad background power over the frame. The two share
+	// constants but not method, so their agreement within a small factor
+	// validates both.
+	EnergyBottomUp float64
 
 	// PerfPerArea is FPS per mm² (Table 4's last row).
 	PerfPerArea float64
@@ -180,18 +213,36 @@ const bytesPerVisitedPixel = 5
 // the tile's centers back.
 const bytesPerTileOverhead = 500
 
-// Simulate runs the analytic cycle model for one frame and returns the
-// report. The model reproduces the paper's §7 decomposition on the
-// default configuration: ≈1.4 ms color conversion, ≈20.3 ms cluster and
-// center computation, ≈11.1 ms memory time, ≈32.8 ms total.
+// Simulate prices one frame at the configuration's nominal work and
+// returns the report. The model reproduces the paper's §7 decomposition
+// on the default configuration: ≈1.4 ms color conversion, ≈20.3 ms
+// cluster and center computation, ≈11.1 ms memory time, ≈32.8 ms total.
 func Simulate(cfg Config) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return price(cfg, nominalWork(cfg)), nil
+}
+
+// nominalWork is the work the configuration schedules: every pass visits
+// each buffer tile's pixel count times the ratio, truncated (all tiles
+// are full but the last), nine candidate distances per visited pixel,
+// and K centres.
+func nominalWork(cfg Config) Work {
+	n, tile := cfg.Width*cfg.Height, cfg.BufferBytesPerChannel
+	full := (n - 1) / tile
+	tileVisited := func(px int) int64 { return int64(float64(px) * cfg.SubsampleRatio) }
+	visited := int64(cfg.Passes) * (int64(full)*tileVisited(tile) + tileVisited(n-full*tile))
+	return Work{Passes: cfg.Passes, Visited: visited, Centers: cfg.K, DistanceCalcs: 9 * visited}
+}
+
+// price is the accelerator's one account: it charges a frame's work on
+// the configured design, phase by phase, into a report.
+func price(cfg Config, w Work) *Report {
 	t := cfg.Tech
 	n := cfg.Width * cfg.Height
-	tilePixels := cfg.BufferBytesPerChannel
-	numTiles := (n + tilePixels - 1) / tilePixels
+	numTiles := int64((n + cfg.BufferBytesPerChannel - 1) / cfg.BufferBytesPerChannel)
+	passes := int64(w.Passes)
 
 	// External memory moves one burst per tile fill, each costing its
 	// bytes at the sustained bandwidth plus one access latency.
@@ -200,45 +251,44 @@ func Simulate(cfg Config) (*Report, error) {
 			float64(bursts)*float64(t.DRAMLatencyCycles)/t.ClockHz
 	}
 
-	r := &Report{}
+	r := &Report{Work: w}
 
 	// Phase 1: color conversion. The unit is pipelined at 1 pixel/cycle;
 	// RGB streaming from DRAM (3 bytes per pixel, one burst per tile)
 	// overlaps with computation, so the phase time is the maximum of the
-	// two plus the first burst's latency.
-	ccBytes, ccBursts := int64(3*n), int64(numTiles)
-	ccTime := float64(n) / float64(cfg.Cores) / t.ClockHz
+	// two plus the first burst's latency. This is the phase §7 puts at
+	// ≈1.4 ms; the account charges no separate Lab write-back.
+	ccBytes, ccBursts := int64(3*n), numTiles
+	ccCycles := float64(n) / float64(cfg.Cores)
+	ccTime := ccCycles / t.ClockHz
 	if mt := transferTime(ccBytes, ccBursts); mt > ccTime {
 		ccTime = mt
 	}
 	ccTime += float64(t.DRAMLatencyCycles) / t.ClockHz // first-burst startup
 	r.ColorConvTime = ccTime
 
-	// Phase 2: cluster update passes. Per pass: every tile streams in,
-	// the visited subset of its pixels flows through the Cluster Update
-	// Unit at the configured initiation interval, and the index plane
-	// streams back. Each tile visits its own pixel count times the
-	// ratio, truncated; all tiles are full but the last.
-	ii := float64(cfg.Cluster.InitiationInterval())
-	visitedPerPass := float64(n) * cfg.SubsampleRatio
-	var clusterCycles float64
-	for pass := 0; pass < cfg.Passes; pass++ {
-		clusterCycles += visitedPerPass * ii / float64(cfg.Cores)
-		clusterCycles += float64(numTiles) * float64(cfg.Cluster.LatencyCycles()+cfg.TileOverheadCycles)
-	}
-	tileVisited := func(px int) int64 { return int64(float64(px) * cfg.SubsampleRatio) }
-	visited := int64(numTiles-1)*tileVisited(tilePixels) + tileVisited(n-(numTiles-1)*tilePixels)
-	memBytes := int64(cfg.Passes) * (bytesPerVisitedPixel*visited + bytesPerTileOverhead*int64(numTiles))
-	memBursts := int64(cfg.Passes) * int64(numTiles)
+	// Phase 2: cluster update passes. Per pass: every buffer tile streams
+	// in with its center/sigma state in one burst, the visited subset of
+	// its pixels flows through the Cluster Update Unit at the configured
+	// initiation interval, the pipeline drains and the FSM shuffles the
+	// tile's centers, and the index plane streams back.
+	clusterCycles := float64(w.Visited)*float64(cfg.Cluster.InitiationInterval())/float64(cfg.Cores) +
+		float64(passes*numTiles)*float64(cfg.Cluster.LatencyCycles()+cfg.TileOverheadCycles)
+	memBytes := bytesPerVisitedPixel*w.Visited + passes*numTiles*bytesPerTileOverhead
+	memBursts := passes * numTiles
 	r.ClusterComputeTime = clusterCycles / t.ClockHz
 	r.ClusterMemTime = transferTime(memBytes, memBursts)
 
 	// Phase 3: center updates after every pass. The Center Update Unit
 	// averages six sigma fields per superpixel on an iterative divider.
-	centerCycles := float64(cfg.Passes) * float64(cfg.K) *
+	// The new centres travel with each tile's overhead bytes, so the
+	// update itself moves none.
+	centerCycles := float64(passes) * float64(w.Centers) *
 		float64(6*cfg.DividerCyclesPerField+cfg.CenterOverheadCycles)
 	r.CenterUpdateTime = centerCycles / t.ClockHz
+	r.DividerOps = 6 * passes * int64(w.Centers)
 
+	r.Cycles = ccCycles + clusterCycles + centerCycles
 	r.TotalTime = r.ColorConvTime + r.ClusterComputeTime + r.ClusterMemTime + r.CenterUpdateTime
 	r.FPS = 1 / r.TotalTime
 	r.RealTime = r.FPS >= 30
@@ -250,7 +300,8 @@ func Simulate(cfg Config) (*Report, error) {
 
 	r.TrafficBytes = memBytes + ccBytes
 	r.Transfers = memBursts + ccBursts
-	r.ScratchAccesses = int64(12*n) + int64(float64(cfg.Passes)*visitedPerPass*4)
+	r.ScratchReads = int64(6*n) + 3*w.Visited
+	r.ScratchWrites = int64(6*n) + w.Visited
 
 	// Physical estimates.
 	r.OnChipBytes = 4 * cfg.BufferBytesPerChannel
@@ -283,7 +334,18 @@ func Simulate(cfg Config) (*Report, error) {
 	r.PowerWatts = r.PowerBreakdown.Total()
 	r.EnergyPerFrame = r.PowerWatts * r.TotalTime
 	r.PerfPerArea = r.FPS / r.AreaMM2
-	return r, nil
+
+	// Bottom-up: 7 ops per Eq-5 evaluation, 6 sigma adds per visited
+	// pixel, one single-bit step per divider cycle and one op-equivalent
+	// per scratchpad access; the DRAM interface's power over the traffic's
+	// streaming time; leakage and scratchpad background power over the
+	// frame.
+	ops := 7*w.DistanceCalcs + 6*w.Visited + r.DividerOps*int64(cfg.DividerCyclesPerField) +
+		r.ScratchReads + r.ScratchWrites
+	r.EnergyBottomUp = float64(ops)*t.EnergyPerOp +
+		powerDRAMInterface*float64(r.TrafficBytes)/t.DRAMEffectiveBandwidth +
+		(t.LeakageWatts(r.AreaMM2)+r.PowerBreakdown.Scratchpads)*r.TotalTime
+	return r
 }
 
 // Unit active powers (watts), calibrated alongside the Table 4 total.

@@ -1,8 +1,11 @@
 package hw
 
 import (
+	"math/rand"
+	"reflect"
 	"strconv"
 	"testing"
+	"testing/quick"
 )
 
 func TestDefaultConfigValid(t *testing.T) {
@@ -300,13 +303,15 @@ func TestSimulateExact(t *testing.T) {
 			c.Width, c.Height, c.K = 1280, 720, 900
 			c.SubsampleRatio, c.Passes = 0.5, 20
 		}, 51094800, 4725, "0.005826507352941177", "0.015841288602941178", "0.0007912500269558825"},
+		// Each tile visits a truncated third of its pixels: 1970 a pass,
+		// not n/3, priced alike in compute, traffic and scratchpad.
 		{"ragged", func(c *Config) {
 			c.Width, c.Height, c.K = 97, 61, 13
 			c.BufferBytesPerChannel = 1000
 			c.SubsampleRatio = 1.0 / 3
 			c.Cluster = Config111
 			c.Cores = 3
-		}, 133401, 60, "1.5293382352941176e-05", "7.751236029411765e-05", "1.733374802647059e-06"},
+		}, 133401, 60, "1.5293382352941176e-05", "7.747298529411765e-05", "1.7324338976470588e-06"},
 		{"table4 vga", func(c *Config) {
 			c.Width, c.Height = 640, 480
 			c.BufferBytesPerChannel = 1024
@@ -335,5 +340,68 @@ func TestSimulateExact(t *testing.T) {
 				t.Errorf("energy %s J, want %s", got, tc.energyJ)
 			}
 		})
+	}
+}
+
+// lessWork is a random valid configuration with two works on it: Less
+// lowers some of More's passes, visited pixels, centres and distance
+// calcs, and keeps the rest.
+type lessWork struct {
+	Cfg        Config
+	More, Less Work
+}
+
+func (lessWork) Generate(r *rand.Rand, _ int) reflect.Value {
+	cfg := DefaultConfig()
+	cfg.Width, cfg.Height = 1+r.Intn(2000), 1+r.Intn(1200)
+	n := cfg.Width * cfg.Height
+	cfg.K = 1 + r.Intn(min(n, 6000))
+	cfg.Cluster = Table3Configs()[r.Intn(5)]
+	cfg.BufferBytesPerChannel = 256 + r.Intn(64*1024)
+	cfg.Passes = 1 + r.Intn(20)
+	cfg.SubsampleRatio = 1 / float64(1+r.Intn(4))
+	cfg.Cores = 1 + r.Intn(4)
+	lower := func(v int64, floor int64) int64 {
+		if v <= floor || r.Intn(2) == 0 {
+			return v
+		}
+		return floor + r.Int63n(v-floor)
+	}
+	more := Work{Passes: 1 + r.Intn(20), Centers: 1 + r.Intn(cfg.K)}
+	more.Visited = r.Int63n(int64(more.Passes)*int64(n) + 1)
+	more.DistanceCalcs = r.Int63n(9*more.Visited + 1)
+	less := Work{
+		Passes:  int(lower(int64(more.Passes), 1)),
+		Centers: int(lower(int64(more.Centers), 1)),
+	}
+	less.Visited = lower(min(more.Visited, int64(less.Passes)*int64(n)), 0)
+	less.DistanceCalcs = lower(min(more.DistanceCalcs, 9*less.Visited), 0)
+	return reflect.ValueOf(lessWork{cfg, more, less})
+}
+
+// TestPriceNeverRisesWhenWorkFalls: a frame that does less — a cut pass
+// budget, a preempted pass, fewer visited pixels or centres — never
+// prices higher in time, traffic, bursts, scratchpad accesses or either
+// energy.
+func TestPriceNeverRisesWhenWorkFalls(t *testing.T) {
+	prop := func(c lessWork) bool {
+		if err := c.Cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		more, less := price(c.Cfg, c.More), price(c.Cfg, c.Less)
+		ok := less.TotalTime <= more.TotalTime &&
+			less.Cycles <= more.Cycles &&
+			less.TrafficBytes <= more.TrafficBytes &&
+			less.Transfers <= more.Transfers &&
+			less.ScratchReads+less.ScratchWrites <= more.ScratchReads+more.ScratchWrites &&
+			less.EnergyPerFrame <= more.EnergyPerFrame &&
+			less.EnergyBottomUp <= more.EnergyBottomUp
+		if !ok {
+			t.Logf("%+v\nless %+v\nmore %+v", c.Cfg, *less, *more)
+		}
+		return ok
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Fatal(err)
 	}
 }

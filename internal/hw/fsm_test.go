@@ -73,7 +73,7 @@ func TestFuncSimEndsDone(t *testing.T) {
 		t.Fatal(err)
 	}
 	im := funcTestImage(t, 96, 64)
-	if _, err := fs.Run(im); err != nil {
+	if _, _, err := fs.Run(im); err != nil {
 		t.Fatal(err)
 	}
 	if fs.FSM().State() != StateDone {

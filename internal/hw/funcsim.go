@@ -3,38 +3,23 @@ package hw
 import (
 	"fmt"
 
-	"sslic/internal/energy"
 	"sslic/internal/imgio"
 	"sslic/internal/sslic"
 )
 
 // FuncSim is the functional (bit-accurate) simulation of the
-// accelerator: where Simulate is the analytic timing/energy model, a
+// accelerator: where Simulate prices a configuration's nominal work, a
 // FuncSim runs the frame's pixels through the hardware datapath — the
 // LUT color conversion unit and the Cluster Update Unit's 8-bit codes,
 // saturating 8-bit distance codes and integer sigma sums: the fixed
 // kernel of internal/sslic, which serves at width 0, run at CodeBits 8 —
-// and produces the label map the silicon would produce. Its cycle, access and traffic
-// counters depend on the frame's geometry alone, so it derives them in
-// closed form from the same per-frame, per-pass, per-tile and
-// per-visited-pixel charges as the host FSM's schedule, which it walks
-// tile by tile.
+// produces the label map the silicon would produce, walks the host
+// FSM's schedule tile by tile, and prices the frame's own work through
+// the same account as Simulate.
 type FuncSim struct {
 	cfg Config
 	p   sslic.Params
 	fsm *FSM
-
-	// Counters, accumulated by every Run since the simulator was built
-	// or last observed (see Metrics.ObserveFuncSim).
-	Cycles        int64
-	ScratchReads  int64
-	ScratchWrites int64
-	DRAMBytes     int64
-	DistanceCalcs int64
-	DividerOps    int64
-	// visited counts the pixels the cluster update visited; bursts the
-	// scratchpad fills and drains, each one round trip to external memory.
-	visited, bursts int64
 }
 
 // NewFuncSim builds a functional simulator for the configuration. Only
@@ -67,25 +52,24 @@ func NewFuncSim(cfg Config) (*FuncSim, error) {
 }
 
 // Run processes one frame through the pipeline and returns the label
-// map. The image must match the configured resolution. Every Run starts
-// the FSM from idle and adds exactly one frame's counts.
-func (fs *FuncSim) Run(im *imgio.Image) (*imgio.LabelMap, error) {
+// map and the frame's report. The image must match the configured
+// resolution. Every Run starts the FSM from idle.
+func (fs *FuncSim) Run(im *imgio.Image) (*imgio.LabelMap, *Report, error) {
 	if im.W != fs.cfg.Width || im.H != fs.cfg.Height {
-		return nil, fmt.Errorf("hw: image %dx%d does not match configured %dx%d",
+		return nil, nil, fmt.Errorf("hw: image %dx%d does not match configured %dx%d",
 			im.W, im.H, fs.cfg.Width, fs.cfg.Height)
 	}
 	r, err := sslic.Segment(im, fs.p)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if fs.fsm.State() == StateDone {
 		fs.fsm.mustTransition(StateIdle)
 	}
 	fs.fsm.mustTransition(StateLoadFrame)
 	fs.fsm.mustTransition(StateColorConvert)
-	tiles := r.Tiling.NumTiles()
 	for pass := 0; pass < fs.cfg.Passes; pass++ {
-		for range tiles {
+		for range r.Tiling.NumTiles() {
 			fs.fsm.mustTransition(StateLoadTile)
 			fs.fsm.mustTransition(StateClusterUpdate)
 			fs.fsm.mustTransition(StateStoreTile)
@@ -93,86 +77,14 @@ func (fs *FuncSim) Run(im *imgio.Image) (*imgio.LabelMap, error) {
 		fs.fsm.mustTransition(StateCenterUpdate)
 	}
 	fs.fsm.mustTransition(StateDone)
-	fs.charge(int64(tiles), int64(len(r.Centers)), r.Stats.DistanceCalcs)
-	return r.Labels, nil
-}
-
-// charge adds one frame's counts for a grid of tiles cells and centers
-// superpixels:
-//   - colour conversion: each pixel's three channels are filled into the
-//     scratchpads, read, converted at one pixel per cycle, written back
-//     and drained, in buffer-sized tiles (three fills and three drains
-//     each);
-//   - per pass, each grid tile drains the Cluster Update Unit's
-//     pipeline, each buffer tile costs the FSM's shuffling cycles and
-//     its center/sigma traffic, and each center takes six divisions on
-//     the serial divider, whose new value goes back to external memory
-//     (3 color + 2×2-byte coordinates);
-//   - per visited pixel, one initiation interval, three channel reads
-//     and an index write, and bytesPerVisitedPixel of streaming. The
-//     passes visit every pixel once per k = round(1/ratio) of them.
-func (fs *FuncSim) charge(tiles, centers, calcs int64) {
-	c := fs.cfg
-	n := int64(c.Width * c.Height)
-	passes := int64(c.Passes)
-	visited := passes / int64(fs.p.Subsets()) * n
-	bufTiles := (n + int64(c.BufferBytesPerChannel) - 1) / int64(c.BufferBytesPerChannel)
-	centerCycles := int64(c.CenterOverheadCycles + 6*c.DividerCyclesPerField)
-	fs.Cycles += n + visited*int64(c.Cluster.InitiationInterval()) +
-		passes*(tiles*int64(c.Cluster.LatencyCycles())+bufTiles*int64(c.TileOverheadCycles)+centers*centerCycles)
-	fs.DRAMBytes += 6*n + visited*bytesPerVisitedPixel + passes*(bufTiles*bytesPerTileOverhead+centers*7)
-	fs.ScratchReads += 6*n + 3*visited
-	fs.ScratchWrites += 6*n + visited
-	fs.DistanceCalcs += calcs
-	fs.DividerOps += passes * 6 * centers
-	fs.visited += visited
-	fs.bursts += 6 * bufTiles
-}
-
-// resetCounters zeroes the counters, for the next frame's deltas.
-func (fs *FuncSim) resetCounters() {
-	fs.Cycles, fs.ScratchReads, fs.ScratchWrites, fs.DRAMBytes = 0, 0, 0, 0
-	fs.DistanceCalcs, fs.DividerOps, fs.visited, fs.bursts = 0, 0, 0, 0
+	// The passes visit every pixel once per k = round(1/ratio) of them.
+	return r.Labels, price(fs.cfg, Work{
+		Passes:        fs.cfg.Passes,
+		Visited:       int64(fs.cfg.Passes/fs.p.Subsets()) * int64(im.W*im.H),
+		Centers:       len(r.Centers),
+		DistanceCalcs: r.Stats.DistanceCalcs,
+	}), nil
 }
 
 // FSM exposes the host controller for inspection.
 func (fs *FuncSim) FSM() *FSM { return fs.fsm }
-
-// TimeSeconds converts the accumulated cycle count to seconds at the
-// configured clock.
-func (fs *FuncSim) TimeSeconds() float64 {
-	return float64(fs.Cycles) / fs.cfg.Tech.ClockHz
-}
-
-// EnergyJoules derives a bottom-up energy estimate from the functional
-// counters: datapath operations at the calibrated op energy, divider
-// work, scratchpad port activity, DRAM traffic at the interface energy
-// share, and leakage over the simulated time. It cross-checks the
-// top-down utilization-weighted power model of Simulate — the two are
-// built from the same constants but opposite directions, so agreement
-// within a small factor validates both.
-func (fs *FuncSim) EnergyJoules(t energy.Tech) float64 {
-	opE := float64(fs.DistanceCalcs) * 7 * t.EnergyPerOp // 7 ops per Eq-5 evaluation
-	// Sigma accumulation: 6 adds per visited pixel.
-	opE += float64(fs.visited) * 6 * t.EnergyPerOp
-	// Serial divider: each division is ~DividerCyclesPerField single-bit
-	// step operations.
-	opE += float64(fs.DividerOps) * float64(fs.cfg.DividerCyclesPerField) * t.EnergyPerOp
-	// Scratchpad ports: one op-equivalent per byte access.
-	opE += float64(fs.ScratchReads+fs.ScratchWrites) * t.EnergyPerOp
-	// DRAM interface energy share: the powerDRAMInterface constant over
-	// the transfer-active time, approximated by bytes over bandwidth.
-	dramTime := float64(fs.DRAMBytes) / t.DRAMEffectiveBandwidth
-	dram := powerDRAMInterface * dramTime
-	leak := t.LeakageWatts(AreaBreakdown{
-		Cluster:      fs.cfg.Cluster.AreaMM2(),
-		Scratchpads:  t.SRAMAreaMM2(4 * fs.cfg.BufferBytesPerChannel),
-		ColorConv:    energy.AreaColorConv,
-		CenterUpdate: energy.AreaCenterUpdate,
-		FSM:          energy.AreaFSM,
-	}.Total()) * fs.TimeSeconds()
-	// Scratchpad static/background power over the run (full-utilization
-	// assumption, as in the top-down model).
-	sram := t.SRAMWatts(4*fs.cfg.BufferBytesPerChannel) * fs.TimeSeconds()
-	return opE + dram + leak + sram
-}

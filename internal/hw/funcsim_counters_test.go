@@ -1,18 +1,19 @@
 package hw
 
 import (
+	"context"
 	"testing"
 
 	"sslic/internal/telemetry"
 )
 
-// TestFuncSimCounters pins every counter of one functionally simulated
-// frame. The counters depend on the frame's geometry alone — its size,
-// K, buffers, pass count, subsampling ratio and cluster unit — not on
-// the scene, so each row states one frame's exact charges: cycles,
+// TestFuncSimCounters pins every count of one functionally simulated
+// frame's report. The counts depend on the frame's geometry alone — its
+// size, K, buffers, pass count, subsampling ratio and cluster unit — not
+// on the scene, so each row states one frame's exact charges: cycles,
 // distance calcs, divider ops, DRAM bytes, scratchpad reads and writes,
 // the FSM's tile loads and center updates, and the hits and misses
-// ObserveFuncSim charges to the telemetry.
+// ObserveReport charges to the telemetry.
 func TestFuncSimCounters(t *testing.T) {
 	type counters struct {
 		cycles, calcs, divider, dram, reads, writes int64
@@ -28,11 +29,11 @@ func TestFuncSimCounters(t *testing.T) {
 		cluster ClusterConfig
 		want    counters
 	}{
-		{"996_r100", 96, 64, 24, 1024, 8, 1, Config996, counters{119088, 327680, 1152, 307968, 184320, 86016, 192, 8, 270336, 36}},
-		{"996_r050", 96, 64, 24, 1024, 8, 0.5, Config996, counters{94512, 163840, 1152, 185088, 110592, 61440, 192, 8, 172032, 36}},
-		{"996_r025", 96, 64, 24, 1024, 8, 0.25, Config996, counters{82224, 81920, 1152, 123648, 73728, 49152, 192, 8, 122880, 36}},
-		{"111_r100", 96, 64, 24, 1024, 8, 1, Config111, counters{516144, 327680, 1152, 307968, 184320, 86016, 192, 8, 270336, 36}},
-		{"996_small", 64, 48, 12, 256, 2, 1, Config996, counters{19440, 35840, 144, 61320, 36864, 24576, 24, 2, 61440, 72}},
+		{"996_r100", 96, 64, 24, 1024, 8, 1, Config996, counters{118080, 327680, 1152, 288192, 184320, 86016, 192, 8, 270336, 54}},
+		{"996_r050", 96, 64, 24, 1024, 8, 0.5, Config996, counters{93504, 163840, 1152, 165312, 110592, 61440, 192, 8, 172032, 54}},
+		{"996_r025", 96, 64, 24, 1024, 8, 0.25, Config996, counters{81216, 81920, 1152, 103872, 73728, 49152, 192, 8, 122880, 54}},
+		{"111_r100", 96, 64, 24, 1024, 8, 1, Config111, counters{512256, 327680, 1152, 288192, 184320, 86016, 192, 8, 270336, 54}},
+		{"996_small", 64, 48, 12, 256, 2, 1, Config996, counters{19440, 35840, 144, 51936, 36864, 24576, 24, 2, 61440, 36}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -45,17 +46,18 @@ func TestFuncSimCounters(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := fs.Run(funcTestImage(t, tc.w, tc.h)); err != nil {
+			_, r, err := fs.Run(funcTestImage(t, tc.w, tc.h))
+			if err != nil {
 				t.Fatal(err)
 			}
 			got := counters{
-				cycles: fs.Cycles, calcs: fs.DistanceCalcs, divider: fs.DividerOps,
-				dram: fs.DRAMBytes, reads: fs.ScratchReads, writes: fs.ScratchWrites,
+				cycles: int64(r.Cycles), calcs: r.Work.DistanceCalcs, divider: r.DividerOps,
+				dram: r.TrafficBytes, reads: r.ScratchReads, writes: r.ScratchWrites,
 				loadTile:     fs.FSM().Visits(StateLoadTile),
 				centerUpdate: fs.FSM().Visits(StateCenterUpdate),
 			}
 			m := NewMetrics(telemetry.NewRegistry())
-			m.ObserveFuncSim(fs)
+			m.ObserveReport(context.Background(), r)
 			got.hits, got.misses = m.ScratchHits.Value(), m.ScratchMisses.Value()
 			if got != tc.want {
 				t.Errorf("counters\n got %+v\nwant %+v", got, tc.want)

@@ -1,7 +1,8 @@
 package hw
 
 import (
-	"math"
+	"context"
+	"fmt"
 	"testing"
 
 	"sslic/internal/dataset"
@@ -61,7 +62,7 @@ func TestFuncSimRejectsWrongImageSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Run(imgio.NewImage(50, 50)); err == nil {
+	if _, _, err := fs.Run(imgio.NewImage(50, 50)); err == nil {
 		t.Error("mismatched image accepted")
 	}
 }
@@ -73,7 +74,7 @@ func TestFuncSimProducesFullLabeling(t *testing.T) {
 		t.Fatal(err)
 	}
 	im := funcTestImage(t, w, h)
-	labels, err := fs.Run(im)
+	labels, r, err := fs.Run(im)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,29 +87,29 @@ func TestFuncSimProducesFullLabeling(t *testing.T) {
 	if n < k/2 || n > k*2 {
 		t.Fatalf("functional sim produced %d regions for K=%d", n, k)
 	}
-	if fs.DistanceCalcs == 0 || fs.Cycles == 0 || fs.DRAMBytes == 0 || fs.DividerOps == 0 {
-		t.Fatal("counters not accumulating")
+	if r.Work.DistanceCalcs == 0 || r.Cycles == 0 || r.TrafficBytes == 0 || r.DividerOps == 0 {
+		t.Fatal("report counts empty")
 	}
 }
 
 func TestFuncSimDeterministic(t *testing.T) {
 	w, h, k := 96, 64, 24
 	im := funcTestImage(t, w, h)
-	run := func() (*imgio.LabelMap, int64) {
+	run := func() (*imgio.LabelMap, float64) {
 		fs, err := NewFuncSim(funcTestConfig(w, h, k))
 		if err != nil {
 			t.Fatal(err)
 		}
-		labels, err := fs.Run(im)
+		labels, r, err := fs.Run(im)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return labels, fs.Cycles
+		return labels, r.Cycles
 	}
 	l1, c1 := run()
 	l2, c2 := run()
 	if c1 != c2 {
-		t.Fatalf("cycle counts differ: %d vs %d", c1, c2)
+		t.Fatalf("cycle counts differ: %g vs %g", c1, c2)
 	}
 	for i := range l1.Labels {
 		if l1.Labels[i] != l2.Labels[i] {
@@ -132,7 +133,7 @@ func TestFuncSimAgreesWithSoftware(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hwLabels, err := fs.Run(im)
+		hwLabels, r, err := fs.Run(im)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,49 +152,52 @@ func TestFuncSimAgreesWithSoftware(t *testing.T) {
 				t.Fatalf("ratio %g: pixel %d labelled %d, software %d", ratio, i, hwLabels.Labels[i], sw.Labels.Labels[i])
 			}
 		}
-		if fs.DistanceCalcs != sw.Stats.DistanceCalcs {
-			t.Fatalf("ratio %g: %d distance calcs, software %d", ratio, fs.DistanceCalcs, sw.Stats.DistanceCalcs)
+		if r.Work.DistanceCalcs != sw.Stats.DistanceCalcs {
+			t.Fatalf("ratio %g: %d distance calcs, software %d", ratio, r.Work.DistanceCalcs, sw.Stats.DistanceCalcs)
 		}
 	}
 }
 
 // TestFuncSimReuse: a second Run on the same simulator starts the FSM
-// from idle, labels the frame identically, and adds exactly one more
-// frame's counts.
+// from idle, labels the frame identically, and prices exactly one more
+// frame: its report equals the first, and observing both doubles every
+// count.
 func TestFuncSimReuse(t *testing.T) {
 	fs, err := NewFuncSim(funcTestConfig(96, 64, 24))
 	if err != nil {
 		t.Fatal(err)
 	}
 	im := funcTestImage(t, 96, 64)
-	// counts reads every counter, and the hits and misses ObserveFuncSim
-	// would charge, observing a copy so the simulator keeps its counts.
-	counts := func() [10]int64 {
-		cp := *fs
-		m := NewMetrics(telemetry.NewRegistry())
-		m.ObserveFuncSim(&cp)
-		return [10]int64{fs.Cycles, fs.ScratchReads, fs.ScratchWrites, fs.DRAMBytes, fs.DistanceCalcs, fs.DividerOps,
-			fs.FSM().Visits(StateLoadTile), fs.FSM().Visits(StateCenterUpdate),
-			int64(m.ScratchHits.Value()), int64(m.ScratchMisses.Value())}
+	m := NewMetrics(telemetry.NewRegistry())
+	// counts reads the FSM's visits and what the observed reports
+	// charged to the telemetry.
+	counts := func() [6]float64 {
+		return [6]float64{float64(fs.FSM().Visits(StateLoadTile)), float64(fs.FSM().Visits(StateCenterUpdate)),
+			m.DRAMBytes.Value(), m.ScratchHits.Value(), m.ScratchMisses.Value(), m.Energy.TotalPicojoules()}
 	}
-	first, err := fs.Run(im)
+	first, r1, err := fs.Run(im)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.ObserveReport(context.Background(), r1)
 	one := counts()
-	second, err := fs.Run(im)
+	second, r2, err := fs.Run(im)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.ObserveReport(context.Background(), r2)
 	two := counts()
 	for i := range first.Labels {
 		if first.Labels[i] != second.Labels[i] {
 			t.Fatalf("pixel %d: second run labelled %d, first %d", i, second.Labels[i], first.Labels[i])
 		}
 	}
+	if *r2 != *r1 {
+		t.Errorf("second report\n%+v\nfirst\n%+v", *r2, *r1)
+	}
 	for i := range one {
-		if two[i] != 2*one[i] || one[i] == 0 {
-			t.Errorf("counter %d: %d after two runs, %d after one", i, two[i], one[i])
+		if relErr(two[i], 2*one[i]) > 1e-12 || one[i] == 0 {
+			t.Errorf("count %d: %g after two runs, %g after one", i, two[i], one[i])
 		}
 	}
 	if fs.FSM().State() != StateDone {
@@ -201,37 +205,54 @@ func TestFuncSimReuse(t *testing.T) {
 	}
 }
 
-// TestFuncSimCyclesMatchAnalyticModel cross-checks the functional
-// simulation's cycle count against the analytic Simulate on the same
-// configuration: the cluster + center compute cycles must agree within
-// a few percent (the models differ only in per-grid-cell vs per-buffer
-// drain accounting).
-func TestFuncSimCyclesMatchAnalyticModel(t *testing.T) {
-	w, h, k := 192, 128, 96
-	cfg := funcTestConfig(w, h, k)
-	fs, err := NewFuncSim(cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestFuncSimReportMatchesSimulate is the functional simulator's exact
+// oracle. On whole-iteration frames whose grid K is K, a frame's own work
+// is Simulate's nominal work but for the distance calcs (border tiles
+// have fewer than nine candidates), so the two reports agree on every
+// time, traffic, burst, scratchpad, divider and top-down energy field.
+// The calcs, and the bottom-up energy they feed, may only fall.
+func TestFuncSimReportMatchesSimulate(t *testing.T) {
+	cases := []struct {
+		w, h, k, buffer, passes int
+		ratio                   float64
+	}{
+		{96, 64, 24, 1024, 8, 1},
+		{96, 64, 24, 1024, 8, 0.5},
+		{96, 64, 24, 1024, 8, 0.25},
+		{192, 128, 96, 1024, 9, 1},
+		{64, 48, 12, 256, 2, 1},
 	}
-	im := funcTestImage(t, w, h)
-	if _, err := fs.Run(im); err != nil {
-		t.Fatal(err)
-	}
-	analytic, err := Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Analytic compute time (color conv pipeline + cluster + center) vs
-	// functional cycles. The analytic color conversion phase is the max
-	// of compute and streaming; compare against its compute component
-	// (N cycles).
-	n := float64(w * h)
-	analyticCycles := n + // color conversion pipeline
-		(analytic.ClusterComputeTime+analytic.CenterUpdateTime)*cfg.Tech.ClockHz
-	got := float64(fs.Cycles)
-	if r := math.Abs(got-analyticCycles) / analyticCycles; r > 0.06 {
-		t.Fatalf("functional %.0f vs analytic %.0f cycles (%.1f%% apart)",
-			got, analyticCycles, 100*r)
+	for _, cl := range []ClusterConfig{Config996, Config111} {
+		for _, tc := range cases {
+			cfg := funcTestConfig(tc.w, tc.h, tc.k)
+			cfg.BufferBytesPerChannel = tc.buffer
+			cfg.Passes = tc.passes
+			cfg.SubsampleRatio = tc.ratio
+			cfg.Cluster = cl
+			name := fmt.Sprintf("%v %dx%d K=%d ratio %g", cl, tc.w, tc.h, tc.k, tc.ratio)
+			fs, err := NewFuncSim(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, got, err := fs.Run(funcTestImage(t, tc.w, tc.h))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Simulate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Work.DistanceCalcs <= 0 || got.Work.DistanceCalcs > want.Work.DistanceCalcs ||
+				got.EnergyBottomUp > want.EnergyBottomUp {
+				t.Errorf("%s: %d calcs and %g J bottom-up, nominal %d and %g J", name,
+					got.Work.DistanceCalcs, got.EnergyBottomUp, want.Work.DistanceCalcs, want.EnergyBottomUp)
+			}
+			g := *got
+			g.Work.DistanceCalcs, g.EnergyBottomUp = want.Work.DistanceCalcs, want.EnergyBottomUp
+			if g != *want {
+				t.Errorf("%s: report\n got %+v\nwant %+v", name, g, *want)
+			}
+		}
 	}
 }
 
@@ -240,7 +261,7 @@ func TestFuncSimCyclesMatchAnalyticModel(t *testing.T) {
 func TestFuncSimSubsamplingCutsWork(t *testing.T) {
 	w, h, k := 96, 64, 24
 	im := funcTestImage(t, w, h)
-	run := func(ratio float64) *FuncSim {
+	run := func(ratio float64) *Report {
 		cfg := funcTestConfig(w, h, k)
 		cfg.Passes = 8 // whole iterations at both ratios
 		cfg.SubsampleRatio = ratio
@@ -248,18 +269,19 @@ func TestFuncSimSubsamplingCutsWork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fs.Run(im); err != nil {
+		_, r, err := fs.Run(im)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return fs
+		return r
 	}
 	full := run(1)
 	half := run(0.5)
-	ratio := float64(full.DistanceCalcs) / float64(half.DistanceCalcs)
+	ratio := float64(full.Work.DistanceCalcs) / float64(half.Work.DistanceCalcs)
 	if ratio < 1.9 || ratio > 2.1 {
 		t.Errorf("distance calc reduction %.2f, want ~2", ratio)
 	}
-	if half.DRAMBytes >= full.DRAMBytes {
+	if half.TrafficBytes >= full.TrafficBytes {
 		t.Error("subsampling did not reduce traffic")
 	}
 }
@@ -270,55 +292,39 @@ func TestFuncSimSubsamplingCutsWork(t *testing.T) {
 func TestFuncSimClusterConfigScalesCycles(t *testing.T) {
 	w, h, k := 96, 64, 24
 	im := funcTestImage(t, w, h)
-	cycles := func(cl ClusterConfig) int64 {
+	cycles := func(cl ClusterConfig) float64 {
 		cfg := funcTestConfig(w, h, k)
 		cfg.Cluster = cl
 		fs, err := NewFuncSim(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fs.Run(im); err != nil {
+		_, r, err := fs.Run(im)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return fs.Cycles
+		return r.Cycles
 	}
 	fast := cycles(Config996)
 	slow := cycles(Config111)
 	// Per-pixel cluster work is 9× slower; fixed costs (color conversion,
 	// center update) dilute the ratio.
-	if ratio := float64(slow) / float64(fast); ratio < 1.5 {
+	if ratio := slow / fast; ratio < 1.5 {
 		t.Fatalf("1-1-1 only %.2f× slower than 9-9-6 in functional sim", ratio)
 	}
 	// Labels must be identical: parallelism changes timing, not values.
 	cfgA := funcTestConfig(w, h, k)
 	cfgA.Cluster = Config996
 	fsA, _ := NewFuncSim(cfgA)
-	la, _ := fsA.Run(im)
+	la, _, _ := fsA.Run(im)
 	cfgB := funcTestConfig(w, h, k)
 	cfgB.Cluster = Config111
 	fsB, _ := NewFuncSim(cfgB)
-	lb, _ := fsB.Run(im)
+	lb, _, _ := fsB.Run(im)
 	for i := range la.Labels {
 		if la.Labels[i] != lb.Labels[i] {
 			t.Fatal("cluster parallelism changed functional results")
 		}
-	}
-}
-
-// TestFuncSimTimeSeconds sanity-checks the cycle-to-time conversion.
-func TestFuncSimTimeSeconds(t *testing.T) {
-	cfg := funcTestConfig(96, 64, 24)
-	fs, err := NewFuncSim(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	im := funcTestImage(t, 96, 64)
-	if _, err := fs.Run(im); err != nil {
-		t.Fatal(err)
-	}
-	want := float64(fs.Cycles) / cfg.Tech.ClockHz
-	if fs.TimeSeconds() != want {
-		t.Fatalf("TimeSeconds %g, want %g", fs.TimeSeconds(), want)
 	}
 }
 
@@ -353,10 +359,11 @@ func TestFuncSimEnergyCrossCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	im := funcTestImage(t, w, h)
-	if _, err := fs.Run(im); err != nil {
+	_, r, err := fs.Run(im)
+	if err != nil {
 		t.Fatal(err)
 	}
-	bottomUp := fs.EnergyJoules(cfg.Tech)
+	bottomUp := r.EnergyBottomUp
 	analytic, err := Simulate(cfg)
 	if err != nil {
 		t.Fatal(err)

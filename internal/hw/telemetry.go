@@ -10,10 +10,9 @@ import (
 // Metrics is the hardware model's telemetry handle: the paper's
 // Table-2/3 quantities as live series. Counters accumulate per observed
 // frame (DRAM traffic, scratchpad activity, energy); gauges carry the
-// latest model outputs (fps, power). Feed it from the analytic model
-// with ObserveReport or from the bit-accurate simulator with
-// ObserveFuncSim; a video pipeline calls one of them per frame so a
-// scrape shows the accelerator-side cost of the stream so far.
+// latest model outputs (fps, power). Feed it one Report per frame, from
+// Simulate or from a FuncSim run, so a scrape shows the
+// accelerator-side cost of the stream so far.
 type Metrics struct {
 	Frames        *telemetry.Counter
 	DRAMBytes     *telemetry.Counter
@@ -59,27 +58,21 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 	return m
 }
 
-// ObserveReport charges one analytically simulated frame: its DRAM
-// traffic, scratchpad activity, and per-component energy (the power
-// breakdown sustained for the frame's model time).
-func (m *Metrics) ObserveReport(r *Report) {
-	m.ObserveReportCtx(context.Background(), r)
-}
-
-// ObserveReportCtx is ObserveReport with trace tagging: when the
-// context carries a request/frame trace, the charge lands on its
-// timeline as two instant events — "dram_charge" (bytes, bursts) and
-// "scratchpad_charge" (on-chip accesses, energy) — so the accelerator
-// model's cost of exactly this frame is on the same Perfetto view as
-// its software phases.
-func (m *Metrics) ObserveReportCtx(ctx context.Context, r *Report) {
+// ObserveReport charges one priced frame: its DRAM traffic, scratchpad
+// activity, and per-component energy (the power breakdown sustained for
+// the frame's model time). When the context carries a request/frame
+// trace, the charge also lands on its timeline as two instant events —
+// "dram_charge" (bytes, bursts) and "scratchpad_charge" (on-chip
+// accesses, energy) — so the accelerator model's cost of exactly this
+// frame is on the same Perfetto view as its software phases.
+func (m *Metrics) ObserveReport(ctx context.Context, r *Report) {
 	if m == nil || r == nil {
 		return
 	}
 	m.Frames.Inc()
 	m.DRAMBytes.Add(float64(r.TrafficBytes))
 	m.DRAMTransfers.Add(float64(r.Transfers))
-	m.ScratchHits.Add(float64(r.ScratchAccesses))
+	m.ScratchHits.Add(float64(r.ScratchReads + r.ScratchWrites))
 	m.ScratchMisses.Add(float64(r.Transfers))
 	m.chargeBreakdown(r.PowerBreakdown, r.TotalTime)
 	m.ModelFPS.Set(r.FPS)
@@ -90,7 +83,7 @@ func (m *Metrics) ObserveReportCtx(ctx context.Context, r *Report) {
 			"model_fps": r.FPS,
 		})
 		tr.Instant("scratchpad_charge", "hw", map[string]any{
-			"accesses": r.ScratchAccesses, "power_watts": r.PowerWatts,
+			"accesses": r.ScratchReads + r.ScratchWrites, "power_watts": r.PowerWatts,
 			"model_seconds": r.TotalTime,
 		})
 	}
@@ -108,38 +101,4 @@ func (m *Metrics) chargeBreakdown(p PowerBreakdown, seconds float64) {
 	m.Energy.Add("scratchpads", p.Scratchpads*seconds)
 	m.Energy.Add("fsm", p.FSM*seconds)
 	m.Energy.Add("dram", p.DRAMInterface*seconds)
-}
-
-// ObserveFuncSim charges one functionally simulated frame from the
-// simulator's structural counters and resets them, so alternating Run /
-// ObserveFuncSim accumulates per-frame deltas. Energy is charged as one
-// bottom-up total under the "funcsim" component.
-func (m *Metrics) ObserveFuncSim(fs *FuncSim) {
-	m.ObserveFuncSimCtx(context.Background(), fs)
-}
-
-// ObserveFuncSimCtx is ObserveFuncSim with trace tagging (see
-// ObserveReportCtx).
-func (m *Metrics) ObserveFuncSimCtx(ctx context.Context, fs *FuncSim) {
-	if m == nil || fs == nil {
-		return
-	}
-	m.Frames.Inc()
-	m.DRAMBytes.Add(float64(fs.DRAMBytes))
-	m.ScratchHits.Add(float64(fs.ScratchReads + fs.ScratchWrites))
-	m.ScratchMisses.Add(float64(fs.bursts))
-	m.DRAMTransfers.Add(float64(fs.bursts))
-	if tr := telemetry.TraceFrom(ctx); tr != nil {
-		tr.Instant("dram_charge", "hw", map[string]any{
-			"bytes": fs.DRAMBytes, "transfers": fs.bursts,
-		})
-		tr.Instant("scratchpad_charge", "hw", map[string]any{
-			"reads": fs.ScratchReads, "writes": fs.ScratchWrites,
-		})
-	}
-	m.Energy.Add("funcsim", fs.EnergyJoules(fs.cfg.Tech))
-	if t := fs.TimeSeconds(); t > 0 {
-		m.ModelFPS.Set(1 / t)
-	}
-	fs.resetCounters()
 }

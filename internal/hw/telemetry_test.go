@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,12 +17,12 @@ func TestObserveReport(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}
-	if r.ScratchAccesses <= 0 {
+	if r.ScratchReads <= 0 || r.ScratchWrites <= 0 {
 		t.Fatalf("report has no scratch accesses")
 	}
 
-	m.ObserveReport(r)
-	m.ObserveReport(r)
+	m.ObserveReport(context.Background(), r)
+	m.ObserveReport(context.Background(), r)
 
 	if got := m.Frames.Value(); got != 2 {
 		t.Fatalf("frames = %g, want 2", got)
@@ -62,12 +63,14 @@ func TestObserveReport(t *testing.T) {
 
 func TestObserveReportNilSafe(t *testing.T) {
 	var m *Metrics
-	m.ObserveReport(&Report{})
-	m.ObserveFuncSim(nil)
+	m.ObserveReport(context.Background(), &Report{})
 	reg := telemetry.NewRegistry()
-	NewMetrics(reg).ObserveReport(nil)
+	NewMetrics(reg).ObserveReport(context.Background(), nil)
 }
 
+// TestObserveFuncSim: a functionally simulated frame is observed
+// through its report, and alternating Run and ObserveReport accumulates
+// one frame's charges per frame.
 func TestObserveFuncSim(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Width, cfg.Height, cfg.K = 64, 48, 12
@@ -78,14 +81,15 @@ func TestObserveFuncSim(t *testing.T) {
 		t.Fatalf("NewFuncSim: %v", err)
 	}
 	im := funcTestImage(t, cfg.Width, cfg.Height)
-	if _, err := fs.Run(im); err != nil {
+	_, r, err := fs.Run(im)
+	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 
 	reg := telemetry.NewRegistry()
 	m := NewMetrics(reg)
-	wantBytes := float64(fs.DRAMBytes)
-	m.ObserveFuncSim(fs)
+	wantBytes := float64(r.TrafficBytes)
+	m.ObserveReport(context.Background(), r)
 
 	if got := m.DRAMBytes.Value(); got != wantBytes || got == 0 {
 		t.Fatalf("dram bytes %g, want %g (nonzero)", got, wantBytes)
@@ -98,9 +102,12 @@ func TestObserveFuncSim(t *testing.T) {
 		t.Fatalf("energy %g pJ, want > 0", m.Energy.TotalPicojoules())
 	}
 
-	// Counters were consumed: a second observe without a run adds ~nothing.
-	m.ObserveFuncSim(fs)
-	if got := m.DRAMBytes.Value(); got != wantBytes {
-		t.Fatalf("second observe re-charged traffic: %g vs %g", got, wantBytes)
+	// The next frame's report adds exactly one more frame's traffic.
+	if _, r, err = fs.Run(im); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	m.ObserveReport(context.Background(), r)
+	if got := m.DRAMBytes.Value(); got != 2*wantBytes {
+		t.Fatalf("second frame charged %g B in all, want %g", got, 2*wantBytes)
 	}
 }

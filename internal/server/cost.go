@@ -56,6 +56,6 @@ func (a *costAccountant) chargeEnergy(cost *telemetry.Cost, im *imgio.Image,
 	if err != nil {
 		return
 	}
-	a.hwm.ObserveReportCtx(telemetry.WithTrace(context.Background(), tr), report)
+	a.hwm.ObserveReport(telemetry.WithTrace(context.Background(), tr), report)
 	cost.AddEnergyPJ(report.EnergyPerFrame * 1e12)
 }

@@ -16,11 +16,10 @@ type GroundTruth struct {
 
 // NewGroundTruth builds a ground truth from a row-major label slice.
 func NewGroundTruth(w, h int, labels []int32) (*GroundTruth, error) {
-	if len(labels) != w*h {
-		return nil, fmt.Errorf("sslic: %d labels for %dx%d image", len(labels), w, h)
+	lm, err := newLabelMap(w, h, labels)
+	if err != nil {
+		return nil, err
 	}
-	lm := imgio.NewLabelMap(w, h)
-	copy(lm.Labels, labels)
 	return &GroundTruth{lm: lm}, nil
 }
 

@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"image"
 	"image/color"
+	"math"
+	"slices"
 
 	"sslic/internal/imgio"
 	"sslic/internal/slic"
@@ -271,15 +273,27 @@ func sortInt32s(xs []int32) {
 // produced by another tool) as a Segmentation so the metric and
 // rendering helpers apply to it. Labels must be non-negative.
 func FromLabels(w, h int, labels []int32) (*Segmentation, error) {
-	if len(labels) != w*h {
-		return nil, fmt.Errorf("sslic: %d labels for %dx%d image", len(labels), w, h)
+	lm, err := newLabelMap(w, h, labels)
+	if err != nil {
+		return nil, err
 	}
-	lm := imgio.NewLabelMap(w, h)
-	copy(lm.Labels, labels)
 	for i, v := range lm.Labels {
 		if v < 0 {
 			return nil, fmt.Errorf("sslic: negative label at pixel %d", i)
 		}
 	}
 	return wrap(lm, nil, 0, 0, nil), nil
+}
+
+// newLabelMap copies a row-major label slice into a w×h label map. It
+// rejects dimensions a label map cannot hold — w or h below 1, or a
+// pixel count that overflows int — and a slice of any other length.
+func newLabelMap(w, h int, labels []int32) (*imgio.LabelMap, error) {
+	if w <= 0 || h <= 0 || w > math.MaxInt/h {
+		return nil, fmt.Errorf("sslic: invalid dimensions %dx%d", w, h)
+	}
+	if len(labels) != w*h {
+		return nil, fmt.Errorf("sslic: %d labels for %dx%d image", len(labels), w, h)
+	}
+	return &imgio.LabelMap{W: w, H: h, Labels: slices.Clone(labels)}, nil
 }

@@ -3,6 +3,7 @@ package sslic
 import (
 	"image"
 	"image/color"
+	"math/bits"
 	"testing"
 )
 
@@ -255,9 +256,25 @@ func TestEvaluateAgainstGroundTruth(t *testing.T) {
 	}
 }
 
+// badLabelMaps are label slices no w×h label map can hold: a length
+// mismatch, empty or negative dimensions, and a pixel count that
+// overflows int to 0.
+var badLabelMaps = []struct {
+	name   string
+	w, h   int
+	labels []int32
+}{
+	{"size mismatch", 4, 4, make([]int32, 15)},
+	{"zero width", 0, 5, nil},
+	{"negative", -1, -1, []int32{0}},
+	{"overflow", 1 << (bits.UintSize / 2), 1 << (bits.UintSize / 2), nil},
+}
+
 func TestNewGroundTruthValidates(t *testing.T) {
-	if _, err := NewGroundTruth(4, 4, make([]int32, 15)); err == nil {
-		t.Fatal("size mismatch accepted")
+	for _, tc := range badLabelMaps {
+		if _, err := NewGroundTruth(tc.w, tc.h, tc.labels); err == nil {
+			t.Errorf("%s: %dx%d with %d labels accepted", tc.name, tc.w, tc.h, len(tc.labels))
+		}
 	}
 }
 
@@ -405,8 +422,10 @@ func TestFromLabels(t *testing.T) {
 	if seg.Label(1, 0) != 1 {
 		t.Fatal("label accessor wrong")
 	}
-	if _, err := FromLabels(4, 4, make([]int32, 15)); err == nil {
-		t.Fatal("size mismatch accepted")
+	for _, tc := range badLabelMaps {
+		if _, err := FromLabels(tc.w, tc.h, tc.labels); err == nil {
+			t.Errorf("%s: %dx%d with %d labels accepted", tc.name, tc.w, tc.h, len(tc.labels))
+		}
 	}
 	bad := make([]int32, 16)
 	bad[3] = -2
