@@ -3,6 +3,7 @@ package sslic
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"sslic/internal/dataset"
 	"sslic/internal/imgio"
@@ -10,20 +11,20 @@ import (
 	"sslic/internal/video"
 )
 
-// Phase benchmarks of the fixed datapath's per-pixel fixed costs, at
-// the frame sizes of perfbench's streams (640×480) and hd_pipeline
-// (1280×720) workloads, so a phase A/B needs no perfbench run:
+// Phase benchmarks of the fixed datapath — its per-pixel fixed costs and
+// the assign phase — at the frame sizes of perfbench's streams (640×480)
+// and hd_pipeline (1280×720) workloads, so a phase A/B needs no
+// perfbench run:
 //
-//	go test -run '^$' -bench 'ConvertFixed|Epilogue' -benchmem ./internal/sslic
+//	go test -run '^$' -bench 'ConvertFixed|Epilogue|AssignFixed' -benchmem ./internal/sslic
 
 var phaseSizes = []struct{ w, h, regions int }{{640, 480, 80}, {1280, 720, 60}}
 
-// phaseFrame returns a warm frame of the served configuration at w×h —
-// frame 1 of a voronoi pan scene, segmented on the fixed datapath at K
-// 900 and ratio 0.5, 3 iterations from frame 0's centres — and the warm
-// run's labels before connectivity, with the run's effective K and grid
-// interval.
-func phaseFrame(b *testing.B, w, h, regions int) (im *imgio.Image, labels *imgio.LabelMap, k int, s float64) {
+// warmFrame returns frame 1 of a voronoi pan scene at w×h and the
+// served configuration's Params for it: the fixed datapath at K 900 and
+// ratio 0.5, warm at 3 iterations from the centres of frame 0, which
+// runs cold.
+func warmFrame(b *testing.B, w, h, regions int) (*imgio.Image, Params) {
 	b.Helper()
 	cfg := dataset.DefaultConfig()
 	cfg.W, cfg.H, cfg.Regions, cfg.Kind = w, h, regions, dataset.Voronoi
@@ -33,21 +34,63 @@ func phaseFrame(b *testing.B, w, h, regions int) (im *imgio.Image, labels *imgio
 	}
 	p := DefaultParams(900, 0.5)
 	p.Datapath = Fixed
-	for f := 0; f <= 1; f++ {
-		if im, _, err = st.Frame(f); err != nil {
-			b.Fatal(err)
-		}
-		if f == 1 {
-			p.EnforceConnectivity = false
-		}
-		r, err := Segment(im, p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		p.InitialCenters, p.FullIters = r.Centers, 3
-		labels, k = r.Labels, len(r.Centers)
+	im, _, err := st.Frame(0)
+	if err != nil {
+		b.Fatal(err)
 	}
-	return im, labels, k, slic.GridInterval(w, h, 900)
+	r, err := Segment(im, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p.InitialCenters, p.FullIters = r.Centers, 3
+	if im, _, err = st.Frame(1); err != nil {
+		b.Fatal(err)
+	}
+	return im, p
+}
+
+// phaseFrame returns warmFrame's frame and the warm run's labels before
+// connectivity, with the run's effective K and grid interval.
+func phaseFrame(b *testing.B, w, h, regions int) (im *imgio.Image, labels *imgio.LabelMap, k int, s float64) {
+	b.Helper()
+	im, p := warmFrame(b, w, h, regions)
+	p.EnforceConnectivity = false
+	r, err := Segment(im, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return im, r.Labels, len(r.Centers), slic.GridInterval(w, h, 900)
+}
+
+// BenchmarkAssignFixed times the served assign phase: warmFrame's frame
+// segmented whole, again and again, on one Scratch and one label buffer,
+// as a pool worker serves a stream. It reports the assign phase's time
+// per distance calc, read from the runs' Stats; ns/op is the whole
+// frame.
+func BenchmarkAssignFixed(b *testing.B) {
+	for _, sz := range phaseSizes {
+		b.Run(fmt.Sprintf("%dx%d", sz.w, sz.h), func(b *testing.B) {
+			im, p := warmFrame(b, sz.w, sz.h, sz.regions)
+			p.Scratch = NewScratch()
+			p.LabelBuf = imgio.NewLabelMap(sz.w, sz.h)
+			if _, err := Segment(im, p); err != nil { // grows the Scratch
+				b.Fatal(err)
+			}
+			var assign time.Duration
+			var calcs int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r, err := Segment(im, p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				assign += r.Stats.AssignTime
+				calcs += r.Stats.DistanceCalcs
+			}
+			b.ReportMetric(float64(assign.Nanoseconds())/float64(calcs), "assign-ns/calc")
+		})
+	}
 }
 
 // BenchmarkConvertFixed times the served colour conversion: one packed
