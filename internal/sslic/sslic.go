@@ -343,7 +343,8 @@ func (st Stats) ResidualDecay() float64 {
 	return st.FinalResidual() / st.MoveHistory[0]
 }
 
-// Result is the output of an S-SLIC run.
+// Result is the output of an S-SLIC run. Tiling is shared by every run
+// on the same Scratch and geometry, and must not be written.
 type Result struct {
 	Labels  *imgio.LabelMap
 	Centers []slic.Center
@@ -413,7 +414,7 @@ func SegmentContext(ctx context.Context, im *imgio.Image, p Params) (*Result, er
 	f.tr.Emit("colorconv", "sslic", t0, st.ColorConvTime, nil)
 
 	t0 = time.Now()
-	tiling := NewTiling(im.W, im.H, p.K)
+	tiling := f.scr.tilingFor(im.W, im.H, p.K)
 	labels := labelBufOrNew(p.LabelBuf, im.W, im.H)
 	kern.seed(tiling, labels)
 	st.InitTime = time.Since(t0)
