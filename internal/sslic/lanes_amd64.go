@@ -1,30 +1,43 @@
 package sslic
 
-// useAVX2 routes nearestRow to the AVX2 row kernel. It is set once, from
-// the host's CPUID and XCR0, before any run starts.
+import "unsafe"
+
+// useAVX2 routes the fixed band's width-0 tiles to the AVX2 band kernel.
+// It is set once, from the host's CPUID and XCR0, before any run starts.
 var useAVX2 = cpuHasAVX2()
 
-// nearestRow is the row contract of the 9 distance calculators: for each
-// i < len(out), the winning lane (0–8) of the pixel at codes[i*step],
-// whose x terms are at xt[i*step*fxLanes:]. On a host with AVX2 it runs
-// nearestRowAVX2, which computes exactly what nearestRowGo does; the
-// bounds are checked here, once per row, since the assembly checks none.
-func nearestRow(lf *fxLaneFile, codes []uint32, xt []int64, step int, wL int32, out []uint8) {
-	if !useAVX2 || len(out) == 0 {
-		nearestRowGo(lf, codes, xt, step, wL, out)
-		return
-	}
-	last := (len(out) - 1) * step
+// The layout of the sums the AVX2 band kernel adds into.
+const (
+	fxSigmaSize = unsafe.Sizeof(fxSigma{})
+	fxSigmaL    = unsafe.Offsetof(fxSigma{}.l)
+	fxSigmaA    = unsafe.Offsetof(fxSigma{}.a)
+	fxSigmaB    = unsafe.Offsetof(fxSigma{}.b)
+	fxSigmaX    = unsafe.Offsetof(fxSigma{}.x)
+	fxSigmaY    = unsafe.Offsetof(fxSigma{}.y)
+	fxSigmaN    = unsafe.Offsetof(fxSigma{}.n)
+)
+
+// segment runs the AVX2 band kernel over one row segment of the tile:
+// the m subset pixels codes[i*step], labelled at labels[i*step], whose x
+// terms are xt[j*xs+i] for candidate j, at columns x + i*step of row y;
+// it adds their sums into acc. The bounds are checked here, since the
+// assembly checks none; the kernel reads x terms up to the end of the
+// group of 8 that holds pixel m−1.
+func (vt *fxVecTile) segment(codes []uint32, labels []int32, xt []int32, acc []fxSigma, m, step, xs, x, y int) {
+	last := (m - 1) * step
 	_ = codes[last]
-	_ = xt[last*fxLanes+fxLanes-1]
-	nearestRowAVX2(lf, codes, xt, step, wL, out)
+	_ = labels[last]
+	_ = xt[(vt.n-1)*xs+(m+7)&^7-1]
+	for _, ci := range vt.cand[:vt.n] {
+		_ = acc[ci]
+	}
+	fxBandAVX2(vt, codes, labels, xt, acc, m, step, xs, int32(x), int32(y)|1<<16)
 }
 
-// nearestRowAVX2 evaluates lanes 0–7 in two 256-bit registers and lane 8
-// in general registers (lanes_amd64.s).
+// fxBandAVX2 assigns 8 pixels to a YMM register (lanes_amd64.s).
 //
 //go:noescape
-func nearestRowAVX2(lf *fxLaneFile, codes []uint32, xt []int64, step int, wL int32, out []uint8)
+func fxBandAVX2(vt *fxVecTile, codes []uint32, labels []int32, xt []int32, acc []fxSigma, n, step, xs int, px, py int32)
 
 // cpuHasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
 // registers (lanes_amd64.s).

@@ -2,11 +2,11 @@
 
 package sslic
 
-// useAVX2 is false: the AVX2 row kernel exists on amd64 only.
+// useAVX2 is false: the AVX2 band kernel exists on amd64 only.
 var useAVX2 = false
 
-// nearestRow is the row contract of the 9 distance calculators (see
-// lanes_amd64.go), here always the Go loop.
-func nearestRow(lf *fxLaneFile, codes []uint32, xt []int64, step int, wL int32, out []uint8) {
-	nearestRowGo(lf, codes, xt, step, wL, out)
+// segment is the AVX2 band kernel's entry (see lanes_amd64.go); with
+// useAVX2 false the band never calls it.
+func (vt *fxVecTile) segment(codes []uint32, labels []int32, xt []int32, acc []fxSigma, m, step, xs, x, y int) {
+	panic("sslic: the AVX2 band kernel runs on amd64 only")
 }
