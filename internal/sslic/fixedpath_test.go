@@ -688,14 +688,16 @@ func fuzzBandCase(seed int64, w8, h8 uint8, k16 uint16, m float64, scheme, subse
 	return c
 }
 
-// FuzzFixedBand is the differential oracle of the lane kernel, through
-// each row kernel the host runs, against the reference loop. The seed
+// FuzzFixedBand is the differential oracle of the fixed band, through
+// each kernel the host runs, against the reference loop. The seed
 // corpus, which every go test run checks, holds the golden fixed rows'
 // configurations (scheme, compactness, preemption, bands) on a frame of
 // the fuzz range, each subset of their pass, at width 0 and at every
-// coded width, the corners of the range, and 300 seeded random draws
-// with compactness log-uniform over [0.01, 1e8] at width 0 and 300 more
-// at random coded widths.
+// coded width, the corners of the range, 300 seeded random draws with
+// compactness log-uniform over [0.01, 1e8] at width 0 and 300 more at
+// random coded widths, and, at width 0, compactness on both sides of
+// the AVX2 band kernel's int32 bound, Rows and Blocks at k = 2 and 4,
+// and tiles whose segments are one pixel.
 func FuzzFixedBand(f *testing.F) {
 	type golden struct {
 		m          float64
@@ -727,6 +729,22 @@ func FuzzFixedBand(f *testing.F) {
 			math.Pow(10, -2+10*rng.Float64()), uint8(rng.Intn(4)), uint8(rng.Intn(3)), uint8(rng.Intn(4)),
 			rng.Intn(2) == 1, uint8(rng.Intn(3)), bits)
 	}
+	// Compactness across the int32 bound's edge at width 0: in these
+	// frames some tiles run the AVX2 band kernel and others, past the
+	// bound, the Go lane kernel, in one band.
+	for i, m := range []float64{250, 300, 350, 420, 500, 600} {
+		f.Add(int64(100+i), uint8(71), uint8(53), uint16(63), m, uint8(Interleaved), uint8(1), uint8(i%2), false, uint8(i%3), uint8(0))
+	}
+	// Rows and Blocks at k = 2 and 4, whose passes visit whole rows.
+	for _, scheme := range []Scheme{Rows, Blocks} {
+		for _, subsets := range []uint8{1, 2} {
+			f.Add(int64(200), uint8(71), uint8(53), uint16(63), 10.0, uint8(scheme), subsets, uint8(1), false, uint8(1), uint8(0))
+		}
+	}
+	// Tiles 2 columns wide, so that every Interleaved segment at k = 2
+	// is one pixel.
+	f.Add(int64(300), uint8(39), uint8(19), uint16(199), 10.0, uint8(Interleaved), uint8(1), uint8(0), false, uint8(0), uint8(0))
+	f.Add(int64(301), uint8(39), uint8(19), uint16(199), 10.0, uint8(Interleaved), uint8(1), uint8(1), false, uint8(2), uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, w8, h8 uint8, k16 uint16, m float64, scheme, subsets, subset uint8, preemptive bool, bands, bits uint8) {
 		checkFixedBand(t, fuzzBandCase(seed, w8, h8, k16, m, scheme, subsets, subset, preemptive, bands, bits))
 	})
