@@ -236,12 +236,19 @@ func nominalWork(cfg Config) Work {
 	return Work{Passes: cfg.Passes, Visited: visited, Centers: cfg.K, DistanceCalcs: 9 * visited}
 }
 
+// bufferTiles is how many buffer tiles a frame streams through the
+// scratchpads: its pixels over the per-channel buffer, rounded up. Each
+// is one burst of colour conversion and one fill and drain per pass.
+func bufferTiles(cfg Config) int64 {
+	return int64((cfg.Width*cfg.Height + cfg.BufferBytesPerChannel - 1) / cfg.BufferBytesPerChannel)
+}
+
 // price is the accelerator's one account: it charges a frame's work on
 // the configured design, phase by phase, into a report.
 func price(cfg Config, w Work) *Report {
 	t := cfg.Tech
 	n := cfg.Width * cfg.Height
-	numTiles := int64((n + cfg.BufferBytesPerChannel - 1) / cfg.BufferBytesPerChannel)
+	numTiles := bufferTiles(cfg)
 	passes := int64(w.Passes)
 
 	// External memory moves one burst per tile fill, each costing its

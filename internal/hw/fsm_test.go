@@ -79,9 +79,9 @@ func TestFuncSimEndsDone(t *testing.T) {
 	if fs.FSM().State() != StateDone {
 		t.Fatalf("final FSM state %v, want done", fs.FSM().State())
 	}
-	// One tile sequence per grid cell per pass, one center update per
-	// pass.
-	wantTiles := int64(24 * cfg.Passes)
+	// One tile sequence per buffer tile per pass (6144 pixels in 1 kB
+	// buffers), one center update per pass.
+	wantTiles := int64(6 * cfg.Passes)
 	if got := fs.FSM().Visits(StateLoadTile); got != wantTiles {
 		t.Fatalf("load-tile visits %d, want %d", got, wantTiles)
 	}

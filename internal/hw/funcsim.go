@@ -14,8 +14,9 @@ import (
 // saturating 8-bit distance codes and integer sigma sums: the fixed
 // kernel of internal/sslic, which serves at width 0, run at CodeBits 8 —
 // produces the label map the silicon would produce, walks the host
-// FSM's schedule tile by tile, and prices the frame's own work through
-// the same account as Simulate.
+// FSM's schedule buffer tile by buffer tile, the schedule the account
+// prices, and prices the frame's own work through the same account as
+// Simulate.
 type FuncSim struct {
 	cfg Config
 	p   sslic.Params
@@ -69,7 +70,7 @@ func (fs *FuncSim) Run(im *imgio.Image) (*imgio.LabelMap, *Report, error) {
 	fs.fsm.mustTransition(StateLoadFrame)
 	fs.fsm.mustTransition(StateColorConvert)
 	for pass := 0; pass < fs.cfg.Passes; pass++ {
-		for range r.Tiling.NumTiles() {
+		for range bufferTiles(fs.cfg) {
 			fs.fsm.mustTransition(StateLoadTile)
 			fs.fsm.mustTransition(StateClusterUpdate)
 			fs.fsm.mustTransition(StateStoreTile)

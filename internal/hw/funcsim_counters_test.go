@@ -12,8 +12,8 @@ import (
 // size, K, buffers, pass count, subsampling ratio and cluster unit — not
 // on the scene, so each row states one frame's exact charges: cycles,
 // distance calcs, divider ops, DRAM bytes, scratchpad reads and writes,
-// the FSM's tile loads and center updates, and the hits and misses
-// ObserveReport charges to the telemetry.
+// the FSM's buffer-tile loads and center updates, and the hits and
+// misses ObserveReport charges to the telemetry.
 func TestFuncSimCounters(t *testing.T) {
 	type counters struct {
 		cycles, calcs, divider, dram, reads, writes int64
@@ -29,10 +29,10 @@ func TestFuncSimCounters(t *testing.T) {
 		cluster ClusterConfig
 		want    counters
 	}{
-		{"996_r100", 96, 64, 24, 1024, 8, 1, Config996, counters{118080, 327680, 1152, 288192, 184320, 86016, 192, 8, 270336, 54}},
-		{"996_r050", 96, 64, 24, 1024, 8, 0.5, Config996, counters{93504, 163840, 1152, 165312, 110592, 61440, 192, 8, 172032, 54}},
-		{"996_r025", 96, 64, 24, 1024, 8, 0.25, Config996, counters{81216, 81920, 1152, 103872, 73728, 49152, 192, 8, 122880, 54}},
-		{"111_r100", 96, 64, 24, 1024, 8, 1, Config111, counters{512256, 327680, 1152, 288192, 184320, 86016, 192, 8, 270336, 54}},
+		{"996_r100", 96, 64, 24, 1024, 8, 1, Config996, counters{118080, 327680, 1152, 288192, 184320, 86016, 48, 8, 270336, 54}},
+		{"996_r050", 96, 64, 24, 1024, 8, 0.5, Config996, counters{93504, 163840, 1152, 165312, 110592, 61440, 48, 8, 172032, 54}},
+		{"996_r025", 96, 64, 24, 1024, 8, 0.25, Config996, counters{81216, 81920, 1152, 103872, 73728, 49152, 48, 8, 122880, 54}},
+		{"111_r100", 96, 64, 24, 1024, 8, 1, Config111, counters{512256, 327680, 1152, 288192, 184320, 86016, 48, 8, 270336, 54}},
 		{"996_small", 64, 48, 12, 256, 2, 1, Config996, counters{19440, 35840, 144, 51936, 36864, 24576, 24, 2, 61440, 36}},
 	}
 	for _, tc := range cases {
@@ -61,6 +61,11 @@ func TestFuncSimCounters(t *testing.T) {
 			got.hits, got.misses = m.ScratchHits.Value(), m.ScratchMisses.Value()
 			if got != tc.want {
 				t.Errorf("counters\n got %+v\nwant %+v", got, tc.want)
+			}
+			// The FSM loads each buffer tile once a pass: every burst
+			// the account charges but colour conversion's, one a tile.
+			if want := r.Transfers - bufferTiles(cfg); got.loadTile != want {
+				t.Errorf("%d load-tile visits, %d bursts less %d of colour conversion", got.loadTile, r.Transfers, bufferTiles(cfg))
 			}
 		})
 	}
