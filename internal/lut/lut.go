@@ -14,17 +14,21 @@
 // that claim testable against the float64 reference in
 // internal/colorspace.
 //
-// Convert runs the unit's arithmetic step by step. Codes, which the fixed
-// datapath serves, reads a software image of the same unit instead: the
-// gamma LUT folded into the matrix columns, and the PWL f(·) tabulated at
-// every Q0.16 input. The image gives the unit's result on every input,
-// bit for bit, at about half the cost per pixel.
+// Convert runs the unit's arithmetic step by step. Codes reads a
+// software image of the same unit instead: the gamma LUT folded into the
+// matrix columns, and the PWL f(·) tabulated at every Q0.16 input. The
+// image gives the unit's result on every input, bit for bit, at about
+// half the cost per pixel. ROM hands out the unit's own constants, so
+// that a vector datapath can run the unit's arithmetic eight pixels at a
+// time: the fixed datapath's AVX2 kernel (internal/sslic) does, and
+// Codes is its specification.
 package lut
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"sslic/internal/colorspace"
 	"sslic/internal/imgio"
@@ -168,6 +172,24 @@ func MustNewConverter(segments int) *Converter {
 
 // Segments returns the configured PWL segment count.
 func (c *Converter) Segments() int { return c.segments }
+
+// ROM is what the unit's arithmetic reads: the gamma LUT, the RGB→XYZ
+// matrix and the white reciprocals, and the PWL f(·) segments, segment k
+// starting at SegT0[k] (see Converter).
+type ROM struct {
+	Gamma    [gammaEntries]int32 // Q0.16 linear value per 8-bit sRGB code
+	Matrix   [3][3]int32         // Q2.14, by XYZ row
+	InvWhite [3]int32            // Q2.14, per XYZ channel
+	SegBase  []int32             // Q0.16 f(t) at each segment's start
+	SegSlope []int32             // Q0.16 slope of each segment
+	SegT0    []int32             // Q0.16 start of each segment
+}
+
+// ROM returns a copy of the unit's ROM.
+func (c *Converter) ROM() ROM {
+	return ROM{Gamma: c.gamma, Matrix: c.mat, InvWhite: c.invW,
+		SegBase: slices.Clone(c.segBase), SegSlope: slices.Clone(c.segSlope), SegT0: slices.Clone(c.segT0)}
+}
 
 // labFFixed evaluates the PWL approximation of Equation 4's f(·) on a
 // Q0.16 input in [0, one], returning a Q0.16 result. Segment selection is

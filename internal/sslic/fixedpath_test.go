@@ -876,8 +876,8 @@ func TestServedCodesMatchConvert(t *testing.T) {
 		im.C0[i], im.C1[i], im.C2[i] = uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256))
 	}
 	conv := fixedConverter()
-	served := slices.Clone(convertLabCodes(conv, im, 0, NewScratch()))
-	coded := convertLabCodes(conv, im, 8, NewScratch())
+	served := slices.Clone(convertLabCodes(im, 0, NewScratch()))
+	coded := convertLabCodes(im, 8, NewScratch())
 	for i, word := range served {
 		l, a, b := conv.Convert(im.C0[i], im.C1[i], im.C2[i])
 		if want := packLab(uint16(l), uint16(a), uint16(b)); word != want || coded[i] != want {

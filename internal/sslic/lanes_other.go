@@ -2,11 +2,17 @@
 
 package sslic
 
-// useAVX2 is false: the AVX2 band kernel exists on amd64 only.
+// useAVX2 is false: the AVX2 kernels exist on amd64 only.
 var useAVX2 = false
 
 // segment is the AVX2 band kernel's entry (see lanes_amd64.go); with
 // useAVX2 false the band never calls it.
 func (vt *fxVecTile) segment(codes []uint32, labels []int32, xt []int32, acc []fxSigma, m, step, xs, x, y int) {
 	panic("sslic: the AVX2 band kernel runs on amd64 only")
+}
+
+// codes is the AVX2 conversion kernel's entry (see lanes_amd64.go); with
+// useAVX2 false the conversion never calls it.
+func (v *ccuVec) codes(codes []uint32, r, g, b []uint8) int {
+	panic("sslic: the AVX2 conversion kernel runs on amd64 only")
 }

@@ -11,16 +11,17 @@ import (
 	"sslic/internal/video"
 )
 
-// rowKernel is one way the fixed band runs its width-0 tiles, as the
-// tests select it: the Go lane kernel alone, or the AVX2 band kernel
-// wherever a tile's bound admits it.
+// rowKernel is one way the fixed datapath runs, as the tests select it:
+// the Go lane kernel and the Go loop over lut.Codes alone, or the AVX2
+// band kernel wherever a tile's bound admits it and the AVX2 conversion
+// kernel.
 type rowKernel struct {
 	name string
 	avx2 bool
 }
 
-// hostRowKernels lists the kernels this host runs: the Go lane kernel,
-// and the AVX2 band kernel where the package detected AVX2.
+// hostRowKernels lists the kernels this host runs: the Go kernels, and
+// the AVX2 kernels where the package detected AVX2.
 var hostRowKernels = func() []rowKernel {
 	ks := []rowKernel{{"go", false}}
 	if useAVX2 {
@@ -29,8 +30,8 @@ var hostRowKernels = func() []rowKernel {
 	return ks
 }()
 
-// use routes the band to k and returns the function that restores the
-// package's choice.
+// use routes the band and the colour conversion to k and returns the
+// function that restores the package's choice.
 func (k rowKernel) use() (restore func()) {
 	was := useAVX2
 	useAVX2 = k.avx2
@@ -152,6 +153,7 @@ func TestBandKernelContract(t *testing.T) {
 	if admitted < 1000 || refused < 300 {
 		t.Fatalf("%d tiles admitted and %d refused: the draws miss one side of the bound", admitted, refused)
 	}
+	t.Logf("avx2 band kernel: %d tiles equal the Go lane kernel's, %d refused", admitted, refused)
 	// Columns and rows from fxCoordMax on are the Go lane kernel's.
 	centers := []fxCenter{{x: (fxCoordMax - 1) << coordFrac, y: (fxCoordMax - 1) << coordFrac}}
 	var vt fxVecTile
@@ -163,11 +165,78 @@ func TestBandKernelContract(t *testing.T) {
 	}
 }
 
+// TestConvKernelContract holds the colour conversion at 8 bits to
+// lut.Codes, packed, on every one of the 2^24 RGB inputs, on each path
+// the host runs: the Go loop, and the AVX2 conversion kernel where the
+// host has AVX2. Lengths 0–23 at plane offsets 0–7 run every tail of a
+// group of 8, and the words past the last pixel must stay as they were.
+func TestConvKernelContract(t *testing.T) {
+	conv := fixedConverter()
+	const n = 1 << 16 // the inputs of one red value
+	red, green, blue := make([]uint8, n), make([]uint8, n), make([]uint8, n)
+	want, got := make([]uint32, n), make([]uint32, n)
+	for r := range 256 {
+		for i := range n {
+			red[i], green[i], blue[i] = uint8(r), uint8(i>>8), uint8(i)
+			want[i] = packLab(conv.Codes(red[i], green[i], blue[i], 8))
+		}
+		for _, k := range hostRowKernels {
+			func() {
+				defer k.use()()
+				labCodes(got, red, green, blue, 8)
+			}()
+			if !slices.Equal(got, want) {
+				i := 0
+				for got[i] == want[i] {
+					i++
+				}
+				t.Fatalf("%s conversion, rgb %02x%02x%02x: word %#x, lut.Codes %#x", k.name, r, green[i], blue[i], got[i], want[i])
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	const guard = 0xdeadbeef
+	for _, k := range hostRowKernels {
+		for length := range 24 {
+			for off := range 8 {
+				planes := [3][]uint8{}
+				for c := range planes {
+					planes[c] = make([]uint8, off+length)
+					for i := range planes[c] {
+						planes[c][i] = uint8(rng.Intn(256))
+					}
+					planes[c] = planes[c][off:]
+				}
+				words := make([]uint32, length+8)
+				for i := range words {
+					words[i] = guard
+				}
+				func() {
+					defer k.use()()
+					labCodes(words[:length], planes[0], planes[1], planes[2], 8)
+				}()
+				for i, w := range words {
+					wantW := uint32(guard)
+					if i < length {
+						wantW = packLab(conv.Codes(planes[0][i], planes[1][i], planes[2][i], 8))
+					}
+					if w != wantW {
+						t.Fatalf("%s conversion, length %d at offset %d: word %d is %#x, want %#x", k.name, length, off, i, w, wantW)
+					}
+				}
+			}
+		}
+		t.Logf("%s conversion: every RGB input and every tail equal lut.Codes", k.name)
+	}
+}
+
 // TestWarmChainRowKernels runs the served configuration of a warm stream
-// on each row kernel: 640×480 voronoi pan frames at K 900 and ratio 0.5,
-// one cold frame, then warm frames at 3 iterations from the previous
-// frame's centres, on the fixed datapath. Every frame's labels, centres,
-// distance calcs and residuals must be identical across kernels.
+// on each kernel set, colour conversion included: 640×480 voronoi pan
+// frames at K 900 and ratio 0.5, one cold frame, then warm frames at 3
+// iterations from the previous frame's centres, on the fixed datapath.
+// Every frame's labels, centres, distance calcs and residuals must be
+// identical across kernels.
 func TestWarmChainRowKernels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-frame chains")

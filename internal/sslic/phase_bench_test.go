@@ -100,12 +100,11 @@ func BenchmarkConvertFixed(b *testing.B) {
 		b.Run(fmt.Sprintf("%dx%d", sz.w, sz.h), func(b *testing.B) {
 			im, _, _, _ := phaseFrame(b, sz.w, sz.h, sz.regions)
 			scr := NewScratch()
-			conv := fixedConverter()
-			convertLabCodes(conv, im, 0, scr)
+			convertLabCodes(im, 0, scr)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				convertLabCodes(conv, im, 0, scr)
+				convertLabCodes(im, 0, scr)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sz.w*sz.h), "ns/px")
 		})
