@@ -82,31 +82,31 @@ type gateRow struct {
 var gateRows = []gateRow{
 	// allocs/op, bytes/op, calcs/frame, alloc_bytes, est_pj, empty clusters, size CV
 	{name: "ppa_r100", ratio: 1.0,
-		want: gateReading{23, 1463828, 2923200, 153600, 31489309.06176471, 5, 0.5388982111767942}},
+		want: gateReading{18, 1463828, 2923200, 153600, 31489309.06176471, 5, 0.5388982111767942}},
 	{name: "ppa_r050", ratio: 0.5,
-		want: gateReading{24, 1464090, 2923200, 153600, 36146927.91764706, 6, 0.5593233871090925}},
+		want: gateReading{19, 1464090, 2923200, 153600, 36146927.91764706, 6, 0.5593233871090925}},
 	{name: "ppa_r025", ratio: 0.25,
-		want: gateReading{25, 1464590, 2923200, 153600, 45462165.629411764, 6, 0.5759325921446403}},
+		want: gateReading{19, 1464590, 2923200, 153600, 45462165.629411764, 6, 0.5759325921446403}},
 	{name: "cpa_r050", arch: sslic.CPA, ratio: 0.5,
-		want: gateReading{22, 1779962, 1558250, 153600, 36146927.91764706, 12, 0.7169045507416815}},
+		want: gateReading{17, 1779962, 1558250, 153600, 36146927.91764706, 12, 0.7169045507416815}},
 	{name: "degrade_l0", ratio: 0.5, level: degrade.Full,
-		want: gateReading{24, 1464070, 2923200, 153600, 36146927.91764706, 6, 0.5593233871090925}},
+		want: gateReading{19, 1464070, 2923200, 153600, 36146927.91764706, 6, 0.5593233871090925}},
 	{name: "degrade_l2", ratio: 0.5, level: degrade.CoarseSubsample,
-		want: gateReading{24, 1464076, 1461600, 153600, 23096165.564705882, 5, 0.5473287675971452}},
+		want: gateReading{19, 1464076, 1461600, 153600, 23096165.564705882, 5, 0.5473287675971452}},
 	{name: "tiled_w1", ratio: 0.5, workers: 1,
-		want: gateReading{24, 1464086, 2923200, 153600, 36146927.91764706, 6, 0.5593233871090925}},
+		want: gateReading{19, 1464086, 2923200, 153600, 36146927.91764706, 6, 0.5593233871090925}},
 	{name: "tiled_w4", ratio: 0.5, workers: 4,
-		want: gateReading{134, 1490148, 2923200, 153600, 36146927.91764706, 6, 0.5593233871090925}},
+		want: gateReading{129, 1490148, 2923200, 153600, 36146927.91764706, 6, 0.5593233871090925}},
 	{name: "tiled_w8", ratio: 0.5, workers: 8,
-		want: gateReading{193, 1505690, 2923200, 153600, 36146927.91764706, 6, 0.5593233871090925}},
+		want: gateReading{188, 1505690, 2923200, 153600, 36146927.91764706, 6, 0.5593233871090925}},
 	{name: "fixed_w1", ratio: 0.5, workers: 1, datapath: sslic.Fixed,
-		want: gateReading{25, 689982, 2923200, 153600, 36146927.91764706, 4, 0.5154667002375803}},
+		want: gateReading{20, 689982, 2923200, 153600, 36146927.91764706, 4, 0.5154667002375803}},
 	{name: "fixed_w8", ratio: 0.5, workers: 8, datapath: sslic.Fixed,
-		want: gateReading{199, 742096, 2923200, 153600, 36146927.91764706, 4, 0.5154667002375803}},
+		want: gateReading{194, 742096, 2923200, 153600, 36146927.91764706, 4, 0.5154667002375803}},
 	{name: "e2e_fresh", ratio: 0.5, workers: 1, e2e: true,
-		want: gateReading{41, 1599298, 2923200, 268800, 36146927.91764706, 6, 0.5593233871090925}},
+		want: gateReading{36, 1599298, 2923200, 268800, 36146927.91764706, 6, 0.5593233871090925}},
 	{name: "e2e_pooled", ratio: 0.5, workers: 1, e2e: true, pooled: true,
-		want: gateReading{35, 1320618, 2923200, 0, 36146927.91764706, 6, 0.5593233871090925}},
+		want: gateReading{30, 1320618, 2923200, 0, 36146927.91764706, 6, 0.5593233871090925}},
 }
 
 // comparePerf returns the columns in which got exceeds want by more
