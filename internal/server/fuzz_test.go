@@ -194,6 +194,7 @@ func FuzzSegmentHandler(f *testing.F) {
 		{"k=abc", frame.Bytes(), "", false},
 		{"k=100000", frame.Bytes(), "", true},
 		{"k=8&iters=1000&timeout_ms=1", frame.Bytes(), "", false},
+		{"k=8&ratio=1e-10&iters=100", frame.Bytes(), "", false},
 		{"", []byte("not an image"), "", false},
 		{"k=8", big.Bytes(), "", false},
 		{"%zz;;&k=8", frame.Bytes(), "multipart/form-data", false},

@@ -3,6 +3,7 @@ package sslic
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -54,6 +55,38 @@ func TestSegmentContextCancelWithinOneRound(t *testing.T) {
 		}
 		if p.Metrics.Segmentations.Value() != 0 {
 			t.Fatalf("%v: canceled run recorded as completed segmentation", arch)
+		}
+	}
+}
+
+// TestSegmentContextRatioNearZero: a subsample ratio near 0 asks for
+// round(1/ratio) subsets and so FullIters × Subsets passes, a count the
+// run must not size anything by before its first pass. At ratio 1e-10
+// and 100 iterations that is 10^12 passes, 8 TB of residual history; at
+// 5e-324 the subset count overflows and no pass runs. Each run here is
+// cancelled after at most 3 passes, or runs none, and allocates little.
+func TestSegmentContextRatioNearZero(t *testing.T) {
+	im := testImage(64, 48)
+	for _, c := range []struct {
+		ratio float64
+		iters int
+	}{
+		{1e-10, 100},
+		{1e-4, 1000}, // 10^7 passes, 80 MB of history
+		{5e-324, 1},
+	} {
+		p := DefaultParams(24, c.ratio)
+		p.FullIters = c.iters
+		ctx := &countingCtx{Context: context.Background(), limit: 4}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := SegmentContext(ctx, im, p)
+		runtime.ReadMemStats(&after)
+		if err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatalf("ratio %g, %d iterations: %v", c.ratio, c.iters, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+			t.Errorf("ratio %g, %d iterations: %d bytes allocated, want at most 4 MiB", c.ratio, c.iters, got)
 		}
 	}
 }
