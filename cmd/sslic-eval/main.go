@@ -4,6 +4,7 @@
 //
 //	sslic-dataset -n 5 -out corpus
 //	sslic-eval -in corpus/image000.ppm -gt corpus/gt000.pgm -k 900
+//	sslic-eval -in corpus/image000.ppm -gt corpus/gt000.pgm -datapath fixed
 //
 // It prints the metric set of the paper's §3 evaluation (USE, boundary
 // recall) plus the auxiliary metrics.
@@ -28,7 +29,7 @@ func main() {
 		iters  = flag.Int("iters", 10, "iterations")
 		ratio  = flag.Float64("ratio", 0.5, "S-SLIC subsampling ratio")
 		method = flag.String("method", "ppa", "algorithm: ppa, cpa or slic")
-		bits   = flag.Int("bits", 0, "code width of the fixed datapath, 4-10 (0 = float64); S-SLIC PPA only")
+		dpName = flag.String("datapath", "float64", "hot-loop arithmetic: float64, fixed (the integer LUT datapath the server serves) or coded4-coded10 (fixed at §6.1's code widths); all but float64 are S-SLIC PPA only")
 		pre    = flag.String("precomputed", "", "evaluate this saved label map (.slbl) instead of segmenting")
 	)
 	flag.Parse()
@@ -38,6 +39,10 @@ func main() {
 		os.Exit(2)
 	}
 
+	dp, err := sslic.ParseDatapath(*dpName)
+	if err != nil {
+		fatal(err)
+	}
 	img, err := imgio.ReadImageFile(*in)
 	if err != nil {
 		fatal(err)
@@ -73,7 +78,7 @@ func main() {
 		Compactness:    *m,
 		Iterations:     *iters,
 		SubsampleRatio: *ratio,
-		FixedPointBits: *bits,
+		Datapath:       dp,
 	}
 	switch *method {
 	case "ppa":
@@ -96,7 +101,7 @@ func main() {
 		fatal(err)
 	}
 
-	fmt.Printf("%s vs %s (%s, K=%d → %d superpixels)\n", *in, *gtPath, opt.Method, *k, seg.NumSegments)
+	fmt.Printf("%s vs %s (%s, datapath=%v, K=%d → %d superpixels)\n", *in, *gtPath, opt.Method, dp, *k, seg.NumSegments)
 	fmt.Printf("  undersegmentation error          %.4f (lower is better)\n", metrics.UndersegmentationError)
 	fmt.Printf("  boundary recall (tol 2px)        %.4f (higher is better)\n", metrics.BoundaryRecall)
 	fmt.Printf("  achievable segmentation accuracy %.4f\n", metrics.AchievableSegmentationAccuracy)

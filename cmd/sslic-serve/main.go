@@ -15,6 +15,7 @@
 //	curl -s --data-binary @frame.ppm 'localhost:8080/v1/segment?k=900' > labels.bin
 //	curl -s --data-binary @frame.png 'localhost:8080/v1/segment?k=400&format=overlay&encoding=png' > overlay.png
 //	curl -s --data-binary @frame.ppm 'localhost:8080/v1/segment?stream=cam0' > labels.bin  # warm-starts per stream
+//	curl -s --data-binary @frame.ppm 'localhost:8080/v1/segment?datapath=fixed' > labels.bin  # float64, fixed or coded4…coded10
 //
 // Trace a request end to end (with -telemetry-addr :9090):
 //
@@ -41,7 +42,6 @@ import (
 	"sslic/internal/faults"
 	"sslic/internal/server"
 	"sslic/internal/slo"
-	"sslic/internal/sslic"
 	"sslic/internal/telemetry"
 	"sslic/internal/tenant"
 )
@@ -52,7 +52,6 @@ func main() {
 		workers      = flag.Int("workers", 0, "segmentation workers/shards (<=0 uses all CPUs)")
 		queue        = flag.Int("queue", 2, "admission queue depth per worker; beyond it requests get 429")
 		segWorkers   = flag.Int("seg-workers", 0, "intra-frame parallelism per request (0 keeps results byte-deterministic on the float64 datapath; overridable via ?tile_workers=)")
-		datapath     = flag.String("datapath", "float64", "default hot-loop arithmetic: float64 or fixed (the integer LUT datapath; overridable via ?datapath=)")
 		k            = flag.Int("k", 900, "default superpixel count (overridable per request via ?k=)")
 		ratio        = flag.Float64("ratio", 0.5, "default subsample ratio (?ratio=)")
 		iters        = flag.Int("iters", 10, "default full iterations (?iters=)")
@@ -86,16 +85,6 @@ func main() {
 		logJSON      = flag.Bool("log-json", false, "emit logs as JSON instead of text")
 	)
 	flag.Parse()
-
-	var dp sslic.DatapathKind
-	switch *datapath {
-	case "float64":
-		dp = sslic.Float64
-	case "fixed":
-		dp = sslic.Fixed
-	default:
-		fatal(fmt.Errorf("unknown -datapath %q (want float64 or fixed)", *datapath))
-	}
 
 	level, err := telemetry.ParseLevel(*logLevel)
 	if err != nil {
@@ -146,7 +135,6 @@ func main() {
 		Workers:                 *workers,
 		QueueDepth:              *queue,
 		SegWorkers:              *segWorkers,
-		Datapath:                dp,
 		DefaultK:                *k,
 		DefaultRatio:            *ratio,
 		DefaultIters:            *iters,

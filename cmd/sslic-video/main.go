@@ -55,7 +55,7 @@ func main() {
 		labelsFmt  = flag.String("labels-format", "", "also write each frame's label map to -out as frame<N>.<fmt>: slbl, slbl-rle or slbl-delta (delta frames encode against the previous frame's labels)")
 		workers    = flag.Int("pipeline-workers", 1, "segment-stage worker count (<=0 uses all CPUs); warm streams shard frame f to worker f mod N")
 		tileWork   = flag.Int("tile-workers", 0, "intra-frame row-band parallelism per frame (0/1 serial, -1 all CPUs)")
-		datapath   = flag.String("datapath", "float64", "hot-loop arithmetic: float64 or fixed (the integer LUT datapath)")
+		datapath   = flag.String("datapath", "float64", "hot-loop arithmetic: float64, fixed (the integer LUT datapath the server serves) or coded4-coded10 (fixed at §6.1's code widths)")
 		queue      = flag.Int("queue", 0, "most frames between render and delivery (<=0 selects 2x workers)")
 		telAddr    = flag.String("telemetry-addr", "", "serve /metrics, /healthz, /debug/vars, /debug/pprof and /debug/trace on this address (e.g. :9090); empty disables")
 		traceBuf   = flag.Int("trace-buffer", 64, "finished frame traces the flight recorder retains")
@@ -125,13 +125,8 @@ func main() {
 	params := sslic.DefaultParams(*k, 0.5)
 	params.Metrics = sslic.NewMetrics(reg)
 	params.TileWorkers = *tileWork
-	switch *datapath {
-	case "float64":
-		params.Datapath = sslic.Float64
-	case "fixed":
-		params.Datapath = sslic.Fixed
-	default:
-		fatal(fmt.Errorf("unknown -datapath %q (want float64 or fixed)", *datapath))
+	if params.Datapath, err = sslic.ParseDatapath(*datapath); err != nil {
+		fatal(err)
 	}
 
 	// The accelerator model runs alongside the software stream: one

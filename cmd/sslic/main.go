@@ -5,6 +5,7 @@
 //
 //	sslic -in photo.png -k 900 -overlay out.png
 //	sslic -in frame.ppm -method slic -iters 10 -mean abstract.ppm
+//	sslic -in frame.ppm -datapath fixed -overlay out.png
 package main
 
 import (
@@ -28,7 +29,7 @@ func main() {
 		iters   = flag.Int("iters", 10, "full-image-equivalent iterations")
 		ratio   = flag.Float64("ratio", 0.5, "S-SLIC subsampling ratio (1 = no subsampling)")
 		method  = flag.String("method", "ppa", "algorithm: ppa, cpa or slic")
-		bits    = flag.Int("bits", 0, "code width of the fixed datapath, 4-10 (0 = float64; paper uses 8); S-SLIC PPA only")
+		dpName  = flag.String("datapath", "float64", "hot-loop arithmetic: float64, fixed (the integer LUT datapath the server serves) or coded4-coded10 (fixed at §6.1's code widths; the paper uses 8); all but float64 are S-SLIC PPA only")
 		slico   = flag.Bool("slico", false, "adaptive compactness (SLICO; method slic only)")
 		overlay = flag.String("overlay", "", "write boundary overlay image here")
 		mean    = flag.String("mean", "", "write mean-color abstraction here")
@@ -43,6 +44,10 @@ func main() {
 		os.Exit(2)
 	}
 
+	dp, err := sslic.ParseDatapath(*dpName)
+	if err != nil {
+		fatal(err)
+	}
 	img, err := imgio.ReadImageFile(*in)
 	if err != nil {
 		fatal(err)
@@ -53,7 +58,7 @@ func main() {
 		Compactness:         *m,
 		Iterations:          *iters,
 		SubsampleRatio:      *ratio,
-		FixedPointBits:      *bits,
+		Datapath:            dp,
 		AdaptiveCompactness: *slico,
 	}
 	switch *method {
@@ -110,8 +115,8 @@ func main() {
 		if opt.Method == sslic.SLIC {
 			used = 1 // SLIC visits every pixel on every pass
 		}
-		fmt.Printf("%s: %dx%d, %d superpixels (%s, K=%d, m=%g, ratio=%g) in %v\n",
-			*in, seg.W, seg.H, seg.NumSegments, opt.Method, *k, *m, used, elapsed.Round(time.Millisecond))
+		fmt.Printf("%s: %dx%d, %d superpixels (%s, datapath=%v, K=%d, m=%g, ratio=%g) in %v\n",
+			*in, seg.W, seg.H, seg.NumSegments, opt.Method, dp, *k, *m, used, elapsed.Round(time.Millisecond))
 	}
 }
 

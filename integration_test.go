@@ -208,7 +208,7 @@ func TestFacadeAndFunctionalSimAgree(t *testing.T) {
 	opt := DefaultOptions(96)
 	opt.SubsampleRatio = 1
 	opt.Iterations = cfg.Passes
-	opt.FixedPointBits = 8
+	opt.Datapath = Coded(8)
 	sw, err := Segment(s.Image.ToGoImage(), opt)
 	if err != nil {
 		t.Fatal(err)

@@ -171,7 +171,7 @@ func extFuncSim(o Options) (*Table, error) {
 		Title:   fmt.Sprintf("Functional vs analytic model (%dx%d, K=%d)", w, h, k),
 		Columns: []string{"quantity", "functional (bit-accurate)", "analytic model"},
 		Notes: []string{
-			"the functional pipeline runs the frame through the fixed kernel at 8-bit colour and distance codes, the LUT conversion and integer cluster datapath the server runs at width 0",
+			"the functional pipeline runs the frame on datapath coded8, the fixed kernel at 8-bit colour and distance codes; the server runs the same LUT conversion and integer cluster datapath as datapath fixed",
 			"one account prices both columns: the functional one from the frame's own work, the analytic one from the configuration's nominal work; they differ only in distance calcs, as border tiles have fewer than nine candidates",
 		},
 	}

@@ -228,16 +228,13 @@ func bitWidth(o Options) (*Table, error) {
 	if o.Quick {
 		iters = 4
 	}
-	// mean runs S-SLIC(0.5) on every sample and returns the mean USE and
-	// BR, on the float64 datapath or, with fixed, the fixed one at code
-	// width bits.
-	mean := func(fixed bool, bits int) (use, br float64, err error) {
+	// mean runs S-SLIC(0.5) on every sample on datapath d and returns the
+	// mean USE and BR.
+	mean := func(d sslic.DatapathKind) (use, br float64, err error) {
 		for _, s := range samples {
 			p := sslic.DefaultParams(fig2K, 0.5)
 			p.FullIters = iters
-			if fixed {
-				p.Datapath, p.CodeBits = sslic.Fixed, bits
-			}
+			p.Datapath = d
 			r, err := sslic.Segment(s.Image, p)
 			if err != nil {
 				return 0, 0, err
@@ -256,7 +253,7 @@ func bitWidth(o Options) (*Table, error) {
 		n := float64(len(samples))
 		return use / n, br / n, nil
 	}
-	baseUSE, baseBR, err := mean(false, 0)
+	baseUSE, baseBR, err := mean(sslic.Float64)
 	if err != nil {
 		return nil, err
 	}
@@ -268,24 +265,24 @@ func bitWidth(o Options) (*Table, error) {
 		Notes: []string{
 			"paper: at 8-bit fixed point, USE grows by only 0.003 and BR drops by only 0.001",
 			"paper: below 7 bits the error increase becomes noticeable",
-			"each width runs the fixed datapath with colour codes and saturating distance codes of that width; fixed (served) is its default, 8-bit colour codes and exact distances",
+			"each w-bit row runs datapath coded<w>, the fixed datapath with colour codes and saturating distance codes of that width; fixed (served) is datapath fixed, 8-bit colour codes and exact distances",
 			"12 and 16 bits are not swept: a packed code word holds 10-bit fields, and a float quantiser read 16, 12 and 10 bits as float64 (ΔUSE −0.0001, −0.0006, −0.0003), so the float64 row stands for them",
 		},
 	}
 	t.AddRow("float64", f4(baseUSE), "-", f4(baseBR), "-")
-	row := func(name string, bits int) error {
-		use, br, err := mean(true, bits)
+	row := func(name string, d sslic.DatapathKind) error {
+		use, br, err := mean(d)
 		if err != nil {
 			return err
 		}
 		t.AddRow(name, f4(use), f4(use-baseUSE), f4(br), f4(br-baseBR))
 		return nil
 	}
-	if err := row("fixed (served)", 0); err != nil {
+	if err := row("fixed (served)", sslic.Fixed); err != nil {
 		return nil, err
 	}
 	for _, w := range widths {
-		if err := row(fmt.Sprintf("%d-bit", w), w); err != nil {
+		if err := row(fmt.Sprintf("%d-bit", w), sslic.Coded(w)); err != nil {
 			return nil, err
 		}
 	}

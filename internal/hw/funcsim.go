@@ -12,11 +12,11 @@ import (
 // FuncSim runs the frame's pixels through the hardware datapath — the
 // LUT color conversion unit and the Cluster Update Unit's 8-bit codes,
 // saturating 8-bit distance codes and integer sigma sums: the fixed
-// kernel of internal/sslic, which serves at width 0, run at CodeBits 8 —
-// produces the label map the silicon would produce, walks the host
-// FSM's schedule buffer tile by buffer tile, the schedule the account
-// prices, and prices the frame's own work through the same account as
-// Simulate.
+// kernel of internal/sslic, which serves as sslic.Fixed, run as
+// sslic.Coded(8) — produces the label map the silicon would produce,
+// walks the host FSM's schedule buffer tile by buffer tile, the
+// schedule the account prices, and prices the frame's own work through
+// the same account as Simulate.
 type FuncSim struct {
 	cfg Config
 	p   sslic.Params
@@ -44,8 +44,7 @@ func NewFuncSim(cfg Config) (*FuncSim, error) {
 	p.FullIters = cfg.Passes / p.Subsets()
 	p.PerturbCenters = false
 	p.EnforceConnectivity = false
-	p.Datapath = sslic.Fixed
-	p.CodeBits = 8
+	p.Datapath = sslic.Coded(8)
 	if err := p.Validate(cfg.Width, cfg.Height); err != nil {
 		return nil, err
 	}

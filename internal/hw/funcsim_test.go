@@ -141,8 +141,7 @@ func TestFuncSimAgreesWithSoftware(t *testing.T) {
 		p.FullIters = int(float64(cfg.Passes) * ratio)
 		p.PerturbCenters = false
 		p.EnforceConnectivity = false
-		p.Datapath = sslic.Fixed
-		p.CodeBits = 8
+		p.Datapath = sslic.Coded(8)
 		sw, err := sslic.Segment(im, p)
 		if err != nil {
 			t.Fatal(err)

@@ -11,8 +11,9 @@ import (
 	"sslic/internal/sslic"
 )
 
-// TestParseOptionsDatapath covers the two new request knobs: the
-// datapath selector and the per-request tile-worker override.
+// TestParseOptionsDatapath covers two request knobs: the datapath
+// selector, float64 unless the request names another, and the
+// per-request tile-worker override.
 func TestParseOptionsDatapath(t *testing.T) {
 	cfg := Config{}
 	cfg = cfg.withDefaults()
@@ -37,34 +38,19 @@ func TestParseOptionsDatapath(t *testing.T) {
 	if o.Datapath != sslic.Fixed || o.TileWorkers != 4 {
 		t.Fatalf("parsed: datapath %v workers %d", o.Datapath, o.TileWorkers)
 	}
-	if _, err = parse("datapath=quantum"); err == nil {
-		t.Fatal("unknown datapath accepted")
+	if o, err = parse("datapath=coded8"); err != nil || o.Datapath != sslic.Coded(8) {
+		t.Fatalf("datapath=coded8: %v, %v", o.Datapath, err)
+	}
+	for _, v := range []string{"quantum", "coded11", "Fixed"} {
+		if _, err = parse("datapath=" + v); err == nil {
+			t.Fatalf("datapath=%s accepted", v)
+		}
 	}
 	if _, err = parse("tile_workers=-3"); err == nil {
 		t.Fatal("negative tile_workers accepted")
 	}
 	if _, err = parse("tile_workers=100000"); err == nil {
 		t.Fatal("unbounded tile_workers accepted")
-	}
-	// A configured fixed default flows into requests that say nothing.
-	cfgFixed := cfg
-	cfgFixed.Datapath = sslic.Fixed
-	q, _ := url.ParseQuery("")
-	o, err = parseOptions(cfgFixed, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Datapath != sslic.Fixed {
-		t.Fatal("config default datapath ignored")
-	}
-	// ...and the request can override it back.
-	q, _ = url.ParseQuery("datapath=float64")
-	o, err = parseOptions(cfgFixed, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Datapath != sslic.Float64 {
-		t.Fatal("request datapath override ignored")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sslic/internal/imgio"
+	"sslic/internal/sslic"
 	"sslic/internal/telemetry"
 	"sslic/internal/telemetry/testutil"
 	"sslic/internal/tenant"
@@ -113,6 +114,7 @@ func FuzzParseOptions(f *testing.F) {
 		"unknown=ignored&k=4",
 		"k=%32%34",
 		";;;=&&&",
+		"datapath=coded8", "datapath=coded11", "datapath=Fixed",
 	} {
 		f.Add(s)
 	}
@@ -159,6 +161,13 @@ func FuzzParseOptions(f *testing.F) {
 		}
 		if o.Timeout < time.Millisecond || o.Timeout > fuzzConfig.MaxTimeout {
 			t.Fatalf("accepted timeout %v", o.Timeout)
+		}
+		// A one-pixel PPA run at ratio 1 fails Validate on its datapath
+		// only.
+		p := sslic.DefaultParams(1, 1)
+		p.Datapath = o.Datapath
+		if err := p.Validate(1, 1); err != nil {
+			t.Fatalf("accepted datapath %v: %v", o.Datapath, err)
 		}
 	})
 }

@@ -41,8 +41,8 @@ type options struct {
 	Ratio       float64
 	Iters       int
 	Compactness float64
-	Datapath    sslic.DatapathKind
-	TileWorkers int // -1: use the server's configured SegWorkers
+	Datapath    sslic.DatapathKind // ?datapath=, read by sslic.ParseDatapath; float64 without it
+	TileWorkers int                // -1: use the server's configured SegWorkers
 	Stream      string
 	Format      string
 	Encoding    string
@@ -68,7 +68,6 @@ func parseOptions(cfg Config, q url.Values) (options, error) {
 		Ratio:       cfg.DefaultRatio,
 		Iters:       cfg.DefaultIters,
 		Compactness: cfg.DefaultCompactness,
-		Datapath:    cfg.Datapath,
 		TileWorkers: -1,
 		Format:      formatLabels,
 		Encoding:    encodingPPM,
@@ -88,13 +87,8 @@ func parseOptions(cfg Config, q url.Values) (options, error) {
 		return o, err
 	}
 	if v := q.Get("datapath"); v != "" {
-		switch v {
-		case "float64":
-			o.Datapath = sslic.Float64
-		case "fixed":
-			o.Datapath = sslic.Fixed
-		default:
-			return o, fmt.Errorf("server: unknown datapath %q (want float64 or fixed)", v)
+		if o.Datapath, err = sslic.ParseDatapath(v); err != nil {
+			return o, err
 		}
 	}
 	if o.TileWorkers, err = intParam(q, "tile_workers", o.TileWorkers, 0, maxTileWorkers); err != nil {

@@ -70,10 +70,6 @@ type Config struct {
 	// fixed datapath is byte-deterministic at every worker count).
 	// Requests may override it with ?tile_workers=.
 	SegWorkers int
-	// Datapath is the default hot-loop arithmetic for requests that do
-	// not pass ?datapath=: Float64 (zero value) or Fixed, the
-	// accelerator's integer LUT datapath.
-	Datapath sslic.DatapathKind
 	// DefaultK, DefaultRatio, DefaultIters, DefaultCompactness are the
 	// segmentation defaults when the request does not override them.
 	// Zero values select 900, 0.5, 10 and 10 (the paper's evaluation

@@ -280,6 +280,9 @@ func TestSegmentErrorTable(t *testing.T) {
 			{"k out of range", http.MethodPost, "k=0", "", frame, http.StatusBadRequest},
 			{"k over pixels", http.MethodPost, "k=100000", "", frame, http.StatusBadRequest},
 			{"bad ratio", http.MethodPost, "ratio=2", "", frame, http.StatusBadRequest},
+			{"more subsets than pixels", http.MethodPost, "k=4&ratio=1e-10", "", frame, http.StatusBadRequest},
+			{"subset count past int", http.MethodPost, "k=4&ratio=5e-324", "", frame, http.StatusBadRequest},
+			{"unknown datapath", http.MethodPost, "k=4&datapath=coded11", "", frame, http.StatusBadRequest},
 			{"bad format", http.MethodPost, "format=jpeg", "", frame, http.StatusBadRequest},
 			{"bad stream id", http.MethodPost, "stream=a%20b", "", frame, http.StatusBadRequest},
 			{"long stream id", http.MethodPost, "stream=" + strings.Repeat("x", 65), "", frame, http.StatusBadRequest},

@@ -60,30 +60,40 @@ func TestSegmentContextCancelWithinOneRound(t *testing.T) {
 }
 
 // TestSegmentContextRatioNearZero: a subsample ratio near 0 asks for
-// round(1/ratio) subsets and so FullIters × Subsets passes, a count the
-// run must not size anything by before its first pass. At ratio 1e-10
-// and 100 iterations that is 10^12 passes, 8 TB of residual history; at
-// 5e-324 the subset count overflows and no pass runs. Each run here is
-// cancelled after at most 3 passes, or runs none, and allocates little.
+// round(1/ratio) subsets. Above the frame's pixel count that is more
+// subsets than pixels: at ratio 1e-10, 10^10 of them, and at 5e-324 a
+// count that overflows int and once ran no pass at all. Validate refuses
+// each such ratio before anything is sized. At the bound, round(1/ratio)
+// = W·H, the run is valid and asks for FullIters × W·H passes, a count
+// it must not size anything by before its first pass: it is cancelled
+// after at most 3 passes and allocates little.
 func TestSegmentContextRatioNearZero(t *testing.T) {
-	im := testImage(64, 48)
+	const w, h = 64, 48
+	im := testImage(w, h)
 	for _, c := range []struct {
 		ratio float64
 		iters int
+		valid bool
 	}{
-		{1e-10, 100},
-		{1e-4, 1000}, // 10^7 passes, 80 MB of history
-		{5e-324, 1},
+		{1e-10, 100, false},
+		{1e-4, 1000, false},
+		{5e-324, 1, false},
+		{1.0 / (w*h + 1), 1, false},
+		{1.0 / (w * h), 1000, true}, // 3,072,000 passes, 24 MB of history
 	} {
 		p := DefaultParams(24, c.ratio)
 		p.FullIters = c.iters
+		verr := p.Validate(w, h)
 		ctx := &countingCtx{Context: context.Background(), limit: 4}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := SegmentContext(ctx, im, p)
 		runtime.ReadMemStats(&after)
-		if err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("ratio %g, %d iterations: %v", c.ratio, c.iters, err)
+		switch {
+		case c.valid && (verr != nil || !errors.Is(err, context.Canceled)):
+			t.Fatalf("ratio %g, %d iterations: Validate %v, run %v; want a valid run, cancelled", c.ratio, c.iters, verr, err)
+		case !c.valid && (verr == nil || err == nil || err.Error() != verr.Error()):
+			t.Fatalf("ratio %g, %d iterations: Validate %v, run %v; want Validate's error from both", c.ratio, c.iters, verr, err)
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
 			t.Errorf("ratio %g, %d iterations: %d bytes allocated, want at most 4 MiB", c.ratio, c.iters, got)

@@ -35,9 +35,9 @@ package sslic
 //     fixed path byte-identical for every TileWorkers value (the float
 //     path only guarantees identical labels; its center coordinates may
 //     differ in the last FP bits across worker counts).
-//   - Params.CodeBits selects the code width (see codeWidth). Width 0,
-//     the default, is the served arithmetic above. A width of 4 to 10
-//     bits is the reduced-precision datapath §6.1 sweeps: colour codes of
+//   - The datapath fixes the code width (see codeWidth). Fixed, width 0,
+//     is the served arithmetic above. Coded(w), a width of 4 to 10
+//     bits, is the reduced-precision datapath §6.1 sweeps: colour codes of
 //     that width, and distances that become saturating codes of that
 //     width before the argmin compares them. Every width runs the same
 //     band; only its row kernel differs (nearestRowCoded, in Go).
@@ -91,9 +91,8 @@ const (
 	// fxLanes is the number of distance calculators: a tile's own center
 	// and its 8 neighbours.
 	fxLanes = 9
-	// Code widths a run may set in Params.CodeBits besides 0: the widths
-	// a packed word's 10-bit fields hold, down to where §6.1's quality
-	// has collapsed.
+	// The code widths of Coded: the widths a packed word's 10-bit fields
+	// hold, down to where §6.1's quality has collapsed.
 	minCodeBits = 4
 	maxCodeBits = 10
 	// distFullScale is the squared distance, in Q4 Lab units², at which a
@@ -102,14 +101,14 @@ const (
 	distFullScale = 448 * 448 << distFrac
 )
 
-// codeWidth is what Params.CodeBits fixes in the datapath. Width 0 is the
-// served arithmetic: 8-bit LUT colour codes and exact distances. A width
-// w of 4 to 10 bits is §6.1's coded datapath: w-bit colour codes,
-// L·(2^w−1)/100 and (a+128)·2^(w−8), and distances that become w-bit
-// codes before the argmin compares them (distCode). At w = 8 the colour
-// codes are width 0's.
+// codeWidth is what the datapath's code width fixes in the kernel. Width
+// 0, Fixed, is the served arithmetic: 8-bit LUT colour codes and exact
+// distances. A width w of 4 to 10 bits, Coded(w), is §6.1's coded
+// datapath: w-bit colour codes, L·(2^w−1)/100 and (a+128)·2^(w−8), and
+// distances that become w-bit codes before the argmin compares them
+// (distCode). At w = 8 the colour codes are width 0's.
 type codeWidth struct {
-	bits    int     // Params.CodeBits
+	bits    int     // the datapath's codeBits
 	max     int64   // the largest code, 2^w − 1 (255 at width 0)
 	abScale float64 // a and b codes per Lab unit, 2^(w−8)
 	abShift int     // brings squared a/b code differences to Q4 Lab units²
@@ -413,8 +412,9 @@ type fxKernel struct {
 }
 
 func (kn *fxKernel) convert(im *imgio.Image) {
-	kn.cw = newCodeWidth(kn.p.CodeBits)
-	kn.codes = convertLabCodes(im, kn.p.CodeBits, kn.scr)
+	bits := kn.p.Datapath.codeBits()
+	kn.cw = newCodeWidth(bits)
+	kn.codes = convertLabCodes(im, bits, kn.scr)
 }
 
 func (kn *fxKernel) seed(tiling *Tiling, labels *imgio.LabelMap) {

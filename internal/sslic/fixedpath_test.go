@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -54,34 +55,49 @@ func fixedParams(k int, ratio float64) Params {
 	return p
 }
 
+// TestFixedDatapathValidation: Validate accepts the nine datapaths and
+// no other value, and every datapath but float64 is the fixed datapath:
+// PPA only, with its own fused center update. CLIs surface that refusal
+// as it is, so its error names the fixed datapath.
 func TestFixedDatapathValidation(t *testing.T) {
 	im := testImage(32, 32)
-	cases := []struct {
+	valid := map[DatapathKind]bool{}
+	for _, d := range allDatapaths() {
+		valid[d] = true
+	}
+	others := []DatapathKind{math.MinInt, math.MaxInt}
+	for d := DatapathKind(-16); d <= 64; d++ {
+		others = append(others, d)
+	}
+	for _, d := range others {
+		p := DefaultParams(9, 0.5)
+		p.Datapath = d
+		if err := p.Validate(32, 32); (err == nil) != valid[d] {
+			t.Errorf("datapath %d: Validate error %v, want one: %v", d, err, !valid[d])
+		}
+	}
+	offPPA := []struct {
 		name string
 		mod  func(*Params)
 	}{
-		{"unknown datapath", func(p *Params) { p.Datapath = DatapathKind(9) }},
-		{"fixed on CPA", func(p *Params) { p.Arch = CPA }},
-		{"fixed on SLIC", func(p *Params) { p.Arch, p.SubsampleRatio = SLIC, 1 }},
-		{"fixed with software center update", func(p *Params) { p.SoftwareCenterUpdate = true }},
-		{"code bits on float64", func(p *Params) { p.Datapath, p.CodeBits = Float64, 8 }},
-		{"code bits on CPA", func(p *Params) { p.Datapath, p.Arch, p.CodeBits = Float64, CPA, 8 }},
+		{"CPA", func(p *Params) { p.Arch = CPA }},
+		{"SLIC", func(p *Params) { p.Arch, p.SubsampleRatio = SLIC, 1 }},
+		{"software center update", func(p *Params) { p.SoftwareCenterUpdate = true }},
 	}
-	for _, bits := range []int{-1, 1, 2, 3, 11, 16} {
-		cases = append(cases, struct {
-			name string
-			mod  func(*Params)
-		}{fmt.Sprintf("code bits %d", bits), func(p *Params) { p.CodeBits = bits }})
-	}
-	for _, c := range cases {
-		p := fixedParams(9, 0.5)
-		c.mod(&p)
-		if _, err := Segment(im, p); err == nil {
-			t.Errorf("%s: Segment succeeded, want validation error", c.name)
+	for _, d := range allDatapaths()[1:] {
+		for _, c := range offPPA {
+			p := DefaultParams(9, 0.5)
+			p.Datapath = d
+			c.mod(&p)
+			if _, err := Segment(im, p); err == nil || !strings.Contains(err.Error(), "fixed datapath") {
+				t.Errorf("%v on %s: Segment error %v, want one naming the fixed datapath", d, c.name, err)
+			}
 		}
-	}
-	if _, err := Segment(im, fixedParams(9, 0.5)); err != nil {
-		t.Fatalf("valid fixed config rejected: %v", err)
+		p := DefaultParams(9, 0.5)
+		p.Datapath = d
+		if _, err := Segment(im, p); err != nil {
+			t.Errorf("%v on PPA rejected: %v", d, err)
+		}
 	}
 }
 
@@ -203,6 +219,85 @@ func TestFixedParityWithFloat(t *testing.T) {
 		if brFixed < brFloat-brMargin {
 			t.Errorf("seed %d: fixed BR %.4f trails float BR %.4f by more than %.2f",
 				seed, brFixed, brFloat, brMargin)
+		}
+	}
+}
+
+// TestFixedCorpusParity is the corpus gate for serving the fixed
+// datapath in place of float64: over 12 corpus scenes at the corpus
+// size, 481×321 (four each of Voronoi mosaics, blobs and stripes), at K
+// 400 and 900 and ratios 1, 0.5 and 0.25, the fixed datapath's mean
+// undersegmentation error may exceed float64's by at most 0.005, and
+// its mean boundary recall may trail float64's by at most 0.005.
+// TestFixedParityWithFloat bounds single small frames; this bounds the
+// Fig 2 quality metrics on the frames Fig 2 is measured on.
+func TestFixedCorpusParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("corpus run is slow")
+	}
+	const (
+		scenes    = 12
+		useMargin = 0.005 // mean USE the fixed datapath may add
+		brMargin  = 0.005 // mean BR it may lose
+	)
+	configs := []struct {
+		k     int
+		ratio float64
+	}{{400, 1}, {400, 0.5}, {400, 0.25}, {900, 1}, {900, 0.5}, {900, 0.25}}
+	kinds := []dataset.Kind{dataset.Voronoi, dataset.Blobs, dataset.Stripes}
+	// delta[i][c] is scene i's USE and BR at configs[c], fixed minus
+	// float64.
+	delta := make([][][2]float64, scenes)
+	t.Run("scenes", func(t *testing.T) {
+		for i := range delta {
+			t.Run(fmt.Sprint(i), func(t *testing.T) {
+				t.Parallel()
+				cfg := dataset.DefaultConfig()
+				cfg.Kind = kinds[i%len(kinds)]
+				s, err := dataset.Generate(cfg, int64(1+i/len(kinds)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				quality := func(p Params) (use, br float64) {
+					r, err := Segment(s.Image, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if use, err = metrics.UndersegmentationError(r.Labels, s.GT); err != nil {
+						t.Fatal(err)
+					}
+					if br, err = metrics.BoundaryRecall(r.Labels, s.GT, 2); err != nil {
+						t.Fatal(err)
+					}
+					return use, br
+				}
+				d := make([][2]float64, len(configs))
+				for c, cf := range configs {
+					p := DefaultParams(cf.k, cf.ratio)
+					useFloat, brFloat := quality(p)
+					p.Datapath = Fixed
+					useFixed, brFixed := quality(p)
+					d[c] = [2]float64{useFixed - useFloat, brFixed - brFloat}
+				}
+				delta[i] = d
+			})
+		}
+	})
+	if t.Failed() {
+		return
+	}
+	for c, cf := range configs {
+		var use, br float64
+		for _, d := range delta {
+			use += d[c][0] / scenes
+			br += d[c][1] / scenes
+		}
+		t.Logf("K %d, ratio %g: mean ΔUSE %+.4f, mean ΔBR %+.4f", cf.k, cf.ratio, use, br)
+		if use > useMargin {
+			t.Errorf("K %d, ratio %g: mean USE rises by %.4f on the fixed datapath, want at most %.3f", cf.k, cf.ratio, use, useMargin)
+		}
+		if br < -brMargin {
+			t.Errorf("K %d, ratio %g: mean BR falls by %.4f on the fixed datapath, want at most %.3f", cf.k, cf.ratio, -br, brMargin)
 		}
 	}
 }
@@ -558,7 +653,7 @@ type bandCase struct {
 	k, subset  int
 	preemptive bool
 	bands      int
-	bits       int
+	datapath   DatapathKind // Fixed or a coded width
 }
 
 // checkFixedBand runs one subset pass of fxKernel over random packed
@@ -573,10 +668,10 @@ func checkFixedBand(t *testing.T, c bandCase) {
 	tiling := NewTiling(c.w, c.h, c.K)
 	s := slic.GridInterval(c.w, c.h, c.K)
 	p := Params{K: c.K, Compactness: c.m, Scheme: c.scheme, Preemptive: c.preemptive,
-		TileWorkers: c.bands, Datapath: Fixed, CodeBits: c.bits}
+		TileWorkers: c.bands, Datapath: c.datapath}
 	kn := &fxKernel{frame: frame{p: p, scr: new(Scratch), tiling: tiling,
 		labels: imgio.NewLabelMap(c.w, c.h), k: c.k, s: s, invS2: c.m * c.m / (s * s)},
-		cw: newCodeWidth(c.bits)}
+		cw: newCodeWidth(c.datapath.codeBits())}
 	top := uint32(kn.cw.max)
 	// Half the draws take codes and center colours from a palette of
 	// 1–3 words and put centers on whole pixels, so that exact distance
@@ -673,12 +768,12 @@ func pack(word, top uint32) uint32 {
 
 // fuzzBandCase maps raw fuzz inputs onto a bandCase: W, H ≤ 72, any K,
 // compactness clamped to [0.01, 1e8] (both saturation regimes), every
-// scheme, k ∈ {1, 2, 4} with any of its subsets, 1–3 bands, and code
-// width 0 or 4–10.
+// scheme, k ∈ {1, 2, 4} with any of its subsets, 1–3 bands, and the
+// fixed datapath at width 0 (Fixed) or a coded width 4–10.
 func fuzzBandCase(seed int64, w8, h8 uint8, k16 uint16, m float64, scheme, subsets, subset uint8, preemptive bool, bands, bits uint8) bandCase {
 	c := bandCase{seed: seed, w: 1 + int(w8)%72, h: 1 + int(h8)%72, m: math.Abs(m),
 		scheme: Scheme(scheme % 4), k: []int{1, 2, 4}[subsets%3], preemptive: preemptive, bands: 1 + int(bands)%3,
-		bits: []int{0, 4, 5, 6, 7, 8, 9, 10}[bits%8]}
+		datapath: allDatapaths()[1+int(bits)%8]}
 	c.K = 1 + int(k16)%(c.w*c.h)
 	c.subset = int(subset) % c.k
 	if !(c.m >= 0.01) { // also catches NaN
@@ -841,26 +936,26 @@ func TestDistanceCodeProperties(t *testing.T) {
 // from the served exact kernel's boundaries more at 4 bits than at 10.
 func TestDatapathNarrowWidthChangesMoreThanWide(t *testing.T) {
 	im := goldenScene(t)
-	mask := func(bits int) []bool {
-		p := fixedParams(64, 0.5)
-		p.CodeBits = bits
+	mask := func(d DatapathKind) []bool {
+		p := DefaultParams(64, 0.5)
+		p.Datapath = d
 		r, err := Segment(im, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r.Labels.BoundaryMask()
 	}
-	exact := mask(0)
-	diff := func(bits int) int {
+	exact := mask(Fixed)
+	diff := func(dp DatapathKind) int {
 		d := 0
-		for i, b := range mask(bits) {
+		for i, b := range mask(dp) {
 			if b != exact[i] {
 				d++
 			}
 		}
 		return d
 	}
-	if d4, d10 := diff(4), diff(10); d4 <= d10 {
+	if d4, d10 := diff(Coded(4)), diff(Coded(10)); d4 <= d10 {
 		t.Fatalf("4-bit codes (%d boundary diffs) no further from the exact kernel than 10-bit (%d)", d4, d10)
 	}
 }

@@ -42,7 +42,7 @@ func FuzzTileGeometry(f *testing.F) {
 		case 1:
 			p.Datapath = Fixed
 		case 2:
-			p.Datapath, p.CodeBits = Fixed, 8
+			p.Datapath = Coded(8)
 		}
 		r, err := Segment(im, p)
 		if err != nil {
@@ -51,13 +51,13 @@ func FuzzTileGeometry(f *testing.F) {
 		}
 		n := r.Labels.NumRegions()
 		if int(r.Labels.MaxLabel())+1 != n {
-			t.Fatalf("%dx%d k=%d workers=%d dp=%v bits=%d: labels not dense (max %d, regions %d)",
-				w, h, k, workers, p.Datapath, p.CodeBits, r.Labels.MaxLabel(), n)
+			t.Fatalf("%dx%d k=%d workers=%d dp=%v: labels not dense (max %d, regions %d)",
+				w, h, k, workers, p.Datapath, r.Labels.MaxLabel(), n)
 		}
 		for i, v := range r.Labels.Labels {
 			if v < 0 || int(v) >= n {
-				t.Fatalf("%dx%d k=%d workers=%d dp=%v bits=%d: label %d out of range at pixel %d",
-					w, h, k, workers, p.Datapath, p.CodeBits, v, i)
+				t.Fatalf("%dx%d k=%d workers=%d dp=%v: label %d out of range at pixel %d",
+					w, h, k, workers, p.Datapath, v, i)
 			}
 		}
 		for _, c := range r.Centers {

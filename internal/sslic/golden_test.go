@@ -35,9 +35,9 @@ const goldenFixedLabelsSHA256 = "7ece6671d83c89cf3b66f3af52226f4061287851c9373f5
 // row runs must produce the same labels; the serial run (TileWorkers 1,
 // which every row includes) must also reproduce the Stats digest.
 type goldenRow struct {
-	name  string
-	fixed bool // run on the Fixed datapath
-	mod   func(*Params)
+	name     string
+	datapath DatapathKind
+	mod      func(*Params)
 	// warm seeds the run with the centers of the serial cold run of the
 	// same row (warm off) and FullIters 3 — the video pipeline's
 	// warm-start path.
@@ -57,7 +57,7 @@ type goldenRow struct {
 var goldenRows = []goldenRow{
 	{name: "float", workers: []int{1, 4, -1}, labels: goldenLabelsSHA256,
 		stats: "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=2007c0636f6deafd"},
-	{name: "fixed", fixed: true, workers: []int{1, 2, 3, 8}, labels: goldenFixedLabelsSHA256,
+	{name: "fixed", datapath: Fixed, workers: []int{1, 2, 3, 8}, labels: goldenFixedLabelsSHA256,
 		stats: "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=103cd2ea41e62699"},
 	// The CPA's stats were re-pinned when a pass began to report its own
 	// subset's size: the 63 centers split 32 + 31, not 31 + 31, so 630
@@ -90,26 +90,26 @@ var goldenRows = []goldenRow{
 	{name: "float/hashed", mod: func(p *Params) { p.Scheme = Hashed }, workers: []int{1, 3},
 		labels: "539da6e0ffb251e9bfaa254e0cc84086c37b68f61d238e18452bfcfd9854de74",
 		stats:  "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=fa750c5c8919fbcd"},
-	{name: "fixed/rows", fixed: true, mod: func(p *Params) { p.Scheme = Rows }, workers: []int{1, 3},
+	{name: "fixed/rows", datapath: Fixed, mod: func(p *Params) { p.Scheme = Rows }, workers: []int{1, 3},
 		labels: "e4daebea1c191ec60a49d4b77da099f44f70c2ca7c3745a665c4dc561141b59c",
 		stats:  "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=b6ec53e7f2ea5b86"},
-	{name: "fixed/blocks", fixed: true, mod: func(p *Params) { p.Scheme = Blocks }, workers: []int{1, 3},
+	{name: "fixed/blocks", datapath: Fixed, mod: func(p *Params) { p.Scheme = Blocks }, workers: []int{1, 3},
 		labels: "b92a641ff0609208d5d885d3dd6a33d801d18bc396a6f6dd57c13b601d764e31",
 		stats:  "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=e5513adedf22aaa1"},
-	{name: "fixed/hashed", fixed: true, mod: func(p *Params) { p.Scheme = Hashed }, workers: []int{1, 3},
+	{name: "fixed/hashed", datapath: Fixed, mod: func(p *Params) { p.Scheme = Hashed }, workers: []int{1, 3},
 		labels: "aca0701ce67fc39ec5676813b59646fea4ec095a8295cffb0005b268cd0d0a71",
 		stats:  "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=db3df29973b5155c"},
 	{name: "float/preemptive", mod: func(p *Params) { p.Preemptive = true }, workers: []int{1, 3},
 		labels: "51836e2aa2f8396b2d336251de54c55e317e3a1ba48a475963c9f7a4b4b8a690",
 		stats:  "calcs=1411879 skipped=36 saved=34335 updates=1260 passes=20 converged=false moves=72a586ed69b99294"},
-	{name: "fixed/preemptive", fixed: true, mod: func(p *Params) { p.Preemptive = true }, workers: []int{1, 3},
+	{name: "fixed/preemptive", datapath: Fixed, mod: func(p *Params) { p.Preemptive = true }, workers: []int{1, 3},
 		labels: "04caf26a526ac86994eadab6dcee8452f2df2d3a06dbd4f1eaae155eb51d3b38",
 		stats:  "calcs=1410347 skipped=35 saved=35865 updates=1260 passes=20 converged=false moves=0ba023d47944c069"},
 	// At m = 1e7 the spatial weight is ~2.2e16, so any squared offset
 	// past 422 (Q8 units²) saturates: nearly every spatial term in the
 	// run is spatSaturated, and labels fall to the colour terms and the
 	// first-candidate tie rule. Computed on the pre-lane kernel.
-	{name: "fixed/saturated", fixed: true, mod: func(p *Params) { p.Compactness = 1e7 }, workers: []int{1, 3},
+	{name: "fixed/saturated", datapath: Fixed, mod: func(p *Params) { p.Compactness = 1e7 }, workers: []int{1, 3},
 		labels: "5f273bd8bca14412ebca26252b2de1cc04c8ce4d1ba8e951f7d1e02a873843d6",
 		stats:  "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=223023299207ae03"},
 	{name: "float/warm", warm: true, workers: []int{1, 3},
@@ -117,33 +117,33 @@ var goldenRows = []goldenRow{
 		stats:  "calcs=433875 skipped=0 saved=0 updates=378 passes=6 converged=false moves=3fbdafe167b226e3"},
 	// The §6.1 coded datapath at the hardware's 8 bits and at 5, where
 	// the coarse codes tie often.
-	{name: "fixed/code8", fixed: true, mod: func(p *Params) { p.CodeBits = 8 }, workers: []int{1, 3},
+	{name: "fixed/code8", datapath: Coded(8), workers: []int{1, 3},
 		labels: "ae75d08c70ed9b99f23c574c1b1654788e22b681e2efc9313f4639f405fa28d2",
 		stats:  "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=39784f8cadb34d85"},
-	{name: "fixed/code5", fixed: true, mod: func(p *Params) { p.CodeBits = 5 }, workers: []int{1, 3},
+	{name: "fixed/code5", datapath: Coded(5), workers: []int{1, 3},
 		labels: "b53f7eb1fbde7c35649692fcbbd2b0542a88b08b40c5365193202a6c622d46e6",
 		stats:  "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=1e41356f33216fe5"},
 	// The coded datapath on the other subset schemes (whole rows, row
 	// bands, hashed pixels), from a warm start, and preempted at a
 	// quarter ratio. Computed on the coded widths' own per-pixel band.
-	{name: "fixed/code8/rows", fixed: true, mod: func(p *Params) { p.CodeBits, p.Scheme = 8, Rows }, workers: []int{1, 3},
+	{name: "fixed/code8/rows", datapath: Coded(8), mod: func(p *Params) { p.Scheme = Rows }, workers: []int{1, 3},
 		labels: "94fb8074f70414a7d511815eaa107c323a83a664448b9dd8877c62e65893454b",
 		stats:  "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=c6df0d27ee02939c"},
-	{name: "fixed/code8/blocks", fixed: true, mod: func(p *Params) { p.CodeBits, p.Scheme = 8, Blocks }, workers: []int{1, 3},
+	{name: "fixed/code8/blocks", datapath: Coded(8), mod: func(p *Params) { p.Scheme = Blocks }, workers: []int{1, 3},
 		labels: "9f2fff6bfbb11f29be3bdb714c1354d3ddc835a7507de208b3cd7fa8a153bfad",
 		stats:  "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=449c6bebd04dcb8e"},
-	{name: "fixed/code8/hashed", fixed: true, mod: func(p *Params) { p.CodeBits, p.Scheme = 8, Hashed }, workers: []int{1, 3},
+	{name: "fixed/code8/hashed", datapath: Coded(8), mod: func(p *Params) { p.Scheme = Hashed }, workers: []int{1, 3},
 		labels: "020e55672680ea17bcb4631b327c3488049c3adfc8226481ec22de36994cdd1a",
 		stats:  "calcs=1446250 skipped=0 saved=0 updates=1260 passes=20 converged=false moves=baa9bf6b3952be71"},
-	{name: "fixed/code8/warm", fixed: true, warm: true, mod: func(p *Params) { p.CodeBits = 8 }, workers: []int{1, 3},
+	{name: "fixed/code8/warm", datapath: Coded(8), warm: true, workers: []int{1, 3},
 		labels: "b18a8a7426419fa5b318c3128e44c21732b36b5a43f2f41826a924fee20f0856",
 		stats:  "calcs=433875 skipped=0 saved=0 updates=378 passes=6 converged=false moves=d9e2b9e050b763a5"},
-	{name: "fixed/code5/preemptive", fixed: true, mod: func(p *Params) {
-		p.CodeBits, p.Preemptive, p.SubsampleRatio = 5, true, 0.25
+	{name: "fixed/code5/preemptive", datapath: Coded(5), mod: func(p *Params) {
+		p.Preemptive, p.SubsampleRatio = true, 0.25
 	}, workers: []int{1, 3},
 		labels: "8489715fa340cb619364100535420c6c19531af9d2c02fa2ecc92f92dca15c92",
 		stats:  "calcs=1439302 skipped=19 saved=6912 updates=2520 passes=40 converged=false moves=0d2d044742fad4d7"},
-	{name: "fixed/warm", fixed: true, warm: true, workers: []int{1, 3},
+	{name: "fixed/warm", datapath: Fixed, warm: true, workers: []int{1, 3},
 		labels: "5f60c577d62cae76e3f9ba45701b87786713812ed66573d8be20172ce1310be4",
 		stats:  "calcs=433875 skipped=0 saved=0 updates=378 passes=6 converged=false moves=4eea7100f490d969"},
 	{name: "float/software-update", mod: func(p *Params) { p.SoftwareCenterUpdate = true }, workers: []int{1, 3},
@@ -171,9 +171,7 @@ func goldenScene(t *testing.T) *imgio.Image {
 // without the warm-start seed.
 func (row goldenRow) params(workers int) Params {
 	p := DefaultParams(64, 0.5)
-	if row.fixed {
-		p.Datapath = Fixed
-	}
+	p.Datapath = row.datapath
 	if row.mod != nil {
 		row.mod(&p)
 	}
@@ -220,7 +218,7 @@ func checkGoldenRow(t *testing.T, im *imgio.Image, row goldenRow) {
 func TestGoldenDeterminism(t *testing.T) {
 	im := goldenScene(t)
 	for _, row := range goldenRows {
-		if !row.fixed {
+		if row.datapath == Float64 {
 			t.Run(row.name, func(t *testing.T) { checkGoldenRow(t, im, row) })
 		}
 	}
@@ -230,7 +228,7 @@ func TestGoldenDeterminism(t *testing.T) {
 func TestGoldenDeterminismFixed(t *testing.T) {
 	im := goldenScene(t)
 	for _, row := range goldenRows {
-		if row.fixed {
+		if row.datapath != Float64 {
 			t.Run(row.name, func(t *testing.T) { checkGoldenRow(t, im, row) })
 		}
 	}

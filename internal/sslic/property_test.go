@@ -151,9 +151,9 @@ func TestSegmentWithDatapathNeverPanics(t *testing.T) {
 	for bits := minCodeBits; bits <= maxCodeBits; bits++ {
 		p := DefaultParams(8, 0.5)
 		p.FullIters = 2
-		p.Datapath, p.CodeBits = Fixed, bits
+		p.Datapath = Coded(bits)
 		if _, err := Segment(im, p); err != nil {
-			t.Errorf("bits=%d: %v", bits, err)
+			t.Errorf("%v: %v", p.Datapath, err)
 		}
 	}
 }

@@ -27,6 +27,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"time"
 
 	"sslic/internal/faults"
@@ -95,7 +97,11 @@ func (s Scheme) String() string {
 	}
 }
 
-// DatapathKind selects the arithmetic of the PPA hot loop.
+// DatapathKind selects the arithmetic of the PPA hot loop. There are
+// three kinds: the float64 reference, the fixed datapath the server
+// serves, and that fixed datapath at one of §6.1's coded widths. Every
+// value has one name, which String writes and ParseDatapath reads:
+// float64, fixed, coded4 … coded10.
 type DatapathKind int
 
 const (
@@ -104,18 +110,66 @@ const (
 	Float64 DatapathKind = iota
 	// Fixed is the paper's hardware datapath (§4.3, §6.1): 8-bit Lab codes
 	// from the internal/lut Color Conversion Unit (gamma LUT + PWL cube
-	// root) and integer distance/accumulator arithmetic. Center sums use
-	// exact integer accumulators, so tiled runs are bit-identical for
+	// root) and exact integer distance/accumulator arithmetic. Center sums
+	// use exact integer accumulators, so tiled runs are bit-identical for
 	// every TileWorkers value, not just per worker count.
 	Fixed
 )
 
-// String names the datapath.
-func (d DatapathKind) String() string {
-	if d == Fixed {
-		return "fixed"
+// Coded returns the fixed datapath at the reduced precision §6.1's
+// bit-width exploration sweeps: colour codes and saturating distance
+// codes of the given width, 4 to 10 bits (8 is the hardware's). A coded
+// datapath's value is its width; a width outside 4–10 returns a value
+// Validate rejects.
+func Coded(bits int) DatapathKind {
+	if bits < minCodeBits || bits > maxCodeBits {
+		return -1
 	}
-	return "float64"
+	return DatapathKind(bits)
+}
+
+// codeBits is the code width of a coded datapath, and 0 for every other
+// value: the width the fixed kernel runs at, where 0 is the served
+// arithmetic.
+func (d DatapathKind) codeBits() int {
+	if d < minCodeBits || d > maxCodeBits {
+		return 0
+	}
+	return int(d)
+}
+
+// valid reports whether d is one of the datapaths.
+func (d DatapathKind) valid() bool {
+	return d == Float64 || d == Fixed || d.codeBits() != 0
+}
+
+// String names the datapath: float64, fixed or coded<width>.
+func (d DatapathKind) String() string {
+	switch {
+	case d == Float64:
+		return "float64"
+	case d == Fixed:
+		return "fixed"
+	case d.valid():
+		return "coded" + strconv.Itoa(int(d))
+	}
+	return "DatapathKind(" + strconv.Itoa(int(d)) + ")"
+}
+
+// ParseDatapath reads a datapath's name as String writes it, and
+// nothing else: no other case, no leading zero, no sign.
+func ParseDatapath(s string) (DatapathKind, error) {
+	d := Float64
+	if s == "fixed" {
+		d = Fixed
+	} else if w, ok := strings.CutPrefix(s, "coded"); ok {
+		bits, _ := strconv.Atoi(w)
+		d = Coded(bits)
+	}
+	if !d.valid() || d.String() != s {
+		return Float64, fmt.Errorf("sslic: unknown datapath %q (want float64, fixed or coded%d to coded%d)", s, minCodeBits, maxCodeBits)
+	}
+	return d, nil
 }
 
 // Params configures an S-SLIC run.
@@ -150,16 +204,12 @@ type Params struct {
 	// compactness parameter-free and the superpixel shapes uniform
 	// across textured and smooth regions. SLIC only.
 	AdaptiveCompactness bool
-	// Datapath selects the hot-loop arithmetic: Float64 (default) is the
-	// reference implementation, Fixed runs the paper's integer LUT
-	// datapath (PPA only; see DatapathKind).
+	// Datapath selects the hot-loop arithmetic: Float64 (the default) is
+	// the reference implementation, Fixed runs the paper's integer LUT
+	// datapath as the server serves it, and Coded(w) runs that datapath
+	// at §6.1's code width w. Every value but Float64 is PPA only; see
+	// DatapathKind.
 	Datapath DatapathKind
-	// CodeBits is the code width of the Fixed datapath. 0 (the default)
-	// is the served arithmetic: 8-bit colour codes and exact distances.
-	// 4 to 10 runs the reduced-precision datapath the §6.1 bit-width
-	// exploration sweeps: colour codes and saturating distance codes of
-	// that width. Fixed datapath only.
-	CodeBits int
 	// Preemptive enables the per-cluster early halt of Preemptive SLIC
 	// (Neubert & Protzel, ICPR 2014) composed with subsampling: tiles
 	// whose 9 candidate centers have all stopped moving are skipped.
@@ -228,7 +278,8 @@ func DefaultParams(k int, ratio float64) Params {
 	}
 }
 
-// Subsets returns the subset count k = round(1/ratio).
+// Subsets returns the subset count k = round(1/ratio). Validate bounds
+// it by the frame's pixel count, so a valid run's count fits an int.
 func (p Params) Subsets() int {
 	if p.SubsampleRatio >= 1 {
 		return 1
@@ -253,6 +304,11 @@ func (p Params) Validate(w, h int) error {
 	if p.SubsampleRatio <= 0 || p.SubsampleRatio > 1 {
 		return fmt.Errorf("sslic: subsample ratio %g out of (0, 1]", p.SubsampleRatio)
 	}
+	// Counted in float64: near ratio 0, round(1/ratio) overflows int.
+	if n := math.Round(1 / p.SubsampleRatio); n > float64(w)*float64(h) {
+		return fmt.Errorf("sslic: subsample ratio %g asks for %g subsets, more than the %d pixels of a %dx%d frame",
+			p.SubsampleRatio, n, w*h, w, h)
+	}
 	if p.Arch != PPA && p.Arch != CPA && p.Arch != SLIC {
 		return fmt.Errorf("sslic: unknown architecture %d", p.Arch)
 	}
@@ -262,23 +318,15 @@ func (p Params) Validate(w, h int) error {
 	if p.AdaptiveCompactness && p.Arch != SLIC {
 		return fmt.Errorf("sslic: adaptive compactness (SLICO) requires the SLIC architecture")
 	}
-	if p.Datapath != Float64 && p.Datapath != Fixed {
+	if !p.Datapath.valid() {
 		return fmt.Errorf("sslic: unknown datapath %d", p.Datapath)
 	}
-	if p.Datapath == Fixed {
+	if p.Datapath != Float64 {
 		if p.Arch != PPA {
-			return fmt.Errorf("sslic: the fixed datapath requires the PPA architecture")
+			return fmt.Errorf("sslic: datapath %v: the fixed datapath requires the PPA architecture", p.Datapath)
 		}
 		if p.SoftwareCenterUpdate {
-			return fmt.Errorf("sslic: the fixed datapath uses the fused hardware center update; SoftwareCenterUpdate does not apply")
-		}
-	}
-	if p.CodeBits != 0 {
-		if p.Datapath != Fixed {
-			return fmt.Errorf("sslic: CodeBits applies to the fixed datapath only")
-		}
-		if p.CodeBits < minCodeBits || p.CodeBits > maxCodeBits {
-			return fmt.Errorf("sslic: CodeBits = %d out of [%d, %d]", p.CodeBits, minCodeBits, maxCodeBits)
+			return fmt.Errorf("sslic: datapath %v: the fixed datapath uses the fused hardware center update; SoftwareCenterUpdate does not apply", p.Datapath)
 		}
 	}
 	if p.InitialCenters != nil {
@@ -399,7 +447,7 @@ func SegmentContext(ctx context.Context, im *imgio.Image, p Params) (*Result, er
 	case p.Arch == CPA:
 		f.scr.cpa = cpaKernel{floatPath: floatPath{frame: f}}
 		kern = &f.scr.cpa
-	case p.Datapath == Fixed:
+	case p.Datapath != Float64:
 		f.scr.fx = fxKernel{frame: f}
 		kern = &f.scr.fx
 	default:
@@ -423,8 +471,8 @@ func SegmentContext(ctx context.Context, im *imgio.Image, p Params) (*Result, er
 	totalPasses := p.FullIters * f.k
 	// One allocation holds the history of every run up to 1024 passes (a
 	// cold served frame runs 20); a longer one grows it by append. The
-	// cap keeps the pass count, which a request sets up to 1000 ×
-	// round(1/ratio) and which overflows for ratios near 0, from sizing
+	// cap keeps the pass count, which a request sets up to 1000 × the
+	// frame's pixel count (Validate's bound on the subsets), from sizing
 	// the slice before the first pass.
 	st.MoveHistory = make([]float64, 0, min(max(totalPasses, 0), 1024))
 	for pass := 0; pass < totalPasses; pass++ {

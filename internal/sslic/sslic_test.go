@@ -410,7 +410,7 @@ func TestPreemptiveSavesWork(t *testing.T) {
 func TestSegmentWithDatapath(t *testing.T) {
 	im := testImage(48, 48)
 	p := DefaultParams(16, 0.5)
-	p.Datapath, p.CodeBits = Fixed, 8
+	p.Datapath = Coded(8)
 	res, err := Segment(im, p)
 	if err != nil {
 		t.Fatal(err)
@@ -418,6 +418,40 @@ func TestSegmentWithDatapath(t *testing.T) {
 	for i, v := range res.Labels.Labels {
 		if v < 0 {
 			t.Fatalf("pixel %d unassigned", i)
+		}
+	}
+}
+
+// allDatapaths is every datapath: the float64 reference, the served
+// fixed kernel and the seven coded widths.
+func allDatapaths() []DatapathKind {
+	ds := []DatapathKind{Float64, Fixed}
+	for bits := minCodeBits; bits <= maxCodeBits; bits++ {
+		ds = append(ds, Coded(bits))
+	}
+	return ds
+}
+
+// TestParseDatapath: each datapath has one name, which String writes and
+// ParseDatapath reads back, and the parser takes no other spelling.
+func TestParseDatapath(t *testing.T) {
+	want := []string{"float64", "fixed", "coded4", "coded5", "coded6", "coded7", "coded8", "coded9", "coded10"}
+	for i, d := range allDatapaths() {
+		if d.String() != want[i] {
+			t.Errorf("datapath %d: String %q, want %q", d, d.String(), want[i])
+		}
+		if got, err := ParseDatapath(d.String()); err != nil || got != d {
+			t.Errorf("ParseDatapath(%q) = %v, %v; want %v", d.String(), got, err, d)
+		}
+	}
+	for _, s := range []string{"", "FIXED", "Fixed", "fixed8", "coded08", "coded+8", "coded", "coded3", "coded11", "float", " fixed"} {
+		if d, err := ParseDatapath(s); err == nil {
+			t.Errorf("ParseDatapath(%q) = %v, want an error", s, d)
+		}
+	}
+	for _, bits := range []int{-1, 0, 1, 3, 11} {
+		if d := Coded(bits); d.valid() {
+			t.Errorf("Coded(%d) = %v, a valid datapath", bits, d)
 		}
 	}
 }

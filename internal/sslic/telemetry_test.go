@@ -1,6 +1,7 @@
 package sslic
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -96,5 +97,35 @@ func TestMetricsAccumulateAcrossRuns(t *testing.T) {
 	}
 	if got := m.DistanceCalcs.Value(); got != float64(calcs) {
 		t.Fatalf("distance calcs %g, want %d", got, calcs)
+	}
+}
+
+// TestPassTraceNamesDatapath: every pass event names the datapath that
+// ran it by its one name, the coded widths included.
+func TestPassTraceNamesDatapath(t *testing.T) {
+	im := testImage(32, 32)
+	fr := telemetry.NewFlightRecorder(telemetry.FlightRecorderConfig{Capacity: 16}, nil)
+	for _, d := range allDatapaths() {
+		tr := fr.StartTrace(d.String(), true)
+		p := DefaultParams(9, 0.5)
+		p.FullIters = 1
+		p.Datapath = d
+		if _, err := SegmentContext(telemetry.WithTrace(context.Background(), tr), im, p); err != nil {
+			t.Fatalf("%v: %v", d, err)
+		}
+		tr.Finish()
+		passes := 0
+		for _, ev := range fr.Lookup(d.String()).Events {
+			if ev.Name != "pass" {
+				continue
+			}
+			passes++
+			if ev.Args["datapath"] != d.String() {
+				t.Errorf("%v: pass event names datapath %v", d, ev.Args["datapath"])
+			}
+		}
+		if passes != 2 {
+			t.Errorf("%v: %d pass events, want 2", d, passes)
+		}
 	}
 }

@@ -52,6 +52,30 @@ func (m Method) String() string {
 	}
 }
 
+// Datapath selects the arithmetic of the S-SLIC PPA hot loop. There are
+// three kinds: Float64, the reference; Fixed, the paper's integer LUT
+// datapath as the segmentation service serves it (8-bit Lab codes from
+// the gamma and cube-root LUTs, exact integer distances); and Coded(w),
+// that datapath at the reduced precision of §6.1's bit-width
+// exploration. Each value has one name, which String writes and
+// ParseDatapath reads: float64, fixed, coded4 … coded10.
+type Datapath = islic.DatapathKind
+
+// The datapaths without a code width.
+const (
+	Float64 = islic.Float64
+	Fixed   = islic.Fixed
+)
+
+// Coded returns the fixed datapath at code width bits, 4 to 10 (8 is
+// the hardware's choice): colour codes and saturating distance codes of
+// that width. Segment rejects any other width.
+func Coded(bits int) Datapath { return islic.Coded(bits) }
+
+// ParseDatapath reads a datapath's name: float64, fixed, or coded4 to
+// coded10.
+func ParseDatapath(s string) (Datapath, error) { return islic.ParseDatapath(s) }
+
 // Options configure Segment. Use DefaultOptions and adjust.
 type Options struct {
 	// K is the requested superpixel count.
@@ -68,15 +92,10 @@ type Options struct {
 	// subsampling, 0.5 and 0.25 are the paper's variants. Ignored for
 	// Method == SLIC.
 	SubsampleRatio float64
-	// FixedPointBits, when nonzero, runs the fixed datapath at the
-	// reduced precision of the paper's §6.1 exploration: colour codes
-	// and saturating distance codes of that width, 4 to 10 bits (8 is
-	// the hardware's choice; 0 = off). S-SLIC PPA only.
-	FixedPointBits int
-	// FixedDatapath runs the paper's integer LUT datapath in the hot
-	// loop: 8-bit Lab codes from the gamma/cube-root LUTs and exact
-	// integer distance arithmetic. S-SLIC PPA only.
-	FixedDatapath bool
+	// Datapath selects the arithmetic of the S-SLIC PPA hot loop; the
+	// zero value is Float64, the reference. Every other datapath runs
+	// S-SLIC PPA only.
+	Datapath Datapath
 	// Preemptive composes the Preemptive-SLIC per-cluster early halt with
 	// subsampling (paper §8's suggested combination).
 	Preemptive bool
@@ -153,10 +172,7 @@ func Segment(img image.Image, opt Options) (*Segmentation, error) {
 	if opt.Iterations > 0 {
 		p.FullIters = opt.Iterations
 	}
-	if opt.FixedDatapath || opt.FixedPointBits != 0 {
-		p.Datapath = islic.Fixed
-		p.CodeBits = opt.FixedPointBits
-	}
+	p.Datapath = opt.Datapath
 	p.AdaptiveCompactness = opt.AdaptiveCompactness
 	p.Preemptive = opt.Preemptive
 	p.TileWorkers = opt.TileWorkers

@@ -86,7 +86,7 @@ func TestSegmentBadOptions(t *testing.T) {
 func TestSegmentFixedPoint(t *testing.T) {
 	img := testImage(48, 48)
 	opt := DefaultOptions(9)
-	opt.FixedPointBits = 8
+	opt.Datapath = Coded(8)
 	seg, err := Segment(img, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -96,22 +96,24 @@ func TestSegmentFixedPoint(t *testing.T) {
 	}
 }
 
-// TestFixedPointBitsRequiresPPA: FixedPointBits runs the fixed datapath,
-// which only the S-SLIC PPA has, at a width of 4 to 10 bits.
-func TestFixedPointBitsRequiresPPA(t *testing.T) {
+// TestDatapathRequiresPPA: every datapath but Float64 is the fixed
+// datapath, which only the S-SLIC PPA has, and a coded width runs 4 to
+// 10 bits.
+func TestDatapathRequiresPPA(t *testing.T) {
 	img := testImage(48, 48)
 	for _, m := range []Method{SLIC, SSLICCPA} {
-		opt := DefaultOptions(9)
-		opt.Method = m
-		opt.FixedPointBits = 8
-		if _, err := Segment(img, opt); err == nil {
-			t.Errorf("%v: FixedPointBits accepted", m)
+		for _, d := range []Datapath{Fixed, Coded(8)} {
+			opt := DefaultOptions(9)
+			opt.Method, opt.Datapath = m, d
+			if _, err := Segment(img, opt); err == nil {
+				t.Errorf("%v: datapath %v accepted", m, d)
+			}
 		}
 	}
 	opt := DefaultOptions(9)
-	opt.FixedPointBits = 12
+	opt.Datapath = Coded(12)
 	if _, err := Segment(img, opt); err == nil {
-		t.Error("FixedPointBits 12 accepted")
+		t.Error("Coded(12) accepted")
 	}
 }
 
