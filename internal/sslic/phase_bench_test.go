@@ -20,11 +20,19 @@ import (
 
 var phaseSizes = []struct{ w, h, regions int }{{640, 480, 80}, {1280, 720, 60}}
 
+// assignSizes are BenchmarkAssignFixed's rows: the two phase sizes at K
+// 900, Table 5's operating point (1920×1080 at K 5000, tiles about 20 px
+// wide), and 1280×720 at K 3600, whose 16-px tiles hold 8 subset pixels
+// per row at ratio 0.5.
+var assignSizes = []struct{ w, h, regions, k int }{
+	{640, 480, 80, 900}, {1280, 720, 60, 900}, {1920, 1080, 60, 5000}, {1280, 720, 60, 3600},
+}
+
 // warmFrame returns frame 1 of a voronoi pan scene at w×h and the
-// served configuration's Params for it: the fixed datapath at K 900 and
+// served configuration's Params for it at K k: the fixed datapath at
 // ratio 0.5, warm at 3 iterations from the centres of frame 0, which
 // runs cold.
-func warmFrame(b *testing.B, w, h, regions int) (*imgio.Image, Params) {
+func warmFrame(b *testing.B, w, h, regions, k int) (*imgio.Image, Params) {
 	b.Helper()
 	cfg := dataset.DefaultConfig()
 	cfg.W, cfg.H, cfg.Regions, cfg.Kind = w, h, regions, dataset.Voronoi
@@ -32,7 +40,7 @@ func warmFrame(b *testing.B, w, h, regions int) (*imgio.Image, Params) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := DefaultParams(900, 0.5)
+	p := DefaultParams(k, 0.5)
 	p.Datapath = Fixed
 	im, _, err := st.Frame(0)
 	if err != nil {
@@ -53,7 +61,7 @@ func warmFrame(b *testing.B, w, h, regions int) (*imgio.Image, Params) {
 // connectivity, with the run's effective K and grid interval.
 func phaseFrame(b *testing.B, w, h, regions int) (im *imgio.Image, labels *imgio.LabelMap, k int, s float64) {
 	b.Helper()
-	im, p := warmFrame(b, w, h, regions)
+	im, p := warmFrame(b, w, h, regions, 900)
 	p.EnforceConnectivity = false
 	r, err := Segment(im, p)
 	if err != nil {
@@ -66,11 +74,15 @@ func phaseFrame(b *testing.B, w, h, regions int) (im *imgio.Image, labels *imgio
 // segmented whole, again and again, on one Scratch and one label buffer,
 // as a pool worker serves a stream. It reports the assign phase's time
 // per distance calc, read from the runs' Stats; ns/op is the whole
-// frame.
+// frame. The K 900 rows are named by their size alone.
 func BenchmarkAssignFixed(b *testing.B) {
-	for _, sz := range phaseSizes {
-		b.Run(fmt.Sprintf("%dx%d", sz.w, sz.h), func(b *testing.B) {
-			im, p := warmFrame(b, sz.w, sz.h, sz.regions)
+	for _, sz := range assignSizes {
+		name := fmt.Sprintf("%dx%d", sz.w, sz.h)
+		if sz.k != 900 {
+			name += fmt.Sprintf("_K%d", sz.k)
+		}
+		b.Run(name, func(b *testing.B) {
+			im, p := warmFrame(b, sz.w, sz.h, sz.regions, sz.k)
 			p.Scratch = NewScratch()
 			p.LabelBuf = imgio.NewLabelMap(sz.w, sz.h)
 			if _, err := Segment(im, p); err != nil { // grows the Scratch
