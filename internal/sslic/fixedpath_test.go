@@ -663,6 +663,60 @@ type bandCase struct {
 // counters must be identical.
 func checkFixedBand(t *testing.T, c bandCase) {
 	t.Helper()
+	kn := newBandKernel(c)
+	n, nc, tiling := c.w*c.h, kn.tiling.NumTiles(), kn.tiling
+
+	ref := refFxKernel{fxKernel: *kn, lp: make([]int32, n), ap: make([]int32, n), bp: make([]int32, n)}
+	ref.labels = imgio.NewLabelMap(c.w, c.h)
+	copy(ref.labels.Labels, kn.labels.Labels)
+	for i, word := range kn.codes {
+		ref.lp[i], ref.ap[i], ref.bp[i] = unpackLab(word)
+	}
+
+	ref.subset = c.subset
+	refAcc := make([]fxSigma, nc)
+	var rCalcs, rSkipped, rSaved int64
+	ny := tiling.NY
+	nb := tileBands(c.bands, ny)
+	for i := 0; i < nb; i++ {
+		part := make([]fxSigma, nc)
+		bc, bs, bv := ref.band(part, i*ny/nb, (i+1)*ny/nb)
+		rCalcs, rSkipped, rSaved = rCalcs+bc, rSkipped+bs, rSaved+bv
+		for ci := range refAcc {
+			refAcc[ci].add(&part[ci])
+		}
+	}
+
+	start := slices.Clone(kn.labels.Labels)
+	for _, rk := range hostRowKernels {
+		copy(kn.labels.Labels, start)
+		restore := rk.use()
+		calcs, skipped, saved, err := kn.assign(0, c.subset)
+		restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := [3]int64{calcs, skipped, saved}, [3]int64{rCalcs, rSkipped, rSaved}; got != want {
+			t.Fatalf("%s kernel, %+v: (calcs, skipped, saved) = %v, reference %v", rk.name, c, got, want)
+		}
+		for i := range ref.labels.Labels {
+			if kn.labels.Labels[i] != ref.labels.Labels[i] {
+				t.Fatalf("%s kernel, %+v: label %d at (%d, %d), reference %d", rk.name, c, kn.labels.Labels[i],
+					i%c.w, i/c.w, ref.labels.Labels[i])
+			}
+		}
+		for ci := range refAcc {
+			if kn.acc[ci] != refAcc[ci] {
+				t.Fatalf("%s kernel, %+v: sigma %d = %+v, reference %+v", rk.name, c, ci, kn.acc[ci], refAcc[ci])
+			}
+		}
+	}
+}
+
+// newBandKernel returns an fxKernel set up for one subset pass of c:
+// random packed codes, centers and settled flags, and every label its
+// own tile's centre.
+func newBandKernel(c bandCase) *fxKernel {
 	rng := rand.New(rand.NewSource(c.seed))
 	n := c.w * c.h
 	tiling := NewTiling(c.w, c.h, c.K)
@@ -713,51 +767,7 @@ func checkFixedBand(t *testing.T, c bandCase) {
 	kn.dw = newFxWeights(kn.invS2, kn.cw)
 	ownCenterFill(kn.labels, tiling, false)
 
-	ref := refFxKernel{fxKernel: *kn, lp: make([]int32, n), ap: make([]int32, n), bp: make([]int32, n)}
-	ref.labels = imgio.NewLabelMap(c.w, c.h)
-	copy(ref.labels.Labels, kn.labels.Labels)
-	for i, word := range kn.codes {
-		ref.lp[i], ref.ap[i], ref.bp[i] = unpackLab(word)
-	}
-
-	ref.subset = c.subset
-	refAcc := make([]fxSigma, nc)
-	var rCalcs, rSkipped, rSaved int64
-	ny := tiling.NY
-	nb := tileBands(c.bands, ny)
-	for i := 0; i < nb; i++ {
-		part := make([]fxSigma, nc)
-		bc, bs, bv := ref.band(part, i*ny/nb, (i+1)*ny/nb)
-		rCalcs, rSkipped, rSaved = rCalcs+bc, rSkipped+bs, rSaved+bv
-		for ci := range refAcc {
-			refAcc[ci].add(&part[ci])
-		}
-	}
-
-	start := slices.Clone(kn.labels.Labels)
-	for _, rk := range hostRowKernels {
-		copy(kn.labels.Labels, start)
-		restore := rk.use()
-		calcs, skipped, saved, err := kn.assign(0, c.subset)
-		restore()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := [3]int64{calcs, skipped, saved}, [3]int64{rCalcs, rSkipped, rSaved}; got != want {
-			t.Fatalf("%s kernel, %+v: (calcs, skipped, saved) = %v, reference %v", rk.name, c, got, want)
-		}
-		for i := range ref.labels.Labels {
-			if kn.labels.Labels[i] != ref.labels.Labels[i] {
-				t.Fatalf("%s kernel, %+v: label %d at (%d, %d), reference %d", rk.name, c, kn.labels.Labels[i],
-					i%c.w, i/c.w, ref.labels.Labels[i])
-			}
-		}
-		for ci := range refAcc {
-			if kn.acc[ci] != refAcc[ci] {
-				t.Fatalf("%s kernel, %+v: sigma %d = %+v, reference %+v", rk.name, c, ci, kn.acc[ci], refAcc[ci])
-			}
-		}
-	}
+	return kn
 }
 
 // pack packs the three fields of a random word, each cut to top (a
@@ -768,11 +778,11 @@ func pack(word, top uint32) uint32 {
 
 // fuzzBandCase maps raw fuzz inputs onto a bandCase: W, H ≤ 72, any K,
 // compactness clamped to [0.01, 1e8] (both saturation regimes), every
-// scheme, k ∈ {1, 2, 4} with any of its subsets, 1–3 bands, and the
+// scheme, k ∈ {1, 2, 4, 3} with any of its subsets, 1–3 bands, and the
 // fixed datapath at width 0 (Fixed) or a coded width 4–10.
 func fuzzBandCase(seed int64, w8, h8 uint8, k16 uint16, m float64, scheme, subsets, subset uint8, preemptive bool, bands, bits uint8) bandCase {
 	c := bandCase{seed: seed, w: 1 + int(w8)%72, h: 1 + int(h8)%72, m: math.Abs(m),
-		scheme: Scheme(scheme % 4), k: []int{1, 2, 4}[subsets%3], preemptive: preemptive, bands: 1 + int(bands)%3,
+		scheme: Scheme(scheme % 4), k: []int{1, 2, 4, 3}[subsets%4], preemptive: preemptive, bands: 1 + int(bands)%3,
 		datapath: allDatapaths()[1+int(bits)%8]}
 	c.K = 1 + int(k16)%(c.w*c.h)
 	c.subset = int(subset) % c.k
@@ -792,7 +802,9 @@ func fuzzBandCase(seed int64, w8, h8 uint8, k16 uint16, m float64, scheme, subse
 // compactness log-uniform over [0.01, 1e8] at width 0 and 300 more at
 // random coded widths, and, at width 0, compactness on both sides of
 // the AVX2 band kernel's int32 bound, Rows and Blocks at k = 2 and 4,
-// and tiles whose segments are one pixel.
+// tiles whose segments are one pixel, and, for the kernel's blocks of k
+// rows, Interleaved at k = 3 on each subset, with tile heights that k
+// does not divide.
 func FuzzFixedBand(f *testing.F) {
 	type golden struct {
 		m          float64
@@ -840,6 +852,19 @@ func FuzzFixedBand(f *testing.F) {
 	// is one pixel.
 	f.Add(int64(300), uint8(39), uint8(19), uint16(199), 10.0, uint8(Interleaved), uint8(1), uint8(0), false, uint8(0), uint8(0))
 	f.Add(int64(301), uint8(39), uint8(19), uint16(199), 10.0, uint8(Interleaved), uint8(1), uint8(1), false, uint8(2), uint8(0))
+	// Interleaved at k = 3 on each subset: 72×54 at K 63 has tiles 7 or
+	// 8 rows tall, and 65×46 at K 20 tiles 11 or 12 rows tall, at 1–3
+	// bands; then k = 2 and 4 on 64×7 at K 8 and 64×22 at K 15, whose
+	// tiles are 7 and 11 rows tall, so the last block of each tile row is
+	// short.
+	for subset := uint8(0); subset < 3; subset++ {
+		f.Add(int64(400)+int64(subset), uint8(71), uint8(53), uint16(63), 10.0, uint8(Interleaved), uint8(3), subset, false, subset, uint8(0))
+		f.Add(int64(410)+int64(subset), uint8(64), uint8(45), uint16(20), 10.0, uint8(Interleaved), uint8(3), subset, subset == 1, uint8(0), uint8(0))
+	}
+	for _, subsets := range []uint8{1, 2} {
+		f.Add(int64(420), uint8(63), uint8(6), uint16(8), 10.0, uint8(Interleaved), subsets, uint8(1), false, uint8(0), uint8(0))
+		f.Add(int64(421), uint8(63), uint8(21), uint16(15), 10.0, uint8(Interleaved), subsets, uint8(0), false, uint8(1), uint8(0))
+	}
 	f.Fuzz(func(t *testing.T, seed int64, w8, h8 uint8, k16 uint16, m float64, scheme, subsets, subset uint8, preemptive bool, bands, bits uint8) {
 		checkFixedBand(t, fuzzBandCase(seed, w8, h8, k16, m, scheme, subsets, subset, preemptive, bands, bits))
 	})
@@ -977,6 +1002,86 @@ func TestServedCodesMatchConvert(t *testing.T) {
 		l, a, b := conv.Convert(im.C0[i], im.C1[i], im.C2[i])
 		if want := packLab(uint16(l), uint16(a), uint16(b)); word != want || coded[i] != want {
 			t.Fatalf("pixel %d: width 0 word %#x, width 8 word %#x, Convert's %#x", i, word, coded[i], want)
+		}
+	}
+}
+
+// TestDistanceScale pins the scale of the Go lane kernel's distance to
+// Equation 5 at every code width. Each draw takes a pixel's codes and
+// position, a centre (Q8.8 colours, Q8 coordinates), compactness m in
+// [0.1, 10] and grid interval S in [4, 204]. D² is Equation 5 in float64
+// on the same codes read as Lab units, L·100/(2^w−1) and a or b divided
+// by 2^(w−8), minus 128, with the centre's colour read as its rounded
+// codes, as the kernel reads it. The kernel's Q4 distance d must satisfy
+// |d − 16·D²| ≤ 3 + 16·D²/1024 + (dx² + dy²)/8192: the shifts truncate
+// three terms, and the weights are rounded to Q0.16.
+func TestDistanceScale(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	worst := 0.0
+	for _, dp := range allDatapaths()[1:] {
+		cw := newCodeWidth(dp.codeBits())
+		top := int32(cw.max)
+		lab := func(l, a, b int32) (float64, float64, float64) {
+			return float64(l) * 100 / float64(cw.max), float64(a)/cw.abScale - 128, float64(b)/cw.abScale - 128
+		}
+		for i := 0; i < 20000; i++ {
+			m, s := 0.1*math.Pow(100, rng.Float64()), 4+200*rng.Float64()
+			dw := newFxWeights(m*m/(s*s), cw)
+			c := fxCenter{
+				l: rng.Int31n(top*colorOne + 1), a: rng.Int31n(top*colorOne + 1), b: rng.Int31n(top*colorOne + 1),
+				x: rng.Int63n(400*coordOne + 1), y: rng.Int63n(400*coordOne + 1),
+			}
+			pl, pa, pb := rng.Int31n(top+1), rng.Int31n(top+1), rng.Int31n(top+1)
+			px, py := rng.Intn(401), rng.Intn(401)
+
+			var lf fxLaneFile
+			lf.load([]fxCenter{c}, []int32{0})
+			xt := make([]int64, fxLanes)
+			lf.xTerms(xt, px, px+1, dw)
+			lf.yTerms(py, dw)
+			d := lf.dist(0, pl, pa, pb, int32(dw.wL), cw.abShift, (*[fxLanes]int64)(xt))
+
+			l1, a1, b1 := lab(pl, pa, pb)
+			l2, a2, b2 := lab(c.codes())
+			dx, dy := float64(px)-float64(c.x)/coordOne, float64(py)-float64(c.y)/coordOne
+			d2 := (l1-l2)*(l1-l2) + (a1-a2)*(a1-a2) + (b1-b2)*(b1-b2) + m*m/(s*s)*(dx*dx+dy*dy)
+			budget := 3 + 16*d2/1024 + (dx*dx+dy*dy)/8192
+			if e := math.Abs(float64(d) - 16*d2); e > budget {
+				t.Fatalf("%v, m %g, S %g, pixel (%d, %d, %d) at (%d, %d), centre %+v: d %d, 16·D² %g, budget %g",
+					dp, m, s, pl, pa, pb, px, py, c, d, 16*d2, budget)
+			} else {
+				worst = max(worst, e/budget)
+			}
+		}
+	}
+	t.Logf("distance scale: the largest error is %.2f of its budget", worst)
+}
+
+// TestVisits holds visits, the band's O(1) test of whether a pass
+// visits a tile, to a pixel-by-pixel search of the tile for its subset,
+// on every scheme but Hashed, at k 1–12 and 3072, on tiles of up to
+// 12×12 pixels anywhere in frames of up to 64 rows.
+func TestVisits(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 20000; trial++ {
+		scheme := []Scheme{Interleaved, Rows, Blocks}[rng.Intn(3)]
+		k := 1 + rng.Intn(12)
+		if rng.Intn(8) == 0 {
+			k = 3072
+		}
+		h := 1 + rng.Intn(64)
+		x0, y0 := rng.Intn(64), rng.Intn(h)
+		x1, y1 := x0+rng.Intn(13), y0+rng.Intn(min(13, h-y0+1))
+		subset := rng.Intn(k)
+		want := false
+		for y := y0; y < y1 && !want; y++ {
+			for x := x0; x < x1 && !want; x++ {
+				want = subsetOf(scheme, x, y, 64+12, h, k) == subset
+			}
+		}
+		if got := visits(scheme, x0, x1, y0, y1, h, subset, k); got != want {
+			t.Fatalf("%v, k %d, subset %d, tile [%d, %d)×[%d, %d) of %d rows: visits %v, want %v",
+				scheme, k, subset, x0, x1, y0, y1, h, got, want)
 		}
 	}
 }

@@ -5,9 +5,9 @@ package sslic
 // useAVX2 is false: the AVX2 kernels exist on amd64 only.
 var useAVX2 = false
 
-// segment is the AVX2 band kernel's entry (see lanes_amd64.go); with
-// useAVX2 false the band never calls it.
-func (vt *fxVecTile) segment(codes []uint32, labels []int32, xt []int32, acc []fxSigma, m, step, xs, x, y int) {
+// run is the AVX2 band kernel's entry (see lanes_amd64.go); with useAVX2
+// false the band never calls it.
+func (bk *fxBlocks) run(vts []fxVecTile, codes []uint32, labels []int32, xt, yt []int32, acc []fxSigma) int64 {
 	panic("sslic: the AVX2 band kernel runs on amd64 only")
 }
 
