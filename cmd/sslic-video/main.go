@@ -228,7 +228,7 @@ func main() {
 			}
 			fmt.Printf("%5d %5s %9s %8.4f %8.4f %12s %8s %8.4f\n",
 				r.Index, mode, r.SegLatency.Round(time.Millisecond), use, br, tc,
-				churn, metrics.ContourDensity(r.Labels))
+				churn, quality.ScanLabels(r.Labels, len(r.Centers)).BoundaryDensity())
 		} else {
 			fmt.Printf("%5d %5s %9s %8.4f %8.4f %12s\n",
 				r.Index, mode, r.SegLatency.Round(time.Millisecond), use, br, tc)

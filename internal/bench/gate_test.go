@@ -12,6 +12,7 @@ import (
 	"sslic/internal/degrade"
 	"sslic/internal/hw"
 	"sslic/internal/imgio"
+	"sslic/internal/quality"
 	"sslic/internal/sslic"
 	"sslic/internal/telemetry"
 	"sslic/internal/wire"
@@ -82,31 +83,31 @@ type gateRow struct {
 var gateRows = []gateRow{
 	// allocs/op, bytes/op, calcs/frame, alloc_bytes, est_pj, empty clusters, size CV
 	{name: "ppa_r100", ratio: 1.0,
-		want: gateReading{18, 1463828, 2923200, 153600, 31489309.06176471, 5, 0.5388982111767942}},
+		want: gateReading{17, 1463572, 2923200, 153600, 31489309.06176471, 5, 0.5388982111767942}},
 	{name: "ppa_r050", ratio: 0.5,
-		want: gateReading{19, 1464090, 2923200, 153600, 36146927.91764706, 6, 0.5593233871090925}},
+		want: gateReading{18, 1463834, 2923200, 153600, 36146927.91764706, 6, 0.5593233871090925}},
 	{name: "ppa_r025", ratio: 0.25,
-		want: gateReading{19, 1464590, 2923200, 153600, 45462165.629411764, 6, 0.5759325921446403}},
+		want: gateReading{18, 1464334, 2923200, 153600, 45462165.629411764, 6, 0.5759325921446403}},
 	{name: "cpa_r050", arch: sslic.CPA, ratio: 0.5,
-		want: gateReading{17, 1779962, 1558250, 153600, 36146927.91764706, 12, 0.7169045507416815}},
+		want: gateReading{16, 1779706, 1558250, 153600, 36146927.91764706, 12, 0.7169045507416815}},
 	{name: "degrade_l0", ratio: 0.5, level: degrade.Full,
-		want: gateReading{19, 1464070, 2923200, 153600, 36146927.91764706, 6, 0.5593233871090925}},
+		want: gateReading{18, 1463814, 2923200, 153600, 36146927.91764706, 6, 0.5593233871090925}},
 	{name: "degrade_l2", ratio: 0.5, level: degrade.CoarseSubsample,
-		want: gateReading{19, 1464076, 1461600, 153600, 23096165.564705882, 5, 0.5473287675971452}},
+		want: gateReading{18, 1463820, 1461600, 153600, 23096165.564705882, 5, 0.5473287675971452}},
 	{name: "tiled_w1", ratio: 0.5, workers: 1,
-		want: gateReading{19, 1464086, 2923200, 153600, 36146927.91764706, 6, 0.5593233871090925}},
+		want: gateReading{18, 1463830, 2923200, 153600, 36146927.91764706, 6, 0.5593233871090925}},
 	{name: "tiled_w4", ratio: 0.5, workers: 4,
-		want: gateReading{129, 1490148, 2923200, 153600, 36146927.91764706, 6, 0.5593233871090925}},
+		want: gateReading{128, 1489892, 2923200, 153600, 36146927.91764706, 6, 0.5593233871090925}},
 	{name: "tiled_w8", ratio: 0.5, workers: 8,
-		want: gateReading{188, 1505690, 2923200, 153600, 36146927.91764706, 6, 0.5593233871090925}},
+		want: gateReading{187, 1505434, 2923200, 153600, 36146927.91764706, 6, 0.5593233871090925}},
 	{name: "fixed_w1", ratio: 0.5, workers: 1, datapath: sslic.Fixed,
-		want: gateReading{20, 689982, 2923200, 153600, 36146927.91764706, 4, 0.5154667002375803}},
+		want: gateReading{19, 689726, 2923200, 153600, 36146927.91764706, 4, 0.5154667002375803}},
 	{name: "fixed_w8", ratio: 0.5, workers: 8, datapath: sslic.Fixed,
-		want: gateReading{194, 742096, 2923200, 153600, 36146927.91764706, 4, 0.5154667002375803}},
+		want: gateReading{193, 741840, 2923200, 153600, 36146927.91764706, 4, 0.5154667002375803}},
 	{name: "e2e_fresh", ratio: 0.5, workers: 1, e2e: true,
-		want: gateReading{36, 1599298, 2923200, 268800, 36146927.91764706, 6, 0.5593233871090925}},
+		want: gateReading{35, 1599042, 2923200, 268800, 36146927.91764706, 6, 0.5593233871090925}},
 	{name: "e2e_pooled", ratio: 0.5, workers: 1, e2e: true, pooled: true,
-		want: gateReading{30, 1320618, 2923200, 0, 36146927.91764706, 6, 0.5593233871090925}},
+		want: gateReading{29, 1320362, 2923200, 0, 36146927.91764706, 6, 0.5593233871090925}},
 }
 
 // comparePerf returns the columns in which got exceeds want by more
@@ -257,12 +258,9 @@ func measure(t *testing.T, frame *imgio.Image, row gateRow) (gateReading, int) {
 	p.TileWorkers = row.workers
 	p.Datapath = row.datapath
 	p = degrade.Apply(p, row.level) // level 0 is the identity
-	run := func() (sslic.Stats, int64, error) {
+	run := func() (*sslic.Result, int64, error) {
 		res, err := sslic.Segment(frame, p)
-		if err != nil {
-			return sslic.Stats{}, 0, err
-		}
-		return res.Stats, int64(4 * frame.W * frame.H), nil // one int32 label per pixel
+		return res, int64(4 * frame.W * frame.H), err // one int32 label per pixel
 	}
 	if row.e2e {
 		var pool *bufpool.Pool
@@ -277,15 +275,19 @@ func measure(t *testing.T, frame *imgio.Image, row gateRow) (gateReading, int) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	var stats sslic.Stats
+	var res *sslic.Result
 	var charged int64
 	for i := 0; i < gateRuns; i++ {
 		var err error
-		if stats, charged, err = run(); err != nil {
+		if res, charged, err = run(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	runtime.ReadMemStats(&after)
+	// The quality columns scan the last run's labels at its center
+	// count, as the server scans a served frame's. The segmentation
+	// does not run that scan, so neither does the measured window.
+	stats, scan := res.Stats, quality.ScanLabels(res.Labels, len(res.Centers))
 
 	hwCfg := hw.DefaultConfig()
 	hwCfg.Width, hwCfg.Height, hwCfg.K = frame.W, frame.H, gateK
@@ -301,29 +303,33 @@ func measure(t *testing.T, frame *imgio.Image, row gateRow) (gateReading, int) {
 		calcsPerFrame: float64(stats.DistanceCalcs),
 		allocBytes:    float64(charged),
 		estPJ:         energy.EnergyPerFrame * 1e12,
-		emptyClusters: float64(stats.EmptyClusters),
-		clusterSizeCV: stats.ClusterSizeCV,
-	}, stats.BoundaryPixels
+		emptyClusters: float64(scan.EmptyClusters),
+		clusterSizeCV: scan.ClusterSizeCV,
+	}, scan.BoundaryPixels
 }
 
 // requestCore returns one run of the server's request core on frame. It
 // charges what the server's cost ledger would: with a pool, the bytes
 // the pool had to allocate afresh (none once warm); without one, the
-// three decoded colour planes and the label map.
-func requestCore(t *testing.T, frame *imgio.Image, p sslic.Params, pool *bufpool.Pool) func() (sslic.Stats, int64, error) {
+// three decoded colour planes and the label map. A pooled run's label
+// map goes back to the pool when the next run starts, so the last
+// run's labels stay readable.
+func requestCore(t *testing.T, frame *imgio.Image, p sslic.Params, pool *bufpool.Pool) func() (*sslic.Result, int64, error) {
 	var body bytes.Buffer
 	if err := imgio.EncodePPM(&body, frame); err != nil {
 		t.Fatal(err)
 	}
-	return func() (sslic.Stats, int64, error) {
+	var held *imgio.LabelMap
+	return func() (*sslic.Result, int64, error) {
 		var alloc imgio.ImageAlloc
 		ledger := telemetry.NewCost()
 		if pool != nil {
+			pool.PutLabelMap(held)
 			alloc = pool.ImageAlloc(ledger)
 		}
 		im, err := imgio.DecodeImageLimitAlloc(bytes.NewReader(body.Bytes()), frame.W*frame.H, alloc)
 		if err != nil {
-			return sslic.Stats{}, 0, err
+			return nil, 0, err
 		}
 		pp := p
 		charged := int64(3*len(im.C0)) + int64(4*im.W*im.H)
@@ -334,15 +340,15 @@ func requestCore(t *testing.T, frame *imgio.Image, p sslic.Params, pool *bufpool
 		}
 		res, err := sslic.Segment(im, pp)
 		if err != nil {
-			return sslic.Stats{}, 0, err
+			return nil, 0, err
 		}
 		if err := wire.EncodeRLE(io.Discard, res.Labels); err != nil {
-			return sslic.Stats{}, 0, err
+			return nil, 0, err
 		}
 		if pool != nil {
 			pool.PutImage(im)
-			pool.PutLabelMap(res.Labels)
+			held = res.Labels
 		}
-		return res.Stats, charged, nil
+		return res, charged, nil
 	}
 }

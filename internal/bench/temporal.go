@@ -7,6 +7,7 @@ import (
 	"sslic/internal/dataset"
 	"sslic/internal/imgio"
 	"sslic/internal/metrics"
+	"sslic/internal/quality"
 	"sslic/internal/slic"
 	"sslic/internal/sslic"
 	"sslic/internal/video"
@@ -132,7 +133,7 @@ func extKSweep(o Options) (*Table, error) {
 			use += u
 			br += b
 			bp += pr
-			cd += metrics.ContourDensity(r.Labels)
+			cd += quality.ScanLabels(r.Labels, len(r.Centers)).BoundaryDensity()
 		}
 		n := float64(len(samples))
 		t.AddRow(fmt.Sprintf("%d", k), f4(use/n), f4(br/n), f4(bp/n), f4(cd/n))

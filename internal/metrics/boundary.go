@@ -57,17 +57,3 @@ func BoundaryF1(sp, gt *imgio.LabelMap, tolerance int) (float64, error) {
 	}
 	return 2 * r * p / (r + p), nil
 }
-
-// ContourDensity is the fraction of image pixels that are boundary
-// pixels — a proxy for oversegmentation: more superpixels mean denser
-// contours, which inflates recall and deflates precision.
-func ContourDensity(sp *imgio.LabelMap) float64 {
-	mask := sp.BoundaryMask()
-	count := 0
-	for _, b := range mask {
-		if b {
-			count++
-		}
-	}
-	return float64(count) / float64(len(mask))
-}

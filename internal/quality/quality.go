@@ -1,23 +1,31 @@
-// Package quality turns data the segmentation hot path already
-// produces into live quality observability. The paper's value claim is
-// a quality/speed/energy trade-off (boundary recall at real-time frame
-// rates), and the serving layer actively spends quality at runtime —
-// the degrade ladder halves iterations and coarsens subsampling under
-// load — so the quality axis must be observable per stream while the
-// service runs, not only in offline benchmarks.
+// Package quality computes the live quality proxies of a served frame
+// from what the segmentation returns — its labels, its center count
+// and its residual history — and makes them observable. The paper's
+// value claim is a quality/speed/energy trade-off (boundary recall at
+// real-time frame rates), and the serving layer actively spends
+// quality at runtime — the degrade ladder halves iterations and
+// coarsens subsampling under load — so the quality axis must be
+// observable per stream while the service runs, not only in offline
+// benchmarks.
 //
 // The proxies are deliberately cheap, deterministic and alloc-free in
-// the steady-state request path:
+// the steady-state request path, and this package is the one place
+// that computes them (proxies.go):
 //
-//   - residual convergence (final residual and first→last decay) from
-//     sslic.Stats.MoveHistory — the run already records it per pass;
-//   - inter-frame label churn, the fraction of pixels whose label
-//     changed against the previous frame, read off the stream's
-//     slbl-delta base the wire layer already keeps;
+//   - residual convergence (FinalResidual and ResidualDecay, the
+//     first→last decay) from the run's residual history,
+//     sslic.Stats.MoveHistory, which the run records per pass;
+//   - inter-frame label churn (LabelChurn), the fraction of pixels
+//     whose label changed against the previous frame, read off the
+//     stream's slbl-delta base the wire layer already keeps;
 //   - empty-cluster count and cluster-size coefficient of variation
-//     from the final label scan (under-segmentation collapse);
-//   - boundary density (boundary pixels / frame pixels), the live
-//     stand-in for the paper's boundary-recall axis.
+//     from one scan of the final labels (ScanLabels;
+//     under-segmentation collapse);
+//   - boundary density (boundary pixels / frame pixels, from the same
+//     scan), the live stand-in for the paper's boundary-recall axis.
+//
+// The segmentation core computes none of them, so a caller that does
+// not read them does not pay for them.
 //
 // A Tracker folds per-frame Samples into registry series (global
 // histograms plus per-stream gauges under the stream table's labels)
@@ -33,31 +41,9 @@ import (
 	"strings"
 	"time"
 
-	"sslic/internal/imgio"
 	"sslic/internal/stream"
 	"sslic/internal/telemetry"
 )
-
-// LabelChurn counts pixels whose label differs between cur and prev —
-// the same comparison the delta wire format encodes as skip/run
-// records, evaluated without allocating. ok is false (and changed 0)
-// when the maps are missing or their geometries disagree, which is
-// exactly when the delta encoder would fall back to a full keyframe.
-func LabelChurn(cur, prev *imgio.LabelMap) (changed int, ok bool) {
-	if cur == nil || prev == nil || cur.W != prev.W || cur.H != prev.H {
-		return 0, false
-	}
-	a, b := cur.Labels, prev.Labels
-	if len(a) != len(b) {
-		return 0, false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			changed++
-		}
-	}
-	return changed, true
-}
 
 // Config tunes a Tracker.
 type Config struct {

@@ -254,19 +254,22 @@ func (s *Server) finish(rq *request, code int, panicked bool) {
 }
 
 // served records a segmented frame: its result and the quality sample
-// the tracker will fold in. The churn base is the stream's slbl-delta
-// base, taken out by the caller before the response is written — the
-// same buffer the delta wire format encodes against, so churn costs one
-// extra O(N) compare and no allocation.
+// the tracker will fold in, computed by internal/quality from the
+// frame's labels, center count and residual history on this handler
+// goroutine. The churn base is the stream's slbl-delta base, taken out
+// by the caller before the response is written — the same buffer the
+// delta wire format encodes against, so churn costs one extra O(N)
+// compare and no allocation.
 func (rq *request) served(res *pipeline.JobResult, im *imgio.Image, base *imgio.LabelMap) {
 	st := res.Result.Stats
-	pixels := im.W * im.H
+	labels, clusters := res.Result.Labels, len(res.Result.Centers)
 	churn := -1.0
 	if base != nil {
-		if changed, ok := quality.LabelChurn(res.Result.Labels, base); ok {
-			churn = float64(changed) / float64(pixels)
+		if changed, ok := quality.LabelChurn(labels, base); ok {
+			churn = float64(changed) / float64(im.W*im.H)
 		}
 	}
+	scan := quality.ScanLabels(labels, clusters)
 	rq.res = res
 	rq.sample = quality.Sample{
 		Stream:          rq.key,
@@ -279,12 +282,12 @@ func (rq *request) served(res *pipeline.JobResult, im *imgio.Image, base *imgio.
 		WireFormat:      rq.opts.Format,
 		DeltaBase:       base != nil,
 		Churn:           churn,
-		EmptyClusters:   st.EmptyClusters,
-		Clusters:        len(res.Result.Centers),
-		ClusterSizeCV:   st.ClusterSizeCV,
-		BoundaryDensity: float64(st.BoundaryPixels) / float64(pixels),
-		Residual:        st.FinalResidual(),
-		ResidualDecay:   st.ResidualDecay(),
+		EmptyClusters:   scan.EmptyClusters,
+		Clusters:        clusters,
+		ClusterSizeCV:   scan.ClusterSizeCV,
+		BoundaryDensity: scan.BoundaryDensity(),
+		Residual:        quality.FinalResidual(st.MoveHistory),
+		ResidualDecay:   quality.ResidualDecay(st.MoveHistory),
 		Converged:       st.Converged,
 		Passes:          st.SubsetPasses,
 	}

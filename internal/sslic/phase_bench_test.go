@@ -58,8 +58,8 @@ func warmFrame(b *testing.B, w, h, regions, k int) (*imgio.Image, Params) {
 }
 
 // phaseFrame returns warmFrame's frame and the warm run's labels before
-// connectivity, with the run's effective K and grid interval.
-func phaseFrame(b *testing.B, w, h, regions int) (im *imgio.Image, labels *imgio.LabelMap, k int, s float64) {
+// connectivity, with the run's grid interval.
+func phaseFrame(b *testing.B, w, h, regions int) (im *imgio.Image, labels *imgio.LabelMap, s float64) {
 	b.Helper()
 	im, p := warmFrame(b, w, h, regions, 900)
 	p.EnforceConnectivity = false
@@ -67,7 +67,7 @@ func phaseFrame(b *testing.B, w, h, regions int) (im *imgio.Image, labels *imgio
 	if err != nil {
 		b.Fatal(err)
 	}
-	return im, r.Labels, len(r.Centers), slic.GridInterval(w, h, 900)
+	return im, r.Labels, slic.GridInterval(w, h, 900)
 }
 
 // BenchmarkAssignFixed times the served assign phase: warmFrame's frame
@@ -110,7 +110,7 @@ func BenchmarkAssignFixed(b *testing.B) {
 func BenchmarkConvertFixed(b *testing.B) {
 	for _, sz := range phaseSizes {
 		b.Run(fmt.Sprintf("%dx%d", sz.w, sz.h), func(b *testing.B) {
-			im, _, _, _ := phaseFrame(b, sz.w, sz.h, sz.regions)
+			im, _, _ := phaseFrame(b, sz.w, sz.h, sz.regions)
 			scr := NewScratch()
 			convertLabCodes(im, 0, scr)
 			b.ReportAllocs()
@@ -123,24 +123,23 @@ func BenchmarkConvertFixed(b *testing.B) {
 	}
 }
 
-// BenchmarkEpilogue times the final sweep of a warm frame — the
-// connectivity pass, then the quality scan — on a Scratch, from the
-// frame's labels before connectivity. Restoring those labels between
-// iterations is not timed.
+// BenchmarkEpilogue times the final sweep of a warm frame, the
+// connectivity pass alone, on a Scratch, from the frame's labels before
+// connectivity. Restoring those labels between iterations is not timed.
+// The quality scan of the final labels is internal/quality's
+// BenchmarkScanLabels, on the same frames.
 func BenchmarkEpilogue(b *testing.B) {
 	for _, sz := range phaseSizes {
 		b.Run(fmt.Sprintf("%dx%d", sz.w, sz.h), func(b *testing.B) {
-			_, pre, k, s := phaseFrame(b, sz.w, sz.h, sz.regions)
+			_, pre, s := phaseFrame(b, sz.w, sz.h, sz.regions)
 			minSize := int(s*s) / minRegionDivisor
 			lm := imgio.NewLabelMap(sz.w, sz.h)
 			scr := NewScratch()
-			var st Stats
 			epilogue := func() {
 				b.StopTimer()
 				copy(lm.Labels, pre.Labels)
 				b.StartTimer()
 				scr.conn.Enforce(lm, minSize)
-				qualityScan(lm, k, scr, &st)
 			}
 			epilogue() // grows the Scratch
 			b.ReportAllocs()

@@ -245,7 +245,7 @@ type Params struct {
 	// whole-run latency. See NewMetrics. nil disables recording.
 	Metrics *Metrics
 	// Scratch optionally supplies reusable working memory — Lab planes,
-	// gradient map, accumulators, quality-scan counts — so steady-state
+	// gradient map, accumulators, connectivity runs — so steady-state
 	// streams segment without per-frame buffer allocations (the Lab
 	// planes alone are 24 bytes/pixel on the float64 datapath, 4 on the
 	// fixed one). A Scratch must not be shared by concurrent runs: give
@@ -340,7 +340,9 @@ func (p Params) Validate(w, h int) error {
 	return nil
 }
 
-// Stats extends the SLIC phase accounting with subsampling counters.
+// Stats extends the SLIC phase accounting with subsampling counters:
+// a run's work and time only. The quality proxies of its labels are
+// computed from the Result by internal/quality.
 type Stats struct {
 	slic.Stats
 	SubsetPasses int
@@ -349,46 +351,6 @@ type Stats struct {
 	// SavedDistanceCalcs counts Equation 5 evaluations avoided by
 	// preemption.
 	SavedDistanceCalcs int64
-
-	// Quality proxies, filled by a deterministic O(N) scan over the
-	// final labels (shared by every architecture and datapath). They
-	// are the live stand-ins for the paper's offline quality metrics:
-	// EmptyClusters and ClusterSizeCV track under-segmentation
-	// collapse, BoundaryPixels tracks boundary density (the BR proxy).
-	// Both cluster proxies read labels 0 to K−1 of the final map, K the
-	// effective K. With EnforceConnectivity those number the final
-	// superpixels in scan order, not the clusters, so EmptyClusters is
-	// K minus the superpixel count, floored at 0. A frame can end with
-	// more superpixels than K, and the proxies leave the ones past the
-	// K-th out.
-	EmptyClusters int
-	// ClusterSizeCV is the coefficient of variation (stddev/mean) of
-	// the pixel counts of labels 0 to K−1: the effective K clusters, or
-	// with EnforceConnectivity the first K superpixels in scan order.
-	ClusterSizeCV float64
-	// BoundaryPixels counts pixels with at least one 4-neighbor of a
-	// different label.
-	BoundaryPixels int
-}
-
-// FinalResidual returns the last pass's mean per-center movement, the
-// residual the convergence proxies read (0 before any pass runs).
-func (st Stats) FinalResidual() float64 {
-	if n := len(st.MoveHistory); n > 0 {
-		return st.MoveHistory[n-1]
-	}
-	return 0
-}
-
-// ResidualDecay returns the final residual over the first — the
-// convergence rate across the run's subset passes. 1 means no
-// improvement; values near 0 mean the centers settled. Returns 1 when
-// fewer than two passes ran or the first residual is 0.
-func (st Stats) ResidualDecay() float64 {
-	if len(st.MoveHistory) < 2 || st.MoveHistory[0] <= 0 {
-		return 1
-	}
-	return st.FinalResidual() / st.MoveHistory[0]
 }
 
 // Result is the output of an S-SLIC run. Tiling is shared by every run
@@ -420,8 +382,9 @@ func Segment(im *imgio.Image, p Params) (*Result, error) {
 // (cluster update, then center update) and the final sweep, whatever
 // arithmetic runs underneath. It owns the cancellation checks and fault
 // points, the phase clocks, the per-pass Stats, metrics and trace
-// events, the Threshold early stop, connectivity, the quality scan and
-// the cost charge; a kernel supplies each phase's datapath.
+// events, the Threshold early stop, connectivity (the whole epilogue;
+// the quality proxies are internal/quality's, from the Result) and the
+// cost charge; a kernel supplies each phase's datapath.
 func SegmentContext(ctx context.Context, im *imgio.Image, p Params) (*Result, error) {
 	if err := p.Validate(im.W, im.H); err != nil {
 		return nil, err
@@ -529,7 +492,6 @@ func SegmentContext(ctx context.Context, im *imgio.Image, p Params) (*Result, er
 		f.scr.conn.Enforce(labels, int(f.s*f.s)/minRegionDivisor)
 		f.tr.Emit("connectivity", "sslic", t0, time.Since(t0), nil)
 	}
-	qualityScan(labels, len(centers), f.scr, &st)
 	st.OtherTime = time.Since(t0)
 
 	dur := time.Since(start)

@@ -362,6 +362,46 @@ func TestSegmentDeterministic(t *testing.T) {
 	}
 }
 
+// TestScratchReuseAcrossFrameSizes: supplying reusable working memory
+// must not perturb the labeling, also when the scratch is warm from a
+// frame of another size.
+func TestScratchReuseAcrossFrameSizes(t *testing.T) {
+	im := testImage(96, 64)
+	params := func() Params {
+		p := DefaultParams(32, 0.5)
+		p.TileWorkers = 4
+		return p
+	}
+
+	p := params()
+	fresh, err := Segment(im, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	scratch := &Scratch{}
+	// Warm the scratch on a different geometry first, then run the
+	// frame under test with it.
+	warmup := testImage(64, 48)
+	pw := params()
+	pw.Scratch = scratch
+	if _, err := Segment(warmup, pw); err != nil {
+		t.Fatal(err)
+	}
+	ps := params()
+	ps.Scratch = scratch
+	reused, err := Segment(im, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for i := range fresh.Labels.Labels {
+		if fresh.Labels.Labels[i] != reused.Labels.Labels[i] {
+			t.Fatalf("label mismatch at %d with reused scratch", i)
+		}
+	}
+}
+
 func TestSegmentThresholdConverges(t *testing.T) {
 	im := testImage(48, 48)
 	p := DefaultParams(16, 0.5)
