@@ -391,9 +391,12 @@ func TestCostAllocHeaderShrinks(t *testing.T) {
 // path: Server.Handler() serving the streams workload's request shape (a
 // warm stream=, datapath=fixed, format=slbl-delta), httptest request and
 // recorder included. The decode target, label map, delta base and
-// worker scratch all come from the buffer pool, so what remains is the
-// per-request bookkeeping of the serving layers; losing buffer reuse
-// anywhere in the chain, or a new per-request heap object, trips it.
+// worker scratch all come from the buffer pool, and the quality scan's
+// counts from internal/quality's pool, so what remains is the
+// per-request bookkeeping of the serving layers. The ceiling leaves
+// room for about 30 more objects per request: it trips on a layer that
+// starts allocating per pass, per tile or per row, not on one new
+// object or one lost buffer.
 func TestSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by the race detector")
@@ -418,10 +421,10 @@ func TestSteadyStateAllocs(t *testing.T) {
 
 	allocs := testing.AllocsPerRun(20, run)
 	t.Logf("steady-state allocs/op = %.1f", allocs)
-	// 125 objects per request on a 2-vCPU x86-64 host with Go 1.24. The
-	// ceiling is the perf gate's 1.10x over 139, the reading before the
-	// handler stopped building trace-instant arguments for untraced
-	// requests.
+	// 119 objects per request on a 2-vCPU x86-64 host with Go 1.24. The
+	// ceiling is the perf gate's 1.10x over 139, a reading from before
+	// the handler stopped building trace-instant arguments for untraced
+	// requests. CI's Go 1.22 reading is in its -v log.
 	if allocs > 152 {
 		t.Fatalf("steady-state request allocates %.1f objects/op, want <= 152", allocs)
 	}
