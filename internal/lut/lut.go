@@ -301,9 +301,10 @@ func (c *Converter) ConvertImage(im *imgio.Image) *imgio.Image {
 }
 
 // TableBytes returns the total ROM footprint of the converter's tables in
-// bytes, used by the hardware area model: 256 gamma entries plus
-// base/slope pairs per PWL segment, at 16 bits each. The software table
-// image Codes reads is not the unit's ROM and is not counted.
+// bytes: 256 gamma entries plus base/slope pairs per PWL segment, at 16
+// bits each. The hardware area model does not read it; it prices the
+// unit by the calibrated constant energy.AreaColorConv. The software
+// table image Codes reads is not the unit's ROM and is not counted.
 func (c *Converter) TableBytes() int {
 	return gammaEntries*2 + c.segments*2*2
 }
