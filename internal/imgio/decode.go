@@ -55,7 +55,8 @@ func DecodeImageLimitAlloc(r io.Reader, maxPixels int, alloc ImageAlloc) (*Image
 	if err := faults.Fire(faults.PointDecode); err != nil {
 		return nil, fmt.Errorf("imgio: decoding frame: %w", err)
 	}
-	br := bufio.NewReader(r)
+	br := getReader(r)
+	defer putReader(br)
 	magic, err := br.Peek(2)
 	if err != nil {
 		return nil, fmt.Errorf("imgio: sniffing image format: %w", err)

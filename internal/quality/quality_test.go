@@ -2,6 +2,7 @@ package quality
 
 import (
 	"encoding/json"
+	"math/rand"
 	"net/http/httptest"
 	"testing"
 
@@ -30,6 +31,24 @@ func TestLabelChurn(t *testing.T) {
 	}
 	if _, ok := LabelChurn(a, labelMap(2, 3)); ok {
 		t.Fatal("geometry mismatch must report ok=false")
+	}
+	// Maps that end inside a mask word and span the scan's chunks of
+	// scanCols pixels: the count equals a pixel-by-pixel compare.
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 7, 63, 64, 65, 200, scanCols - 1, scanCols, scanCols + 1, 3*scanCols + 70} {
+		a, b := labelMap(n, 1), labelMap(n, 1)
+		want := 0
+		for i := range a.Labels {
+			a.Labels[i] = int32(i / 9)
+			b.Labels[i] = a.Labels[i]
+			if rng.Intn(5) == 0 {
+				b.Labels[i]++
+				want++
+			}
+		}
+		if changed, ok := LabelChurn(a, b); !ok || changed != want {
+			t.Fatalf("%d pixels: changed=%d ok=%v, want %d true", n, changed, ok, want)
+		}
 	}
 }
 

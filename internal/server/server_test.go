@@ -276,6 +276,8 @@ func TestSegmentErrorTable(t *testing.T) {
 			{"garbage body", http.MethodPost, "", "", []byte("not an image"), http.StatusBadRequest},
 			{"empty body", http.MethodPost, "", "", nil, http.StatusBadRequest},
 			{"truncated ppm", http.MethodPost, "", "", frame[:20], http.StatusBadRequest},
+			{"ppm one byte short", http.MethodPost, "", "", frame[:len(frame)-1], http.StatusBadRequest},
+			{"ppm header without pixels", http.MethodPost, "", "", frame[:len(frame)-3*32*24], http.StatusBadRequest},
 			{"bad k", http.MethodPost, "k=abc", "", frame, http.StatusBadRequest},
 			{"k out of range", http.MethodPost, "k=0", "", frame, http.StatusBadRequest},
 			{"k over pixels", http.MethodPost, "k=100000", "", frame, http.StatusBadRequest},

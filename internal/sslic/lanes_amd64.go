@@ -1,11 +1,16 @@
 package sslic
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"sslic/internal/simd"
+)
 
 // useAVX2 routes the fixed band's width-0 tiles to the AVX2 band kernel,
 // and the 8-bit colour conversion to the AVX2 conversion kernel. It is
-// set once, from the host's CPUID and XCR0, before any run starts.
-var useAVX2 = cpuHasAVX2()
+// set once, from the host's CPUID and XCR0 (simd.AVX2), before any run
+// starts.
+var useAVX2 = simd.AVX2()
 
 // The layout of the sums the AVX2 band kernel adds into.
 const (
@@ -80,7 +85,3 @@ func (v *ccuVec) codes(codes []uint32, r, g, b []uint8) int {
 //
 //go:noescape
 func ccuCodesAVX2(v *ccuVec, codes []uint32, red, green, blue []uint8, n int)
-
-// cpuHasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
-// registers (lanes_amd64.s).
-func cpuHasAVX2() bool

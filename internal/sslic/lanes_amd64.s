@@ -356,37 +356,3 @@ shifted:
 	MOVQ AX, ret+152(FP)
 	VZEROUPPER
 	RET
-
-// func cpuHasAVX2() bool
-//
-// AVX2 runs only if the CPU has AVX (CPUID leaf 1, ECX bit 28) and AVX2
-// (leaf 7, EBX bit 5), and the OS has enabled XSAVE (leaf 1, ECX bit 27)
-// and saves the XMM and YMM state (XCR0 bits 1 and 2).
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
-	XORL AX, AX
-	XORL CX, CX
-	CPUID
-	CMPL AX, $7
-	JB   no
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
-	JNE  no
-	XORL CX, CX
-	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  no
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	SHRL $5, BX
-	ANDL $1, BX
-	MOVB BX, ret+0(FP)
-	RET
-
-no:
-	MOVB $0, ret+0(FP)
-	RET

@@ -2,10 +2,54 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"slices"
 	"testing"
+	"testing/iotest"
 
 	"sslic/internal/imgio"
 )
+
+// warmStream returns the delta stream of the warm 640×480 pair (frame
+// 2 against frame 1 of the phase-benchmark chain) and the lengths its
+// seeds and tests cut it to: inside the header, at its end, inside the
+// first record, at the reader's first refill, one byte short of the end
+// of the first record that straddles a refill, at the stream's middle
+// and one byte short of its end. Decode reads through a 4 KiB buffer
+// that refills only once empty, so its refills fall at the multiples of
+// 4096 bytes.
+func warmStream(tb testing.TB) (stream []byte, cuts []int) {
+	tb.Helper()
+	pair, err := warmVGA()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := EncodeDelta(&buf, pair[1], pair[0]); err != nil {
+		tb.Fatal(err)
+	}
+	stream = buf.Bytes()
+	const refill = 4096
+	straddle := 0
+	for off, pos := 12, 0; straddle == 0 && pos < pair[1].W*pair[1].H; {
+		rec := off
+		skip, n := binary.Uvarint(stream[off:])
+		off, pos = off+n, pos+int(skip)
+		if pos < pair[1].W*pair[1].H {
+			run, n := binary.Uvarint(stream[off:])
+			off, pos = off+n, pos+int(run)
+			_, n = binary.Varint(stream[off:])
+			off += n
+		}
+		if rec/refill != (off-1)/refill {
+			straddle = off - 1
+		}
+	}
+	if straddle == 0 {
+		tb.Fatal("no record of the warm stream straddles a refill of the reader")
+	}
+	return stream, []int{5, 12, 13, refill, straddle, len(stream) / 2, len(stream) - 1}
+}
 
 // labelMapFromBytes deterministically builds a small label map from fuzz
 // input: two dimension bytes, then labels drawn from the remaining data
@@ -70,12 +114,25 @@ func FuzzSLBLRLERoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzDeltaDecode drives the delta codec two ways: arbitrary maps and
-// bases must round-trip byte-exactly, and the raw fuzz bytes are also
+// FuzzDeltaDecode drives the delta codec three ways: arbitrary maps
+// and bases must round-trip byte-exactly; the raw fuzz bytes are also
 // fed straight into Decode as a hostile stream, which must either fail
 // cleanly or yield a map within the pixel budget — never panic or
-// allocate past it.
+// allocate past it; and a stream that claims the warm 640×480 pair's
+// dimensions is decoded against that pair's base, by the buffered parse
+// and byte by byte, which must agree on the labels or on the error.
+// The seeds include the pair's real delta stream, whole and cut.
 func FuzzDeltaDecode(f *testing.F) {
+	pair, err := warmVGA()
+	if err != nil {
+		f.Fatal(err)
+	}
+	warmBase := pair[0]
+	stream, cuts := warmStream(f)
+	for _, n := range cuts {
+		f.Add(stream[:n])
+	}
+	f.Add(stream)
 	f.Add([]byte{})
 	f.Add([]byte("SLBD\x02\x00\x00\x00\x02\x00\x00\x00\x00\x04\x02"))
 	f.Add([]byte{8, 8, 1, 2, 3, 4, 5, 6, 7, 8})
@@ -133,6 +190,23 @@ func FuzzDeltaDecode(f *testing.F) {
 			}
 			if !bytes.Equal(stream, again.Bytes()) {
 				t.Fatal("re-encode not byte-identical: coding is not canonical")
+			}
+		}
+
+		// Warm: the input as a stream against the warm base.
+		if len(data) >= 12 && string(data[:4]) == magicDelta &&
+			binary.LittleEndian.Uint32(data[4:]) == uint32(warmBase.W) &&
+			binary.LittleEndian.Uint32(data[8:]) == uint32(warmBase.H) {
+			n := warmBase.W * warmBase.H
+			got, err := Decode(bytes.NewReader(data), n, warmBase)
+			slow, slowErr := Decode(iotest.OneByteReader(bytes.NewReader(data)), n, warmBase)
+			switch {
+			case (err == nil) != (slowErr == nil):
+				t.Fatalf("buffered decode error %v, byte-by-byte error %v", err, slowErr)
+			case err != nil && err.Error() != slowErr.Error():
+				t.Fatalf("buffered decode error %q, byte-by-byte error %q", err, slowErr)
+			case err == nil && !slices.Equal(got.Labels, slow.Labels):
+				t.Fatal("buffered and byte-by-byte decodes differ")
 			}
 		}
 

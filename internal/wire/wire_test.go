@@ -3,10 +3,12 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"sslic/internal/imgio"
 )
@@ -240,5 +242,79 @@ func TestParseFormat(t *testing.T) {
 	}
 	if _, ok := ParseFormat("labels"); ok {
 		t.Error("ParseFormat accepted non-wire token")
+	}
+}
+
+// TestDeltaDecodeWarmStream decodes a real warm delta stream, the
+// 640×480 pair's, through readers that hand it over whole, byte by
+// byte and in halves, so that records fall inside the decoder's
+// buffered bytes, across its refills and past them: each decode must
+// give frame 2's labels exactly. Every cut of the stream must fail, with
+// the same error from every reader.
+func TestDeltaDecodeWarmStream(t *testing.T) {
+	pair, err := warmVGA()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, cur := pair[0], pair[1]
+	stream, cuts := warmStream(t)
+	t.Logf("warm 640x480 delta: %d bytes for %d pixels; cuts at %v", len(stream), cur.W*cur.H, cuts)
+	readers := []struct {
+		name string
+		wrap func(r io.Reader) io.Reader
+	}{
+		{"whole", func(r io.Reader) io.Reader { return r }},
+		{"byte by byte", iotest.OneByteReader},
+		{"halves", iotest.HalfReader},
+	}
+	for _, rd := range readers {
+		got, err := Decode(rd.wrap(bytes.NewReader(stream)), cur.W*cur.H, base)
+		if err != nil {
+			t.Fatalf("%s: %v", rd.name, err)
+		}
+		if !slices.Equal(got.Labels, cur.Labels) {
+			t.Fatalf("%s: decode differs from frame 2's labels", rd.name)
+		}
+	}
+	for _, n := range cuts {
+		var first error
+		for _, rd := range readers {
+			_, err := Decode(rd.wrap(bytes.NewReader(stream[:n])), cur.W*cur.H, base)
+			switch {
+			case err == nil:
+				t.Fatalf("%s: a stream cut to %d of %d bytes decoded", rd.name, n, len(stream))
+			case first == nil:
+				first = err
+			case err.Error() != first.Error():
+				t.Fatalf("cut to %d bytes: %s decode error %q, whole-reader error %q", n, rd.name, err, first)
+			}
+		}
+	}
+}
+
+// TestDeltaDecodeRefusesBadRecordsInBuffer: a bad record the decoder
+// finds among its buffered bytes is refused exactly as one read byte by
+// byte, with the same error, even when the records after it would make
+// the stream account for every pixel.
+func TestDeltaDecodeRefusesBadRecordsInBuffer(t *testing.T) {
+	hdr := []byte("SLBD\x02\x00\x00\x00\x02\x00\x00\x00")
+	valid := []byte{0, 4, 2} // skip 0, a run of 4 of label 1
+	for _, tc := range []struct {
+		name string
+		bad  []byte
+	}{
+		{"zero run", []byte{0, 0, 2}},
+		{"skip overrun", []byte{5}},
+		{"skip overrun before a run", []byte{5, 1, 2}},
+		{"run overrun", []byte{0, 5, 2}},
+		{"label past int32", []byte{0, 1, 0x80, 0x80, 0x80, 0x80, 0x20}},
+		{"overlong skip", []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}},
+	} {
+		stream := append(append(append([]byte(nil), hdr...), tc.bad...), valid...)
+		_, err := Decode(bytes.NewReader(stream), 4, nil)
+		_, slowErr := Decode(iotest.OneByteReader(bytes.NewReader(stream)), 4, nil)
+		if err == nil || slowErr == nil || err.Error() != slowErr.Error() {
+			t.Errorf("%s: buffered decode error %v, byte-by-byte error %v", tc.name, err, slowErr)
+		}
 	}
 }
